@@ -24,7 +24,7 @@ import math
 import sys
 import time
 
-from . import cosets, covering, fppoly, modules, monoids, oracle, parser, rings, snf
+from . import cosets, covering, modules, monoids, oracle, parser, rings, snf
 from .errors import CoverCalcError, SpecSemanticError, SpecSyntaxError
 
 EXIT_OK = 0
@@ -229,13 +229,14 @@ def _cmd_coset_cover(args) -> dict:
     ideal = _cyclic_ideal(ring, d)
     puncture = parser.parse_element(args.puncture, ring)
     w = cosets.build_coset_cover(ring, ideal, puncture)
+    render = rings.element_ops(ring).render
     rep["answer"] = w.count()
     rep["witness"] = {
         "kind": "coset-cover",
         "target": w.target_str(),
-        "puncture": rings.element_str(ring, w.puncture),
-        "cosets": [{"submodule_generators": [rings.element_str(ring, g)],
-                    "representative": rings.element_str(ring, r)}
+        "puncture": render(w.puncture),
+        "cosets": [{"submodule_generators": [render(g)],
+                    "representative": render(r)}
                    for g, r in w.cosets],
     }
     if args.check:
@@ -340,13 +341,16 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_snf(args) -> dict:
     ring = parser.parse_ring(args.ring)
     A = parser.parse_matrix(args.matrix, ring)
-    diag, U, V = snf.smith_normal_form(ring, A)
+    try:
+        diag, U, V = snf.smith_normal_form(ring, A)
+    except ValueError as exc:
+        raise SpecSemanticError(str(exc)) from exc
     rep = _base_report("snf", args.matrix)
     rep["ring"] = parser.render_ring(ring)
-    fmt = (lambda x: fppoly.poly_str(x)) if ring.kind == rings.POLY else str
-    rep["diagonal"] = [fmt(x) for x in diag]
-    rep["U"] = [[fmt(x) for x in row] for row in U]
-    rep["V"] = [[fmt(x) for x in row] for row in V]
+    render = rings.element_ops(ring).render
+    rep["diagonal"] = [render(x) for x in diag]
+    rep["U"] = [[render(x) for x in row] for row in U]
+    rep["V"] = [[render(x) for x in row] for row in V]
     return rep
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fppoly, gaussian, modules, oracle, rings
+from . import arith, modules, oracle, rings
 from .cardinal import finite
 from .errors import (InfiniteResidueError, NotMaterializableError,
                      TrivialGroupError, ZeroIdealError)
@@ -53,41 +53,18 @@ def phi_finite_abelian(orders) -> int:
     orders = list(orders)
     if not orders or any(o < 1 for o in orders):
         raise ValueError("orders must be positive integers")
-    total = 0
-    seen_nontrivial = False
-    valuations: dict[int, int] = {}
-    for o in orders:
-        if o > 1:
-            seen_nontrivial = True
-        d = 2
-        while d * d <= o:
-            while o % d == 0:
-                valuations[d] = valuations.get(d, 0) + 1
-                o //= d
-            d += 1 if d == 2 else 2
-        if o > 1:
-            valuations[o] = valuations.get(o, 0) + 1
-    if not seen_nontrivial:
+    if all(o == 1 for o in orders):
         raise TrivialGroupError("the trivial group has no punctured cover")
-    return sum((p - 1) * v for p, v in valuations.items())
+    return sum((p - 1) * e for o in orders for p, e in arith.factorize(o))
 
 
 def phi_vector_space(q: int, n: int) -> int:
     """Affine-hyperplane count n*(q-1) for F_q^n minus the origin."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    if q < 2 or not _is_prime_power(q):
+    if not arith.is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
     return n * (q - 1)
-
-
-def _is_prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
 
 
 def phi_conjecture_value(ring: RingHandle, blocks) -> tuple[int, bool]:
@@ -119,7 +96,8 @@ class CosetCoverWitness:
         return len(self.cosets)
 
     def target_str(self) -> str:
-        return f"{self.ring}: R/({rings.element_str(self.ring, self.modulus_element)})"
+        gen = rings.element_ops(self.ring).render(self.modulus_element)
+        return f"{self.ring}: R/({gen})"
 
 
 def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
@@ -138,82 +116,27 @@ def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
         raise ZeroIdealError("R/I needs a nonzero ideal")
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
+    ops = rings.element_ops(ring)
     h = rings.ideal_generator_element(ring, ideal)
-    puncture = _reduce_mod(ring, puncture, h)
+    puncture = ops.reduce(puncture, h)
     cosets = []
-    g = rings.ring_one(ring)
+    g = ops.one
     for m, e in ideal.factors:
-        pi = _prime_element(ring, m)
+        pi = m.data
         for j in range(1, e + 1):
-            sub_gen = rings.ring_mul(ring, g, rings.ring_pow(ring, pi, j))
-            sub_gen = _reduce_mod(ring, sub_gen, h)
-            layer = rings.ring_mul(ring, g, rings.ring_pow(ring, pi, j - 1))
-            for r in _nonzero_residues(ring, m):
-                rep = rings.ring_mul(ring, r, layer)
-                rep = _add_mod(ring, rep, puncture, h)
-                rep = _canonical_rep(ring, rep, sub_gen, h)
-                cosets.append((sub_gen, rep))
-        g = rings.ring_mul(ring, g, rings.ring_pow(ring, pi, e))
+            sub_gen = ops.reduce(ops.mul(g, ops.pow(pi, j)), h)
+            # only the last layer of the last factor has sub_gen = 0 mod h;
+            # its cosets are single points, represented mod h
+            modulus = h if ops.is_zero(sub_gen) else sub_gen
+            layer = ops.mul(g, ops.pow(pi, j - 1))
+            for r in ops.nonzero_residues(pi):
+                rep = ops.reduce(ops.add(ops.mul(r, layer), puncture), h)
+                cosets.append((sub_gen, ops.reduce(rep, modulus)))
+        g = ops.mul(g, ops.pow(pi, e))
     expected = phi_cyclic(ring, ideal)
     if len(cosets) != expected:
         raise AssertionError(f"built {len(cosets)} cosets, expected {expected}")
     return CosetCoverWitness(ring, ideal, h, puncture, tuple(cosets))
-
-
-def _prime_element(ring: RingHandle, m: MaximalIdealId):
-    return m.data
-
-
-def _nonzero_residues(ring: RingHandle, m: MaximalIdealId):
-    """Canonical nonzero residue representatives of R/m, as ring elements."""
-    if ring.kind == rings.INTEGERS:
-        return [r for r in range(1, m.data)]
-    if ring.kind == rings.POLY:
-        out = []
-        for v in range(1, m.residue_card.finite_value):
-            out.append(fppoly.from_code(v, ring.p))
-        return out
-    # Z[i]: residues of a split/ramified prime are 1..p-1; of an inert
-    # prime q the nonzero a+bi with 0 <= a, b < q
-    u, v = m.data
-    if v != 0:
-        p = gaussian.norm(m.data)
-        return [(r, 0) for r in range(1, p)]
-    return [(a, b) for b in range(u) for a in range(u) if (a, b) != (0, 0)]
-
-
-def _reduce_mod(ring: RingHandle, x, h):
-    if ring.kind == rings.INTEGERS:
-        return x % abs(h)
-    if ring.kind == rings.POLY:
-        return fppoly.mod(fppoly.trim(x, ring.p), h, ring.p)
-    return gaussian.divmod_round(tuple(x), h)[1]
-
-
-def _add_mod(ring: RingHandle, x, y, h):
-    if ring.kind == rings.INTEGERS:
-        return (x + y) % abs(h)
-    if ring.kind == rings.POLY:
-        return fppoly.mod(fppoly.add(x, y, ring.p), h, ring.p)
-    return gaussian.divmod_round(gaussian.add(x, y), h)[1]
-
-
-def _canonical_rep(ring: RingHandle, rep, sub_gen, h):
-    """Deterministic small representative of rep + (sub_gen) mod h."""
-    modulus = h if _is_zero(ring, _reduce_mod(ring, sub_gen, h)) else sub_gen
-    if ring.kind == rings.INTEGERS:
-        return rep % abs(modulus)
-    if ring.kind == rings.POLY:
-        return fppoly.mod(rep, modulus, ring.p)
-    return gaussian.divmod_round(rep, modulus)[1]
-
-
-def _is_zero(ring: RingHandle, x) -> bool:
-    if ring.kind == rings.INTEGERS:
-        return x == 0
-    if ring.kind == rings.POLY:
-        return x == ()
-    return tuple(x) == (0, 0)
 
 
 def verify_coset_cover(witness: CosetCoverWitness, max_size: int = 4096) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from . import arith
+
 Poly = tuple  # tuple of ints in [0, p)
 
 ZERO: Poly = ()
@@ -145,27 +147,13 @@ def is_irreducible(f: Poly, p: int) -> bool:
     if t != mod(x, f, p):
         return False
     # for each prime divisor r of d, gcd(x^(p^(d/r)) - x, f) must be 1
-    for r in _prime_divisors(d):
+    for r in arith.prime_factors(d):
         t = x
         for _ in range(d // r):
             t = pow_mod(t, p, f, p)
         if deg(gcd(sub(t, x, p), f, p)) > 0:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def irreducibles(p: int, max_degree: int) -> Iterator[Poly]:

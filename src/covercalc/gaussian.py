@@ -9,7 +9,7 @@ ramified prime is 1+i, and inert primes are positive integers.
 
 from __future__ import annotations
 
-from math import isqrt
+from . import arith
 
 Gauss = tuple  # (a, b) for a + b*i
 
@@ -129,7 +129,7 @@ def factor(z: Gauss) -> tuple[Gauss, dict[Gauss, int]]:
     factors: dict[Gauss, int] = {}
     rest = z
     n = norm(z)
-    for p in _rational_prime_factors(n):
+    for p in arith.prime_factors(n):
         for pi in primes_above(p):
             e = 0
             while divides(pi, rest):
@@ -142,42 +142,15 @@ def factor(z: Gauss) -> tuple[Gauss, dict[Gauss, int]]:
     return rest, dict(sorted(factors.items(), key=lambda kv: sort_key(kv[0])))
 
 
-def _rational_prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def primes_with_norm_at_most(n: int) -> list[Gauss]:
     """All canonical Gaussian primes of norm <= n, in canonical order."""
     out = []
-    if n >= 2:
-        out.append((1, 1))
-    for p in range(3, n + 1, 2):
-        if not _is_prime(p):
-            continue
-        if p % 4 == 1:
+    for p in arith.primes_up_to(n):
+        if p % 4 != 3:
             out.extend(primes_above(p))
-        elif p * p <= n:
+        elif norm((p, 0)) <= n:
             out.append((p, 0))
     return sorted(out, key=sort_key)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def gauss_str(z: Gauss) -> str:

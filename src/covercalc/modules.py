@@ -256,18 +256,10 @@ def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> Mo
     free = ncols_free + max(m - n, 0) if m else ncols_free
     torsion = []
     for dd in diag:
-        ideal = _diag_ideal(ring, dd)
-        if ideal is None:
+        if rings.element_ops(ring).is_zero(dd):
             free += 1
-        elif ideal.unit:
             continue
-        else:
+        ideal = rings.factor_ideal(ring, dd)
+        if not ideal.unit:
             torsion.append((ideal, finite(1)))
     return make_descriptor(ring, free_rank=finite(free), torsion=torsion)
-
-
-def _diag_ideal(ring: RingHandle, entry) -> Optional[FactoredIdeal]:
-    zero = entry == 0 if ring.kind == rings.INTEGERS else entry == ()
-    if zero:
-        return None
-    return rings.factor_ideal(ring, entry)

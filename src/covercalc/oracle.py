@@ -23,7 +23,7 @@ from math import prod
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
-from . import fppoly, modules, residues, rings, snf
+from . import arith, fppoly, modules, residues, rings, snf
 from .covering import CoverWitness, LINES
 from .errors import (NotMaterializableError, ShapeMismatchError,
                      TooLargeError, TrivialGroupError, UnsupportedRingError)
@@ -93,7 +93,7 @@ def _ring_element_coords(ring: RingHandle, info: SummandInfo, elem) -> list:
         return [elem]
     if ring.kind == rings.POLY:
         g = rings.ideal_generator_element(ring, info.annihilator)
-        r = fppoly.mod(fppoly.trim(elem, ring.p), g, ring.p)
+        r = rings.element_ops(ring).reduce(elem, g)
         return [r[c] if c < len(r) else 0 for c in range(info.ncoords)]
     if ring.kind == rings.GAUSSIAN:
         a, b = elem
@@ -212,23 +212,18 @@ def _check_annihilators(mod: FiniteModule) -> None:
 
 
 def _scalar_action(mod: FiniteModule, scalar, x: int) -> int:
-    """Apply multiplication by a ring element to one module element."""
-    if mod.ring.kind == rings.INTEGERS:
-        digits = mod.decode(x)
-        return mod.encode([scalar * v for v in digits])
-    if mod.ring.kind == rings.GAUSSIAN:
-        a, b = scalar
-        out = _int_scale(mod, a, x)
-        ix = kernels.apply_matrix(mod.orders, mod.actions[0], x)
-        return _add(mod, out, _int_scale(mod, b, ix))
-    if mod.ring.kind == rings.POLY:
-        out = 0
-        cur = x
-        for coeff in scalar:
-            out = _add(mod, out, _int_scale(mod, coeff, cur))
-            cur = kernels.apply_matrix(mod.orders, mod.actions[0], cur)
-        return out
-    raise UnsupportedRingError(str(mod.ring))
+    """Apply multiplication by a ring element to one module element.
+
+    The scalar is read as its coefficients in powers of the action: an
+    integer over Z, a + b*i over Z[i], c0 + c1*t + ... over F_p[t].
+    """
+    coeffs = (scalar,) if isinstance(scalar, int) else scalar
+    out = 0
+    for k, coeff in enumerate(coeffs):
+        if k:
+            x = kernels.apply_matrix(mod.orders, mod.actions[0], x)
+        out = _add(mod, out, _int_scale(mod, coeff, x))
+    return out
 
 
 def _int_scale(mod: FiniteModule, n: int, x: int) -> int:
@@ -278,7 +273,7 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     if n == 1:
         return []
     cores: set[int] = set()
-    for p in _prime_factors(n):
+    for p in arith.prime_factors(n):
         coords = [i for i, d in enumerate(mod.orders) if d % p == 0]
         digit_cache = _mod_p_digits(mod, coords, p)
         for a in _projective_vectors(p, len(coords)):
@@ -308,20 +303,6 @@ def _projective_vectors(p: int, r: int):
     for lead in range(r):
         for tail in itertools.product(range(p), repeat=r - lead - 1):
             yield (0,) * lead + (1,) + tail
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def all_subgroups(orders: Sequence[int]) -> list[int]:
@@ -481,8 +462,8 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     if max(i, j) >= len(mod.summands):
         raise ShapeMismatchError("witness indexes a missing summand")
     F = residues.residue_field(mod.ring, witness.ideal)
-    red_i = _reduction_vector(mod, mod.summands[i], F)
-    red_j = _reduction_vector(mod, mod.summands[j], F)
+    red_i = [F.reduce(elem) for elem in mod.summands[i].basis]
+    red_j = [F.reduce(elem) for elem in mod.summands[j].basis]
     if len(witness.line_points) != F.q + 1:
         return False
     union = 0
@@ -500,18 +481,6 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
             return False
         union |= line_mask
     return union == mod.full_mask
-
-
-def _reduction_vector(mod: FiniteModule, info: SummandInfo, F) -> list[int]:
-    out = []
-    for elem in info.basis:
-        if mod.ring.kind == rings.INTEGERS:
-            out.append(F.reduce_int(elem))
-        elif mod.ring.kind == rings.POLY:
-            out.append(F.reduce_poly(elem))
-        else:
-            out.append(F.reduce_gauss(elem))
-    return out
 
 
 def _reduce_coords(F, digits, info: SummandInfo, red) -> int:

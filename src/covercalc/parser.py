@@ -3,6 +3,7 @@
 Ring literals:
     Z | Zi | Fp[t] p=<prime> | F q=<cardinal> | local residue=<cardinal>
     | dedekind {m1:r1, m2:r2, ...} min=<cardinal> [spectrum=finite|infinite]
+with every finite field or residue cardinal a prime power.
 
 Descriptors:  "<ring>: <summand> (+ <summand>)*" with summands
     R/(lit)  R  Q  Pruefer(lit)  primes(N[, infinite])  0
@@ -82,6 +83,14 @@ def parse_ring(text: str) -> RingHandle:
 
 
 def _ring(cur: _Cursor) -> RingHandle:
+    """Parse a ring literal; rings that cannot exist are semantic errors."""
+    try:
+        return _ring_literal(cur)
+    except ValueError as exc:
+        raise SpecSemanticError(str(exc)) from exc
+
+
+def _ring_literal(cur: _Cursor) -> RingHandle:
     if cur.try_lit("Zi"):
         return rings.gaussian_integers()
     if cur.try_lit("Z"):
@@ -117,10 +126,7 @@ def _ring(cur: _Cursor) -> RingHandle:
             if word not in ("finite", "infinite"):
                 raise cur.error("spectrum must be finite or infinite")
             infinite = word == "infinite"
-        try:
-            return rings.abstract_dedekind(primes, min_residue, infinite)
-        except ValueError as exc:
-            raise SpecSemanticError(str(exc)) from exc
+        return rings.abstract_dedekind(primes, min_residue, infinite)
     raise cur.error("expected a ring literal")
 
 
@@ -394,9 +400,9 @@ def render_descriptor(d: ModuleDescriptor) -> str:
             mult = _card_minus_one(mult)
             if mult == ZERO:
                 continue
-        if d.ring.kind in (rings.INTEGERS, rings.GAUSSIAN, rings.POLY):
-            gen = rings.element_str(
-                d.ring, rings.ideal_generator_element(d.ring, ideal))
+        if rings.is_concrete(d.ring):
+            gen = rings.element_ops(d.ring).render(
+                rings.ideal_generator_element(d.ring, ideal))
         else:
             gen = str(ideal)
         parts.append(_suffix(f"R/({gen})", mult))

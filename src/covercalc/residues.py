@@ -51,14 +51,14 @@ class ResidueField:
             return str(a)
         return fppoly.poly_str(self._decode(a), self.symbol)
 
-    def reduce_int(self, x: int) -> int:
-        return x % self.p
-
-    def reduce_poly(self, f: tuple) -> int:
-        return fppoly.code(fppoly.mod(fppoly.trim(f, self.p), self.modulus, self.p), self.p)
-
-    def reduce_gauss(self, z: gaussian.Gauss) -> int:
-        a, b = z
+    def reduce(self, x) -> int:
+        """Code of the image in F of an element of the source ring."""
+        if self.source_kind == rings.INTEGERS:
+            return x % self.p
+        if self.source_kind == rings.POLY:
+            r = fppoly.mod(fppoly.trim(x, self.p), self.modulus, self.p)
+            return fppoly.code(r, self.p)
+        a, b = x
         if self.d == 1:
             return (a + b * self.gauss_i) % self.p
         return fppoly.code(fppoly.trim((a, b), self.p), self.p)
@@ -72,14 +72,8 @@ def residue_field(ring: rings.RingHandle, m: rings.MaximalIdealId) -> ResidueFie
     if ring.kind == rings.INTEGERS:
         return ResidueField(p=m.data, d=1, source_kind=rings.INTEGERS)
     if ring.kind == rings.POLY:
-        f = m.data
-        d = fppoly.deg(f)
-        if d == 1:
-            # R/(t - c) = F_p; reduce by evaluating at the root
-            return ResidueField(p=ring.p, d=1, modulus=f, symbol="t",
-                                source_kind=rings.POLY)
-        return ResidueField(p=ring.p, d=d, modulus=f, symbol="t",
-                            source_kind=rings.POLY)
+        return ResidueField(p=ring.p, d=fppoly.deg(m.data), modulus=m.data,
+                            symbol="t", source_kind=rings.POLY)
     if ring.kind == rings.GAUSSIAN:
         u, v = m.data
         if v == 0:

@@ -1,9 +1,10 @@
 """Ring adapters: factorization, residue cardinalities, prime enumeration.
 
-Concrete kinds (Z, Z[i], F_p[t]) factor element literals themselves by
-trial division; abstract kinds (a local ring, or Dedekind data supplied by
-the user) only accept already-factored input and answer residue questions
-from their declared data.
+Concrete kinds (Z, Z[i], F_p[t]) factor element literals themselves and
+carry their element arithmetic in one ops record each (element_ops);
+abstract kinds (a local ring, or Dedekind data supplied by the user) only
+accept already-factored input and answer residue questions from their
+declared data.
 
 Fields are modeled with an empty set of maximal ideals; vector-space
 questions are routed around the maximal-ideal machinery entirely.
@@ -11,11 +12,11 @@ questions are routed around the maximal-ideal machinery entirely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional, Sequence, Union
 
-from . import fppoly, gaussian
+from . import arith, fppoly, gaussian
 from .cardinal import Cardinal, finite
 from .errors import (NotApplicableError, NotEnumerableError,
                      UnknownIdealError, UnsupportedLiteralError,
@@ -68,20 +69,23 @@ def gaussian_integers() -> RingHandle:
 
 
 def poly_over_prime_field(p: int) -> RingHandle:
-    if not _is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError(f"F_p[t] needs a prime p, got {p}")
     return RingHandle(POLY, p=p)
 
 
+def _check_field_size(card: Cardinal, what: str) -> None:
+    if card.is_finite and not arith.is_prime_power(card.finite_value):
+        raise ValueError(f"{what} must be a prime power or infinite, got {card}")
+
+
 def field_ring(card: Cardinal) -> RingHandle:
-    if card.is_finite and card.finite_value < 2:
-        raise ValueError("a field has at least two elements")
+    _check_field_size(card, "a field's size")
     return RingHandle(FIELD, card=card)
 
 
 def abstract_local(residue: Cardinal, label: str = "m") -> RingHandle:
-    if residue.is_finite and residue.finite_value < 2:
-        raise ValueError("residue field has at least two elements")
+    _check_field_size(residue, "the residue size")
     return RingHandle(LOCAL, residue=residue, label=label)
 
 
@@ -92,7 +96,9 @@ def abstract_dedekind(primes: Sequence[tuple[str, Cardinal]],
     labels = [lab for lab, _ in prs]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate prime labels")
+    _check_field_size(min_residue, "the min residue size")
     for lab, res in prs:
+        _check_field_size(res, f"the residue size of {lab}")
         if min_residue > res:
             raise ValueError(f"min_residue {min_residue} exceeds residue of {lab}")
     return RingHandle(DEDEKIND, primes=prs, min_residue=min_residue,
@@ -142,12 +148,8 @@ class MaximalIdealId:
         return (self.residue_card.level, self.residue_card.n) + tail
 
     def generator_str(self) -> str:
-        if self.ring_kind == INTEGERS:
-            return str(self.data)
-        if self.ring_kind == GAUSSIAN:
-            return gaussian.gauss_str(self.data)
-        if self.ring_kind == POLY:
-            return fppoly.poly_str(self.data)
+        if self.ring_kind in (INTEGERS, GAUSSIAN, POLY):
+            return _ops(self.ring_kind, self.char).render(self.data)
         return str(self.data)
 
     def __str__(self) -> str:
@@ -155,7 +157,7 @@ class MaximalIdealId:
 
 
 def maximal_ideal_z(p: int) -> MaximalIdealId:
-    if not _is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     return MaximalIdealId(INTEGERS, p, finite(p))
 
@@ -164,8 +166,8 @@ def maximal_ideal_zi(z: gaussian.Gauss) -> MaximalIdealId:
     zc = gaussian.canonical_associate(tuple(z))
     n = gaussian.norm(zc)
     a, b = zc
-    ok = (zc == (1, 1)) or (b == 0 and _is_prime(a) and a % 4 == 3) or \
-         (_is_prime(n) and b != 0)
+    ok = (zc == (1, 1)) or (b == 0 and arith.is_prime(a) and a % 4 == 3) or \
+         (arith.is_prime(n) and b != 0)
     if not ok:
         raise ValueError(f"{gaussian.gauss_str(zc)} is not a Gaussian prime")
     return MaximalIdealId(GAUSSIAN, zc, finite(n))
@@ -263,8 +265,7 @@ def factor_ideal(ring: RingHandle, generator: IdealLiteral) -> FactoredIdeal:
     if ring.kind == INTEGERS:
         return _factor_int(generator)
     if ring.kind == GAUSSIAN:
-        z = (generator, 0) if isinstance(generator, int) else tuple(generator)
-        return _factor_gauss(z)
+        return _factor_gauss(_GAUSS_OPS.coerce(generator))
     if ring.kind == POLY:
         return _factor_poly(ring.p, generator)
     if ring.kind == FIELD:
@@ -284,30 +285,16 @@ def _factor_int(n: int) -> FactoredIdeal:
     if n == 0:
         raise ZeroIdealError("the zero ideal has no factorization")
     if abs(n) >= _MAX_FACTOR_INPUT:
-        raise UnsupportedLiteralError("integer too large for trial division")
-    n = abs(n)
-    if n == 1:
-        return FactoredIdeal.unit_ideal()
-    factors: dict[MaximalIdealId, int] = {}
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors[maximal_ideal_z(d)] = e
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[maximal_ideal_z(n)] = 1
-    return FactoredIdeal.from_factors(factors)
+        raise UnsupportedLiteralError("integer literals must be below 2^63 in size")
+    return FactoredIdeal.from_factors(
+        {maximal_ideal_z(p): e for p, e in arith.factorize(abs(n))})
 
 
 def _factor_gauss(z: gaussian.Gauss) -> FactoredIdeal:
     if z == gaussian.ZERO:
         raise ZeroIdealError("the zero ideal has no factorization")
     if gaussian.norm(z) >= _MAX_FACTOR_INPUT:
-        raise UnsupportedLiteralError("Gaussian integer too large")
+        raise UnsupportedLiteralError("Gaussian literals must have norm below 2^63")
     _, factors = gaussian.factor(z)
     if not factors:
         return FactoredIdeal.unit_ideal()
@@ -378,18 +365,15 @@ def maximal_ideals_with_residue_at_most(ring: RingHandle, n: int) -> list[Maxima
     if n < 1:
         raise ValueError("bound must be >= 1")
     if ring.kind == INTEGERS:
-        return [maximal_ideal_z(p) for p in range(2, n + 1) if _is_prime(p)]
+        return [maximal_ideal_z(p) for p in arith.primes_up_to(n)]
     if ring.kind == GAUSSIAN:
         return [maximal_ideal_zi(z) for z in gaussian.primes_with_norm_at_most(n)]
     if ring.kind == POLY:
-        out = []
-        d = 1
-        while ring.p ** d <= n:
-            out.extend(maximal_ideal_poly(ring.p, f)
-                       for f in fppoly.monic_polys_of_degree(d, ring.p)
-                       if fppoly.is_irreducible(f, ring.p))
-            d += 1
-        return out
+        top = 0
+        while ring.p ** (top + 1) <= n:
+            top += 1
+        return [maximal_ideal_poly(ring.p, f)
+                for f in fppoly.irreducibles(ring.p, top)]
     if ring.kind == DEDEKIND:
         bound = finite(n)
         ids = [maximal_ideal_abstract(lab, res) for lab, res in ring.primes
@@ -415,57 +399,150 @@ def least_maximal_ideal(ring: RingHandle) -> Optional[MaximalIdealId]:
     return None
 
 
-def ring_one(ring: RingHandle):
-    """Multiplicative identity of a concrete ring, as an element literal."""
-    if ring.kind == INTEGERS:
-        return 1
-    if ring.kind == GAUSSIAN:
-        return (1, 0)
-    if ring.kind == POLY:
-        return (1,)
-    raise NotApplicableError("only concrete rings have element arithmetic")
-
-
-def ring_mul(ring: RingHandle, x, y):
-    if ring.kind == INTEGERS:
-        return x * y
-    if ring.kind == GAUSSIAN:
-        return gaussian.mul(x, y)
-    if ring.kind == POLY:
-        return fppoly.mul(x, y, ring.p)
-    raise NotApplicableError("only concrete rings have element arithmetic")
-
-
-def ring_pow(ring: RingHandle, x, e: int):
-    out = ring_one(ring)
-    for _ in range(e):
-        out = ring_mul(ring, out, x)
-    return out
-
-
 def ideal_generator_element(ring: RingHandle, ideal: FactoredIdeal):
     """A generating element of a factored ideal over a concrete (PID) ring."""
+    ops = element_ops(ring)
     if ideal.zero:
-        return 0 if ring.kind == INTEGERS else \
-            ((0, 0) if ring.kind == GAUSSIAN else ())
-    out = ring_one(ring)
+        return ops.zero
+    out = ops.one
     for m, e in ideal.factors:
-        out = ring_mul(ring, out, ring_pow(ring, m.data, e))
+        out = ops.mul(out, ops.pow(m.data, e))
     return out
 
 
-def element_str(ring: RingHandle, x) -> str:
-    if ring.kind == GAUSSIAN:
-        return gaussian.gauss_str(x)
-    if ring.kind == POLY:
-        return fppoly.poly_str(x)
-    return str(x)
+class _ElementOps:
+    """Element arithmetic of one concrete ring kind.
+
+    Every kind has zero, one, coerce, add, mul, pow, is_zero, render,
+    reduce(x, h) and nonzero_residues(pi); reduce is the canonical
+    residue of x modulo h (non-negative over Z, the divmod_round
+    remainder over Z[i]).  Z and F_p[t] add norm, sub, divmod (the
+    Euclidean step, with a balanced remainder over Z) and canonical_unit
+    for Smith normal form.
+    """
+
+    def is_zero(self, x) -> bool:
+        return x == self.zero
+
+    def pow(self, x, e: int):
+        out = self.one
+        for _ in range(e):
+            out = self.mul(out, x)
+        return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
+class _IntOps(_ElementOps):
+    zero = 0
+    one = 1
+    coerce = staticmethod(int)
+    norm = staticmethod(abs)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    render = staticmethod(str)
+
+    @staticmethod
+    def divmod(a, b):
+        q = a // b
+        r = a - q * b
+        # keep |r| <= |b|/2 so norms shrink fast
+        if abs(2 * r) > abs(b):
+            adj = 1 if (r > 0) == (b > 0) else -1
+            q += adj
+            r -= adj * b
+        return q, r
+
+    @staticmethod
+    def reduce(x, h):
+        return x % abs(h)
+
+    @staticmethod
+    def canonical_unit(x):
+        """Unit u with u*x canonical (nonnegative)."""
+        return -1 if x < 0 else 1
+
+    @staticmethod
+    def nonzero_residues(pi):
+        """Canonical nonzero residues of R/(pi) for a prime element pi."""
+        return list(range(1, pi))
+
+
+class _GaussOps(_ElementOps):
+    zero = gaussian.ZERO
+    one = gaussian.ONE
+    add = staticmethod(gaussian.add)
+    mul = staticmethod(gaussian.mul)
+    render = staticmethod(gaussian.gauss_str)
+
+    @staticmethod
+    def coerce(x):
+        return (x, 0) if isinstance(x, int) else tuple(x)
+
+    @staticmethod
+    def reduce(x, h):
+        return gaussian.divmod_round(tuple(x), h)[1]
+
+    @staticmethod
+    def nonzero_residues(pi):
+        # split or ramified pi: 1..N(pi)-1; inert q: a+bi with 0 <= a, b < q
+        u, v = pi
+        if v != 0:
+            return [(r, 0) for r in range(1, gaussian.norm(pi))]
+        return [(a, b) for b in range(u) for a in range(u) if (a, b) != (0, 0)]
+
+
+class _PolyOps(_ElementOps):
+    zero = fppoly.ZERO
+    one = fppoly.ONE
+    render = staticmethod(fppoly.poly_str)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def coerce(self, x):
+        return fppoly.trim((x,) if isinstance(x, int) else tuple(x), self.p)
+
+    def norm(self, x):
+        return fppoly.deg(x) + 1
+
+    def divmod(self, a, b):
+        return fppoly.divmod_poly(a, b, self.p)
+
+    def reduce(self, x, h):
+        return fppoly.mod(fppoly.trim(x, self.p), h, self.p)
+
+    def add(self, a, b):
+        return fppoly.add(a, b, self.p)
+
+    def sub(self, a, b):
+        return fppoly.sub(a, b, self.p)
+
+    def mul(self, a, b):
+        return fppoly.mul(a, b, self.p)
+
+    def canonical_unit(self, x):
+        """Scalar u with u*x monic."""
+        return (pow(x[-1], self.p - 2, self.p),)
+
+    def nonzero_residues(self, pi):
+        return [fppoly.from_code(v, self.p)
+                for v in range(1, self.p ** fppoly.deg(pi))]
+
+
+_INT_OPS = _IntOps()
+_GAUSS_OPS = _GaussOps()
+
+
+def _ops(kind: str, p: int):
+    if kind == INTEGERS:
+        return _INT_OPS
+    if kind == GAUSSIAN:
+        return _GAUSS_OPS
+    if kind == POLY:
+        return _PolyOps(p)
+    raise NotApplicableError("only concrete rings have element arithmetic")
+
+
+def element_ops(ring: RingHandle):
+    """The element arithmetic of a concrete ring (Z, Z[i] or F_p[t])."""
+    return _ops(ring.kind, ring.p)

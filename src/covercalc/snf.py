@@ -9,86 +9,8 @@ unit determinants.
 
 from __future__ import annotations
 
-from . import fppoly
+from . import rings
 from .rings import INTEGERS, POLY, RingHandle
-
-
-class _IntOps:
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def norm(x):
-        return abs(x)
-
-    @staticmethod
-    def divmod(a, b):
-        q = a // b
-        r = a - q * b
-        # keep |r| <= |b|/2 so norms shrink fast
-        if abs(2 * r) > abs(b):
-            adj = 1 if (r > 0) == (b > 0) else -1
-            q += adj
-            r -= adj * b
-        return q, r
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def canonical_unit(x):
-        """Unit u with u*x canonical (nonnegative)."""
-        return -1 if x < 0 else 1
-
-
-class _PolyOps:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = fppoly.ZERO
-        self.one = fppoly.ONE
-
-    def is_zero(self, x):
-        return x == fppoly.ZERO
-
-    def norm(self, x):
-        return fppoly.deg(x) + 1
-
-    def divmod(self, a, b):
-        return fppoly.divmod_poly(a, b, self.p)
-
-    def add(self, a, b):
-        return fppoly.add(a, b, self.p)
-
-    def sub(self, a, b):
-        return fppoly.sub(a, b, self.p)
-
-    def mul(self, a, b):
-        return fppoly.mul(a, b, self.p)
-
-    def canonical_unit(self, x):
-        """Scalar u with u*x monic."""
-        return (pow(x[-1], self.p - 2, self.p),)
-
-
-def _ops_for(ring: RingHandle):
-    if ring.kind == INTEGERS:
-        return _IntOps()
-    if ring.kind == POLY:
-        return _PolyOps(ring.p)
-    raise ValueError("Smith normal form supports Z and F_p[t] matrices only")
 
 
 def smith_normal_form(ring: RingHandle, A):
@@ -98,12 +20,14 @@ def smith_normal_form(ring: RingHandle, A):
     nonnegative over Z and monic over F_p[t].  Matrix entries over F_p[t]
     are coefficient tuples as in fppoly.
     """
-    ops = _ops_for(ring)
+    if ring.kind not in (INTEGERS, POLY):
+        raise ValueError("Smith normal form supports Z and F_p[t] matrices only")
+    ops = rings.element_ops(ring)
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not rectangular")
-    D = [[_coerce(ops, x) for x in row] for row in A]
+    D = [[ops.coerce(x) for x in row] for row in A]
     U = _identity(ops, m)
     V = _identity(ops, n)
 
@@ -155,14 +79,6 @@ def smith_normal_form(ring: RingHandle, A):
     return diag, U, V
 
 
-def _coerce(ops, x):
-    if isinstance(ops, _PolyOps):
-        if isinstance(x, int):
-            return fppoly.trim((x,), ops.p)
-        return fppoly.trim(tuple(x), ops.p)
-    return int(x)
-
-
 def _identity(ops, n):
     return [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]
 
@@ -203,13 +119,13 @@ def _col_sub(ops, D, V, j, k, q):
 
 def matmul(ops_ring: RingHandle, A, B):
     """Exact matrix product over Z or F_p[t] (for checking U*A*V = D)."""
-    ops = _ops_for(ops_ring)
+    ops = rings.element_ops(ops_ring)
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
     out = [[ops.zero for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
             acc = ops.zero
             for l in range(inner):
-                acc = ops.add(acc, ops.mul(_coerce(ops, A[i][l]), _coerce(ops, B[l][j])))
+                acc = ops.add(acc, ops.mul(ops.coerce(A[i][l]), ops.coerce(B[l][j])))
             out[i][j] = acc
     return out

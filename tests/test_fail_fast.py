@@ -1,0 +1,88 @@
+"""Inputs with large primes answer quickly; impossible rings exit 65."""
+
+import json
+import signal
+import time
+
+import pytest
+
+from covercalc import cli
+
+BUDGET_S = 5
+
+
+class _Budget(Exception):
+    pass
+
+
+def run_within_budget(argv):
+    """cli.main(argv), interrupted by an exception past BUDGET_S seconds."""
+    def expire(signum, frame):
+        raise _Budget(f"{argv} ran past {BUDGET_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    started = time.perf_counter()
+    try:
+        code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["phi", "Z: R/(1000000016000000063)"], "answer", 2000000014),
+    # 3037000493 = 1 mod 4 splits into two primes of norm 3037000493
+    (["phi", "Zi: R/(3037000493)"], "answer", 2 * 3037000492),
+    (["sigma", "Z: R/(999999999999999989) + R/(999999999999999989)"],
+     "answer", "threshold(999999999999999990)"),
+    (["sigma", "Fp[t] p=1000000000000000003: R/(t) + R/(t)"],
+     "answer", "threshold(1000000000000000004)"),
+])
+def test_large_primes_answer_within_budget(capsys, argv, key, value):
+    code, elapsed = run_within_budget(argv + ["--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert json.loads(capsys.readouterr().out)[key] == value
+
+
+def test_integer_literal_guard_exits_65(capsys):
+    assert cli.main(["phi", "Z: R/(9223372036854775808)"]) == 65
+    assert "2^63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "Fp[t] p=4: R/(t)"],
+    ["snf", "Fp[t] p=6", "[[t]]"],
+    ["sigma", "F q=1: R^2"],
+    ["sigma", "local residue=1: R/(m)"],
+    ["sigma", "dedekind {m1:1} min=1: R/(m1)"],
+])
+def test_invalid_ring_literal_exits_65(capsys, argv):
+    assert cli.main(argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("cover-calc: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    "F q=6: R^2",
+    "F q=12: R",
+    "local residue=10: R/(m)",
+    "dedekind {m1:6, m2:3} min=3: R/(m1)",
+    "dedekind {m1:4, m2:9} min=6: R/(m1)",
+])
+def test_sizes_that_are_not_prime_powers_exit_65(capsys, spec):
+    assert cli.main(["sigma", spec]) == 65
+    assert "prime power" in capsys.readouterr().err
+
+
+def test_prime_power_sizes_still_parse(capsys):
+    for spec in ("F q=8: R^2", "local residue=9: R/(m)",
+                 "dedekind {m1:4, m2:aleph0} min=4: R/(m1)"):
+        assert cli.main(["sigma", spec, "--json"]) == 0
+    capsys.readouterr()
+
+
+def test_snf_over_an_unsupported_ring_exits_65(capsys):
+    assert cli.main(["snf", "Zi", "[[1]]"]) == 65
+    assert "Smith normal form" in capsys.readouterr().err
