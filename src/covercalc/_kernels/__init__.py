@@ -1,9 +1,13 @@
-"""Search-kernel backend selection.
+"""Kernel backend selection.
 
-The compiled extension (covercalc._kernels._fast) is preferred when it was
-built; otherwise the pure-Python kernels are used.  Both expose the same
-functions with identical tie-breaking, so every result is bit-identical.
-Set COVERCALC_KERNEL=pure to force the fallback.
+The group kernels (encode, decode, translate, apply_matrix, closure,
+invariant_core) come from the compiled extension (covercalc._kernels._fast)
+when it was built, otherwise from the pure-Python module; both give
+bit-identical results.  Set COVERCALC_KERNEL=pure to force the fallback.
+
+min_cover, the exact-cover search, has one implementation for both
+backends: the Python search in pure.py, with orbital branching when the
+caller supplies symmetries.
 """
 
 import os
@@ -25,7 +29,7 @@ translate = _impl.translate
 apply_matrix = _impl.apply_matrix
 closure = _impl.closure
 invariant_core = _impl.invariant_core
-min_cover = _impl.min_cover
+min_cover = pure.min_cover
 
 
 def load(name: str):

@@ -1,5 +1,7 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled search kernels; same contract and tie-breaking as pure.py.
+"""Compiled group kernels; same contract as the functions of pure.py.
+
+The exact-cover search (min_cover) lives in pure.py only.
 
 Bitmasks cross the boundary as Python ints and are unpacked into C arrays
 of 64-bit words internally.  Element counts are capped at 1 << 16, far
@@ -82,36 +84,6 @@ cdef inline bint _get(u64* buf, long long x):
 
 cdef inline void _setbit(u64* buf, long long x):
     buf[x >> 6] |= (<u64>1) << (x & 63)
-
-
-cdef int _popcount(u64* buf, int words):
-    cdef int i, c = 0
-    cdef u64 v
-    for i in range(words):
-        v = buf[i]
-        while v:
-            v &= v - 1
-            c += 1
-    return c
-
-
-cdef int _count_and(u64* a, u64* b, int words):
-    cdef int i, c = 0
-    cdef u64 v
-    for i in range(words):
-        v = a[i] & b[i]
-        while v:
-            v &= v - 1
-            c += 1
-    return c
-
-
-cdef inline int _ctz(u64 v):
-    cdef int c = 0
-    while not (v & 1):
-        v >>= 1
-        c += 1
-    return c
 
 
 def encode(orders, digits):
@@ -307,217 +279,3 @@ def invariant_core(orders, actions, mask):
         free(mats)
         free(cur)
         free(keep)
-
-
-cdef struct CoverCtx:
-    int words
-    int ncand
-    int nbits
-    u64* universe
-    u64* cands
-    int* cover_cnt
-    int** cover_of
-    int best
-
-
-cdef int _dfs(CoverCtx* ctx, u64* cov, int depth, u64* scratch) except -1:
-    cdef int words = ctx.words
-    cdef int i, j, e, gain, maxcov, need, rem_count, pick, cnt, ln, a, b, tmp
-    cdef u64* rem = scratch + depth * words
-    cdef u64 v
-    cdef long long x
-    cdef int* lst
-    cdef int* order
-    cdef int* gains
-    for i in range(words):
-        rem[i] = ctx.universe[i] & ~cov[i]
-    rem_count = _popcount(rem, words)
-    if rem_count == 0:
-        if depth < ctx.best:
-            ctx.best = depth
-        return 0
-    if depth + 1 >= ctx.best:
-        return 0
-    maxcov = 0
-    for i in range(ctx.ncand):
-        gain = _count_and(ctx.cands + i * words, rem, words)
-        if gain > maxcov:
-            maxcov = gain
-    if maxcov == 0:
-        return 0
-    need = (rem_count + maxcov - 1) // maxcov
-    if depth + need >= ctx.best:
-        return 0
-    pick = -1
-    cnt = 0
-    for j in range(words):
-        v = rem[j]
-        while v:
-            x = (<long long>j << 6) + _ctz(v)
-            v &= v - 1
-            if pick < 0 or ctx.cover_cnt[x] < cnt:
-                pick = <int>x
-                cnt = ctx.cover_cnt[x]
-    e = pick
-    lst = ctx.cover_of[e]
-    ln = ctx.cover_cnt[e]
-    order = <int*>malloc(ln * sizeof(int))
-    gains = <int*>malloc(ln * sizeof(int))
-    if order == NULL or gains == NULL:
-        if order != NULL:
-            free(order)
-        if gains != NULL:
-            free(gains)
-        raise MemoryError()
-    try:
-        for i in range(ln):
-            order[i] = lst[i]
-            gains[i] = _count_and(ctx.cands + lst[i] * words, rem, words)
-        for a in range(1, ln):
-            b = a
-            while b > 0 and (gains[b] > gains[b - 1] or
-                             (gains[b] == gains[b - 1] and order[b] < order[b - 1])):
-                tmp = gains[b]; gains[b] = gains[b - 1]; gains[b - 1] = tmp
-                tmp = order[b]; order[b] = order[b - 1]; order[b - 1] = tmp
-                b -= 1
-        for i in range(ln):
-            if depth + 1 >= ctx.best:
-                break
-            for j in range(words):
-                rem[j] = cov[j] | (ctx.cands + order[i] * words)[j]
-            _dfs(ctx, rem, depth + 1, scratch)
-            for j in range(words):
-                rem[j] = ctx.universe[j] & ~cov[j]
-    finally:
-        free(order)
-        free(gains)
-    return 0
-
-
-cdef int _greedy(CoverCtx* ctx) except -1:
-    cdef int words = ctx.words
-    cdef u64* cov = <u64*>calloc(words, 8)
-    cdef u64* rem = <u64*>calloc(words, 8)
-    cdef int size = 0
-    cdef int i, j, pick, gain, g2
-    if cov == NULL or rem == NULL:
-        if cov != NULL:
-            free(cov)
-        if rem != NULL:
-            free(rem)
-        raise MemoryError()
-    try:
-        while True:
-            for j in range(words):
-                rem[j] = ctx.universe[j] & ~cov[j]
-            if _popcount(rem, words) == 0:
-                return size
-            pick = -1
-            gain = 0
-            for i in range(ctx.ncand):
-                g2 = _count_and(ctx.cands + i * words, rem, words)
-                if g2 > gain:
-                    pick = i
-                    gain = g2
-            for j in range(words):
-                cov[j] |= (ctx.cands + pick * words)[j]
-            size += 1
-    finally:
-        free(cov)
-        free(rem)
-
-
-def min_cover(universe, candidates):
-    """Exact minimum cover; (size, lexicographically-least witness)."""
-    if universe == 0:
-        return 0, ()
-    total = 0
-    for c in candidates:
-        total |= c
-    if universe & ~total:
-        return None, ()
-    cdef int ncand = len(candidates)
-    cdef int nbits = max(int(universe).bit_length(), 1)
-    cdef int words = _words(nbits)
-    cdef CoverCtx ctx
-    cdef int i, e, cnt
-    cdef u64* cov0 = NULL
-    cdef u64* scratch = NULL
-    ctx.words = words
-    ctx.ncand = ncand
-    ctx.nbits = nbits
-    ctx.universe = <u64*>calloc(words, 8)
-    ctx.cands = <u64*>calloc(ncand * words, 8)
-    ctx.cover_cnt = <int*>calloc(nbits, sizeof(int))
-    ctx.cover_of = <int**>calloc(nbits, sizeof(int*))
-    if (ctx.universe == NULL or ctx.cands == NULL or ctx.cover_cnt == NULL
-            or ctx.cover_of == NULL):
-        raise MemoryError()
-    try:
-        _from_pyint(universe, ctx.universe, words)
-        for i in range(ncand):
-            _from_pyint(candidates[i], ctx.cands + i * words, words)
-        for e in range(nbits):
-            if _get(ctx.universe, e):
-                cnt = 0
-                for i in range(ncand):
-                    if _get(ctx.cands + i * words, e):
-                        cnt += 1
-                ctx.cover_cnt[e] = cnt
-                ctx.cover_of[e] = <int*>malloc(cnt * sizeof(int))
-                if ctx.cover_of[e] == NULL:
-                    raise MemoryError()
-                cnt = 0
-                for i in range(ncand):
-                    if _get(ctx.cands + i * words, e):
-                        ctx.cover_of[e][cnt] = i
-                        cnt += 1
-        ctx.best = _greedy(&ctx)
-        cov0 = <u64*>calloc(words, 8)
-        scratch = <u64*>calloc((ctx.best + 2) * words, 8)
-        if cov0 == NULL or scratch == NULL:
-            raise MemoryError()
-        _dfs(&ctx, cov0, 0, scratch)
-        witness = _lex_witness(universe, candidates, ctx.best)
-        return ctx.best, witness
-    finally:
-        if cov0 != NULL:
-            free(cov0)
-        if scratch != NULL:
-            free(scratch)
-        for e in range(nbits):
-            if ctx.cover_of[e] != NULL:
-                free(ctx.cover_of[e])
-        free(ctx.cover_of)
-        free(ctx.cover_cnt)
-        free(ctx.cands)
-        free(ctx.universe)
-
-
-def _lex_witness(universe, candidates, k):
-    # Python ints keep this simple; it is cheap next to the search above.
-    n = len(candidates)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | candidates[i]
-    path = []
-
-    def dfs(cov, start):
-        if len(path) == k:
-            return not (universe & ~cov)
-        if universe & ~(cov | suffix[start]):
-            return False
-        for i in range(start, n - (k - len(path)) + 1):
-            if universe & ~(cov | suffix[i]):
-                break
-            if not (candidates[i] & universe & ~cov):
-                continue
-            path.append(i)
-            if dfs(cov | candidates[i], i + 1):
-                return True
-            path.pop()
-        return False
-
-    if not dfs(0, 0):
-        raise AssertionError("lex pass failed to reproduce the optimal size")
-    return tuple(path)

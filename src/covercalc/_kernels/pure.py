@@ -3,7 +3,8 @@
 Elements of a finite abelian group with cyclic orders (d_0, ..., d_{k-1})
 are indexed in mixed radix (digit 0 least significant); subsets are Python
 ints with bit x set for element index x.  The compiled backend implements
-the same functions with the same tie-breaking, so results are identical.
+the group functions (all but min_cover) with identical results; min_cover,
+the exact-cover search, exists only here.
 """
 
 from __future__ import annotations
@@ -98,11 +99,25 @@ def _bits(mask: int):
         mask ^= lsb
 
 
-def min_cover(universe: int, candidates) -> tuple:
+# The search first runs without symmetries.  Instances that have not closed
+# after this many nodes fetch their symmetries and restart from the root.
+_PLAIN_NODES = 500
+# Each child group keeps at most this many stabilizer generators.
+_STABILIZER_GENS = 12
+
+
+def min_cover(universe: int, candidates, symmetries=None) -> tuple:
     """Exact minimum cover of the universe bits by candidate masks.
 
     Returns (size, witness) where witness is the lexicographically least
     increasing index tuple of that size, or (None, ()) when infeasible.
+
+    symmetries, if given, is a zero-argument callable returning
+    permutations of the candidate indices (tuples, perm[i] is the image of
+    i), each induced by a permutation of the elements that maps the universe
+    onto itself.  It is called only when the plain search needs more than
+    _PLAIN_NODES nodes; the symmetries prune the proof of optimality but
+    never change the size or the witness.
     """
     if universe == 0:
         return 0, ()
@@ -112,14 +127,15 @@ def min_cover(universe: int, candidates) -> tuple:
     if universe & ~total:
         return None, ()
 
-    cover_of = {}
-    for e in _bits(universe):
-        cover_of[e] = [i for i, c in enumerate(candidates) if (c >> e) & 1]
-
     best = _greedy_size(universe, candidates)
-    best = _bnb(universe, candidates, cover_of, best)
-    witness = _lex_witness(universe, candidates, best)
-    return best, witness
+    if symmetries is None:
+        best = _search(universe, candidates, best, ())
+    else:
+        try:
+            best = _search(universe, candidates, best, (), _PLAIN_NODES)
+        except _Unfinished as stop:
+            best = _search(universe, candidates, stop.best, tuple(symmetries()))
+    return best, _lex_witness(universe, candidates, best)
 
 
 def _greedy_size(universe: int, candidates) -> int:
@@ -137,11 +153,43 @@ def _greedy_size(universe: int, candidates) -> int:
     return size
 
 
-def _bnb(universe: int, candidates, cover_of, upper: int) -> int:
-    best = upper
+class _Unfinished(Exception):
+    def __init__(self, best: int):
+        super().__init__(best)
+        self.best = best
 
-    def dfs(cov: int, depth: int):
-        nonlocal best
+
+def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int:
+    """Prove the minimum cover size by orbital branching.
+
+    A node branches on the uncovered element with the fewest allowed
+    candidates.  Its group (a group of instance symmetries that fixes every
+    chosen candidate and maps the excluded set onto itself) splits those
+    candidates into orbits; child k includes the best representative of
+    orbit k and excludes orbits 1..k-1 entirely.  A cover through any
+    member of orbit k maps to one through its representative, so nothing
+    optimal is lost.  The child's group is the stabilizer of its
+    representative.  With no generators this is element branching with
+    sibling exclusion.  Returns the optimum, or raises _Unfinished with the
+    best size found once node_limit nodes have been visited.
+    """
+    n = len(candidates)
+    # the candidates holding each element, keyed by the element's bit
+    holders = dict.fromkeys((1 << e for e in _bits(universe)), 0)
+    for i, c in enumerate(candidates):
+        m = c & universe
+        while m:
+            low = m & -m
+            m ^= low
+            holders[low] |= 1 << i
+    best = upper
+    nodes = 0
+
+    def dfs(cov: int, depth: int, cands: list, allowed: int, gens):
+        nonlocal best, nodes
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
+            raise _Unfinished(best)
         rem = universe & ~cov
         if not rem:
             if depth < best:
@@ -149,26 +197,109 @@ def _bnb(universe: int, candidates, cover_of, upper: int) -> int:
             return
         if depth + 1 >= best:
             return
-        maxcov = 0
-        for c in candidates:
-            g = (c & rem).bit_count()
-            if g > maxcov:
-                maxcov = g
+        gains = [(c & rem).bit_count() for c in cands]
+        maxcov = max(gains)
         if maxcov == 0:
             return
         need = -(-rem.bit_count() // maxcov)
         if depth + need >= best:
             return
-        e = min(_bits(rem), key=lambda b: (len(cover_of[b]), b))
-        order = sorted(cover_of[e],
-                       key=lambda i: (-(candidates[i] & rem).bit_count(), i))
-        for i in order:
-            dfs(cov | candidates[i], depth + 1)
+        opts, fewest = 0, n + 1
+        m = rem
+        while m:
+            low = m & -m
+            m ^= low
+            o = holders[low] & allowed
+            k = o.bit_count()
+            if k < fewest:
+                opts, fewest = o, k
+                if k == 0:
+                    return
+        ranked = []
+        m = opts
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            ranked.append((-gains[i], i))
+        ranked.sort()
+        if gens:
+            # orbits in the order of their best member, which represents them
+            children = []
+            seen = 0
+            for _, i in ranked:
+                if not (seen >> i) & 1:
+                    orbit = _orbit(i, gens)
+                    seen |= orbit
+                    children.append((i, orbit))
+        else:
+            children = [(i, 1 << i) for _, i in ranked]
+        for rep, orbit in children:
             if depth + 1 >= best:
                 break
+            sub = ()
+            if gens and depth + 2 < best:
+                sub = gens if orbit == 1 << rep else _stabilizer(rep, gens, n)
+            dfs(cov | cands[rep], depth + 1, cands, allowed, sub)
+            allowed &= ~orbit
+            cands = cands.copy()
+            for j in _bits(orbit):
+                cands[j] = 0
 
-    dfs(0, 0)
+    dfs(0, 0, list(candidates), (1 << n) - 1, gens)
     return best
+
+
+def _orbit(i: int, gens) -> int:
+    """Bitmask of the orbit of candidate index i under the generators."""
+    mask = 1 << i
+    stack = [i]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                stack.append(y)
+    return mask
+
+
+def _stabilizer(rep: int, gens, n: int) -> tuple:
+    """Up to _STABILIZER_GENS distinct Schreier generators of the stabilizer
+    of rep: u_{s(x)}^-1 s u_x over the orbit transversal u.  Any subset of
+    them generates a subgroup of the stabilizer, which is all soundness
+    needs."""
+    identity = tuple(range(n))
+    transversal = {rep: identity}
+    order = [rep]
+    for x in order:
+        ux = transversal[x]
+        for s in gens:
+            y = s[x]
+            if y not in transversal:
+                transversal[y] = tuple(s[j] for j in ux)
+                order.append(y)
+    inverses = {}
+    found = {}
+    for x in order:
+        ux = transversal[x]
+        for s in gens:
+            y = s[x]
+            su = tuple(s[j] for j in ux)
+            if su == transversal[y]:
+                continue
+            inv = inverses.get(y)
+            if inv is None:
+                inv = [0] * n
+                for j, v in enumerate(transversal[y]):
+                    inv[v] = j
+                inverses[y] = inv
+            h = tuple(inv[v] for v in su)
+            if h != identity:
+                found[h] = None
+                if len(found) >= _STABILIZER_GENS:
+                    return tuple(found)
+    return tuple(found)
 
 
 def _lex_witness(universe: int, candidates, k: int) -> tuple:

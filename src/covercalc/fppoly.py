@@ -10,6 +10,7 @@ degree, then by the integer code sum(c_i * p^i).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Sequence
 
 from . import arith
@@ -165,33 +166,89 @@ def irreducibles(p: int, max_degree: int) -> Iterator[Poly]:
 
 
 def factor(f: Poly, p: int) -> tuple[int, dict[Poly, int]]:
-    """Factor f as (unit, {monic irreducible: exponent}) by trial division.
+    """Factor f as (unit, {monic irreducible: exponent}).
 
-    Irreducibles are tried by increasing degree; desk-scale inputs only.
+    Square-free, distinct-degree and equal-degree (Cantor-Zassenhaus)
+    factorization, so the cost is polynomial in deg f and log p.  The
+    factors are listed by degree, then in canonical (code) order.
     """
     if not f:
         raise ZeroDivisionError("cannot factor the zero polynomial")
-    unit = f[-1]
-    g = monic(f, p)
     factors: dict[Poly, int] = {}
-    d = 1
-    while deg(g) > 0:
-        if 2 * d > deg(g):
-            factors[g] = factors.get(g, 0) + 1
-            break
-        found = False
-        for cand in monic_polys_of_degree(d, p):
-            if not is_irreducible(cand, p):
-                continue
-            q, r = divmod_poly(g, cand, p)
-            while not r:
-                factors[cand] = factors.get(cand, 0) + 1
-                g = q
-                q, r = divmod_poly(g, cand, p)
-                found = True
-        if not found or deg(g) == 0:
-            d += 1
-    return unit, factors
+    for part, mult in _square_free(monic(f, p), p):
+        for d, group in _distinct_degree(part, p):
+            for g in _equal_degree(group, d, p):
+                factors[g] = factors.get(g, 0) + mult
+    ordered = sorted(factors, key=lambda g: (deg(g), code(g, p)))
+    return f[-1], {g: factors[g] for g in ordered}
+
+
+def _derivative(f: Poly, p: int) -> Poly:
+    return trim([i * c for i, c in enumerate(f)][1:], p)
+
+
+def _square_free(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """Monic f as [(square-free part, multiplicity)] (Yun, with p-th roots)."""
+    out = []
+    c = gcd(f, _derivative(f, p), p)
+    w = divmod_poly(f, c, p)[0]
+    i = 1
+    while deg(w) > 0:
+        y = gcd(w, c, p)
+        part = divmod_poly(w, y, p)[0]
+        if deg(part) > 0:
+            out.append((part, i))
+        w, c, i = y, divmod_poly(c, y, p)[0], i + 1
+    if deg(c) > 0:
+        # what is left is a polynomial in t^p: take its p-th root
+        root = tuple(c[j] for j in range(0, len(c), p))
+        out += [(g, m * p) for g, m in _square_free(root, p)]
+    return out
+
+
+def _distinct_degree(f: Poly, p: int) -> list[tuple[int, Poly]]:
+    """Square-free monic f as [(d, product of its irreducible factors of degree d)]."""
+    out = []
+    x = (0, 1)
+    h = x
+    d = 0
+    while deg(f) >= 2 * (d + 1):
+        d += 1
+        h = pow_mod(h, p, f, p)
+        g = gcd(sub(h, x, p), f, p)
+        if deg(g) > 0:
+            out.append((d, g))
+            f = divmod_poly(f, g, p)[0]
+            h = mod(h, f, p)
+    if deg(f) > 0:
+        out.append((deg(f), f))
+    return out
+
+
+def _equal_degree(f: Poly, d: int, p: int) -> list[Poly]:
+    """Split a monic product of distinct degree-d irreducibles into them.
+
+    The splitting polynomials a are taken in canonical order (t, t+1, ...,
+    then higher degrees) until g = a^((p^d-1)/2) - 1 (odd p), or the trace
+    a + a^2 + a^4 + ... + a^(2^(d-1)) (p = 2), has a proper gcd with f.
+    Some a always does: one that is 0 modulo one factor and 1 modulo
+    another.
+    """
+    if deg(f) == d:
+        return [f]
+    for v in itertools.count(p):
+        a = from_code(v, p)
+        if p == 2:
+            g, t = a, a
+            for _ in range(d - 1):
+                t = mod(mul(t, t, p), f, p)
+                g = add(g, t, p)
+        else:
+            g = sub(pow_mod(a, (p ** d - 1) // 2, f, p), ONE, p)
+        split = gcd(g, f, p)
+        if 0 < deg(split) < deg(f):
+            return (_equal_degree(split, d, p)
+                    + _equal_degree(divmod_poly(f, split, p)[0], d, p))
 
 
 def poly_str(f: Poly, var: str = "t") -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
@@ -427,6 +427,139 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
     return cands
 
 
+def automorphisms(mod: FiniteModule) -> list[tuple]:
+    """A few cheap module automorphisms, as integer matrices on the digits.
+
+    The summands (each coordinate, without summand data) are grouped by
+    their orders and action blocks.  Per group: a swap and a cycle of its
+    blocks, and a scaling of its first block by a unit of largest
+    multiplicative order.  Per ordered pair of groups (a group with itself
+    when it has two blocks): the shear x_i += c*x_j of their first blocks,
+    with the least c that makes it well defined.  Matrices that are not
+    well defined or do not commute with the action are dropped.  They
+    generate some subgroup of Aut(M), which is all a symmetry needs to be.
+    """
+    k = len(mod.orders)
+    blocks = ([(info.start, info.ncoords) for info in mod.summands]
+              if mod.summands else [(c, 1) for c in range(k)])
+    groups: dict = {}
+    for start, width in blocks:
+        coords = range(start, start + width)
+        sig = (tuple(mod.orders[c] for c in coords),
+               tuple(tuple(tuple(mat[r][c] for c in coords) for r in coords)
+                     for mat in mod.actions))
+        groups.setdefault(sig, []).append(start)
+    classes = [(len(sig[0]), starts) for sig, starts in groups.items()]
+
+    def identity():
+        return [[int(r == c) for c in range(k)] for r in range(k)]
+
+    def cycling(starts, width):
+        sigma = identity()
+        for pos, start in enumerate(starts):
+            dest = starts[(pos + 1) % len(starts)]
+            for t in range(width):
+                sigma[start + t][start + t] = 0
+                sigma[dest + t][start + t] = 1
+        return sigma
+
+    out = []
+    for width, starts in classes:
+        if len(starts) > 1:
+            out.append(cycling(starts[:2], width))
+        if len(starts) > 2:
+            out.append(cycling(starts, width))
+        first = starts[0]
+        u = _unit_of_largest_order(lcm(*mod.orders[first:first + width]))
+        if u != 1:
+            sigma = identity()
+            for t in range(width):
+                sigma[first + t][first + t] = u
+            out.append(sigma)
+    for width, dst in classes:
+        for width_j, src in classes:
+            if width_j != width or (src is dst and len(src) < 2):
+                continue
+            i = dst[0]
+            j = src[1] if src is dst else src[0]
+            c = lcm(*(mod.orders[i + t] // gcd(mod.orders[i + t],
+                                               mod.orders[j + t])
+                      for t in range(width)))
+            sigma = identity()
+            for t in range(width):
+                sigma[i + t][j + t] = c
+            out.append(sigma)
+    return [tuple(map(tuple, sigma)) for sigma in out
+            if _is_automorphism(mod, sigma)]
+
+
+def _unit_of_largest_order(m: int) -> int:
+    """The least unit mod m whose order is the exponent of (Z/m)^*."""
+    lam = 1
+    for p, e in arith.factorize(m):
+        lam = lcm(lam, 2 ** (e - 2) if p == 2 and e >= 3
+                  else p ** (e - 1) * (p - 1))
+    if lam == 1:
+        return 1
+    qs = arith.prime_factors(lam)
+    return next(u for u in range(2, m) if gcd(u, m) == 1
+                and all(pow(u, lam // q, m) != 1 for q in qs))
+
+
+def _is_automorphism(mod: FiniteModule, sigma) -> bool:
+    """Well defined on the orders and commuting with every action matrix.
+    (Swaps, unit scalings and shears are invertible by construction.)"""
+    orders, k = mod.orders, len(mod.orders)
+    for r in range(k):
+        for c in range(k):
+            if (sigma[r][c] * orders[c]) % orders[r]:
+                return False
+    for mat in mod.actions:
+        for r in range(k):
+            for c in range(k):
+                lhs = sum(sigma[r][t] * mat[t][c] for t in range(k))
+                rhs = sum(mat[r][t] * sigma[t][c] for t in range(k))
+                if (lhs - rhs) % orders[r]:
+                    return False
+    return True
+
+
+def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
+    """The element permutation x -> sigma(x - puncture) + puncture."""
+    p = mod.decode(puncture)
+    out = []
+    for x in range(mod.size):
+        d = [a - b for a, b in zip(mod.decode(x), p)]
+        out.append(mod.encode([sum(s * v for s, v in zip(row, d)) + p[r]
+                               for r, row in enumerate(sigma)]))
+    return tuple(out)
+
+
+def coset_symmetries(mod: FiniteModule, puncture: int, masks) -> list[tuple]:
+    """The automorphisms, conjugated to fix the puncture, as permutations
+    of the candidate indices (perm[i] is the index of the image of mask i).
+
+    Each maps the puncture-avoiding cosets of proper submodules onto
+    themselves; a matrix that moves some candidate off the list is
+    dropped, and so is one that moves no candidate.
+    """
+    index = {m: i for i, m in enumerate(masks)}
+    out = []
+    for sigma in automorphisms(mod):
+        tau = fixing_permutation(mod, sigma, puncture)
+        perm = []
+        for m in masks:
+            image = 0
+            while m:
+                lsb = m & -m
+                image |= 1 << tau[lsb.bit_length() - 1]
+                m ^= lsb
+            perm.append(index.get(image))
+        if None not in perm and perm != list(range(len(masks))):
+            out.append(tuple(perm))
+    return out
+
+
 def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
                               max_size: int = COSET_SIZE_BOUND,
                               inclusion_maximal: bool = True):
@@ -437,7 +570,10 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
         raise TrivialGroupError("the trivial module has no punctured cover")
     cands = punctured_coset_candidates(mod, puncture, inclusion_maximal)
     universe = mod.full_mask & ~(1 << puncture)
-    size, idxs = kernels.min_cover(universe, [c[0] for c in cands])
+    masks = [c[0] for c in cands]
+    size, idxs = kernels.min_cover(
+        universe, masks,
+        symmetries=lambda: coset_symmetries(mod, puncture, masks))
     witness = [(cands[i][0], _wrap(mod, cands[i][1]), cands[i][2]) for i in idxs]
     return size, witness
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from . import fppoly, monoids, rings
 from .cardinal import Cardinal, ZERO, finite, parse_cardinal
-from .errors import SpecSemanticError, SpecSyntaxError
+from .errors import SpecSemanticError, SpecSyntaxError, TooLargeError
 from .modules import ModuleDescriptor, make_descriptor
 from .monoids import MonoidDescriptor
 from .rings import FactoredIdeal, RingHandle
@@ -174,6 +174,8 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
             cur.expect(")")
             try:
                 ids = rings.maximal_ideals_with_residue_at_most(ring, bound)
+            except TooLargeError:
+                raise
             except Exception as exc:
                 raise SpecSemanticError(str(exc)) from exc
             for m in ids:

@@ -7,7 +7,10 @@ lines and timings.
 import itertools
 import math
 import random
+import signal
 import time
+
+import pytest
 
 from covercalc import (cosets, covering, monoids, oracle, parser, rings, snf)
 from covercalc.cardinal import finite
@@ -131,6 +134,42 @@ def test_criterion_04_szegedy_reproduction_up_to_24():
         assert size == cosets.phi_finite_abelian(orders), orders
     _report(4, f"punctured oracle == sum n_i(p_i - 1) on {len(types)} groups",
             started)
+
+
+def test_szegedy_sweep_up_to_64():
+    # criterion 04 extended: every abelian type of order <= 64, puncture 0
+    started = time.perf_counter()
+    types = abelian_types(64)
+    for orders in types:
+        mod = oracle.materialize(z_descriptor(orders))
+        size, _ = oracle.min_coset_cover_punctured(mod, 0, max_size=64)
+        assert size == cosets.phi_finite_abelian(orders), orders
+    elapsed = time.perf_counter() - started
+    print(f"SZEGEDY SWEEP: {len(types)} groups of order <= 64 ({elapsed:.2f}s)")
+
+
+class _Budget(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec, size, want", [("Z: R/(3)^4", 81, 8),
+                                              ("Z: R/(7)^2", 49, 12)])
+def test_szegedy_elementary_abelian_within_budget(spec, size, want):
+    def expire(signum, frame):
+        raise _Budget(f"{spec} ran past 10 s")
+
+    mod = oracle.materialize(parser.parse_spec(spec)[1], max_size=size)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    started = time.perf_counter()
+    try:
+        got, witness = oracle.min_coset_cover_punctured(mod, 0, max_size=size)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == want == cosets.phi_finite_abelian(mod.orders)
+    assert len(witness) == want
+    print(f"SZEGEDY {spec}: {want} ({time.perf_counter() - started:.2f}s)")
 
 
 def test_criterion_05_coset_construction_up_to_1000():

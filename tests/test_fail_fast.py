@@ -39,6 +39,8 @@ def run_within_budget(argv):
      "answer", "threshold(999999999999999990)"),
     (["sigma", "Fp[t] p=1000000000000000003: R/(t) + R/(t)"],
      "answer", "threshold(1000000000000000004)"),
+    # t^2+1 is irreducible since p = 3 mod 4: a cyclic module, no cover
+    (["sigma", "Fp[t] p=1000000000000000003: R/(t^2+1)"], "answer", "no-cover"),
 ])
 def test_large_primes_answer_within_budget(capsys, argv, key, value):
     code, elapsed = run_within_budget(argv + ["--json"])
@@ -86,3 +88,16 @@ def test_prime_power_sizes_still_parse(capsys):
 def test_snf_over_an_unsupported_ring_exits_65(capsys):
     assert cli.main(["snf", "Zi", "[[1]]"]) == 65
     assert "Smith normal form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["s-set", "Z", "100000000"],
+    ["s-set", "Zi", "100000000"],
+    ["s-set", "Fp[t] p=2", "100000000"],
+    ["sigma", "Z: primes(100000000)"],
+])
+def test_prime_enumeration_past_its_bound_exits_1(capsys, argv):
+    code, elapsed = run_within_budget(argv + ["--json"])
+    assert code == 1 and elapsed < BUDGET_S
+    err = capsys.readouterr().err
+    assert "the bound is" in err and "Traceback" not in err

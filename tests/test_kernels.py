@@ -1,4 +1,5 @@
-"""Search-kernel contracts, and parity between the two backends."""
+"""Kernel contracts, parity of the group kernels between the two
+backends, and soundness of the one exact-cover search with symmetries."""
 
 import itertools
 import random
@@ -73,14 +74,14 @@ class TestKernels:
     def test_min_cover_small(self, impl):
         universe = 0b111111
         candidates = [0b000111, 0b111000, 0b010101, 0b101010]
-        size, witness = impl.min_cover(universe, candidates)
+        size, witness = _kernels.min_cover(universe, candidates)
         assert size == 2 and witness == (0, 1)
 
     def test_min_cover_infeasible(self, impl):
-        assert impl.min_cover(0b111, [0b001]) == (None, ())
+        assert _kernels.min_cover(0b111, [0b001]) == (None, ())
 
     def test_min_cover_empty_universe(self, impl):
-        assert impl.min_cover(0, [0b1]) == (0, ())
+        assert _kernels.min_cover(0, [0b1]) == (0, ())
 
     def test_min_cover_matches_bruteforce(self, impl):
         rng = random.Random(42)
@@ -89,7 +90,7 @@ class TestKernels:
             universe = (1 << nbits) - 1
             ncand = rng.randint(2, 8)
             candidates = [rng.getrandbits(nbits) for _ in range(ncand)]
-            size, witness = impl.min_cover(universe, candidates)
+            size, witness = _kernels.min_cover(universe, candidates)
             bsize, bwitness = brute_min_cover(universe, candidates)
             assert size == bsize
             if size is not None:
@@ -103,15 +104,6 @@ class TestKernels:
 
 @pytest.mark.skipif(fast is None, reason="compiled kernel not built")
 class TestBackendParity:
-    def test_min_cover_parity(self):
-        rng = random.Random(7)
-        for _ in range(80):
-            nbits = rng.randint(4, 60)
-            universe = (1 << nbits) - 1
-            candidates = [rng.getrandbits(nbits) for _ in range(rng.randint(3, 14))]
-            assert pure.min_cover(universe, candidates) == \
-                fast.min_cover(universe, candidates)
-
     def test_closure_parity(self):
         rng = random.Random(8)
         for _ in range(40):
@@ -130,3 +122,67 @@ class TestBackendParity:
             mask = rng.getrandbits(n) | 1
             assert pure.invariant_core(orders, (scalar,), mask) == \
                 fast.invariant_core(orders, (scalar,), mask)
+
+
+def test_one_min_cover_for_both_backends():
+    assert _kernels.min_cover is pure.min_cover
+    if fast is not None:
+        assert not hasattr(fast, "min_cover")
+
+
+def rotation_instances(seed, count):
+    """Covers of Z/n (as bits 0..n-1) by every rotation of a few random
+    subsets, with the rotation by one (and, when the candidates allow it,
+    the reflection) as candidate permutations."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 12)
+        rot = lambda m, k: ((m << k) | (m >> (n - k))) & ((1 << n) - 1)
+        candidates = []
+        for _ in range(rng.randint(1, 3)):
+            base = sum(1 << b for b in rng.sample(range(n), rng.randint(2, 4)))
+            for k in range(n):
+                if rot(base, k) not in candidates:
+                    candidates.append(rot(base, k))
+        rng.shuffle(candidates)
+        index = {c: i for i, c in enumerate(candidates)}
+        reflect = lambda m: sum(1 << ((n - b) % n) for b in range(n) if m >> b & 1)
+        gens = [tuple(index[rot(c, 1)] for c in candidates)]
+        if all(reflect(c) in index for c in candidates):
+            gens.append(tuple(index[reflect(c)] for c in candidates))
+        out.append(((1 << n) - 1, candidates, gens))
+    return out
+
+
+@pytest.mark.parametrize("plain_nodes", [0, 3])
+def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
+    # plain_nodes 0 searches with the symmetries from the root; 3 restarts
+    # after a few plain nodes with whatever upper bound they found
+    monkeypatch.setattr(pure, "_PLAIN_NODES", plain_nodes)
+    overshoots = 0
+    for universe, candidates, gens in rotation_instances(11, 60):
+        calls = []
+        got = pure.min_cover(universe, candidates,
+                             symmetries=lambda: calls.append(1) or gens)
+        assert got == brute_min_cover(universe, candidates)
+        if plain_nodes == 0:
+            assert calls == [1]
+        overshoots += pure._greedy_size(universe, candidates) > got[0]
+    # instances where greedy is already optimal cannot catch over-pruning
+    assert overshoots >= 5
+
+
+def test_symmetries_are_fetched_only_past_the_plain_node_count():
+    def refuse():
+        raise AssertionError("symmetries fetched for an easy instance")
+    assert pure.min_cover(0b111111, [0b000111, 0b111000, 0b010101],
+                          symmetries=refuse) == (2, (0, 1))
+
+
+def test_stabilizer_generators_fix_the_representative():
+    universe, candidates, gens = rotation_instances(5, 1)[0]
+    for rep in range(len(candidates)):
+        for h in pure._stabilizer(rep, gens, len(candidates)):
+            assert h[rep] == rep
+            assert sorted(h) == list(range(len(candidates)))

@@ -264,3 +264,59 @@ class TestVerifyWitness:
         wrong = oracle.materialize(parse("Z: R/(8)"))
         with pytest.raises(ShapeMismatchError):
             oracle.verify_cover_witness(wrong, w)
+
+
+class TestCosetSymmetries:
+    """Every generator handed to the search is a symmetry of the instance."""
+
+    @pytest.mark.parametrize("spec", ["Z: R/(3) + R/(3) + R/(9)",
+                                      "Zi: R/(2+i) + R/(2+i)",
+                                      "Fp[t] p=2: R/(t^2+t+1) + R/(t^2+t+1)",
+                                      "Fp[t] p=2: R/(t) + R/(t) + R/(t+1)"])
+    def test_generators_are_symmetries(self, spec):
+        mod = oracle.materialize(parse(spec), max_size=81)
+        sigmas = oracle.automorphisms(mod)
+        assert len(sigmas) >= 2   # a block swap and a block shear at least
+        for sigma in sigmas:
+            # as a map of elements: a bijection commuting with the action
+            image = [oracle.fixing_permutation(mod, sigma, 0)[x]
+                     for x in range(mod.size)]
+            assert sorted(image) == list(range(mod.size))
+            for mat in mod.actions:
+                for x in range(mod.size):
+                    assert image[kernels.apply_matrix(mod.orders, mat, x)] == \
+                        kernels.apply_matrix(mod.orders, mat, image[x])
+        for puncture in (0, 1, mod.size - 1):
+            masks = [c[0] for c in
+                     oracle.punctured_coset_candidates(mod, puncture)]
+            perms = oracle.coset_symmetries(mod, puncture, masks)
+            assert perms
+            for sigma in sigmas:
+                tau = oracle.fixing_permutation(mod, sigma, puncture)
+                assert tau[puncture] == puncture
+            for perm in perms:
+                assert sorted(perm) == list(range(len(masks)))
+            # each perm is the action of some fixing automorphism on the masks
+            taus = [oracle.fixing_permutation(mod, s, puncture) for s in sigmas]
+            images = {tuple(masks.index(_image(m, tau)) for m in masks)
+                      for tau in taus
+                      if all(_image(m, tau) in masks for m in masks)}
+            assert set(perms) <= images
+
+    @pytest.mark.parametrize("spec", ["Z: R/(2)^4", "Z: R/(3) + R/(9)",
+                                      "Z: R/(2) + R/(4) + R/(4)",
+                                      "Zi: R/(2+i) + R/(2+i)",
+                                      "Fp[t] p=2: R/(t) + R/(t) + R/(t+1)^2"])
+    def test_forced_symmetric_search_changes_nothing(self, monkeypatch, spec):
+        mod = oracle.materialize(parse(spec), max_size=64)
+        punctures = (0, 3, mod.size - 1)
+        plain = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
+                 for p in punctures]
+        monkeypatch.setattr(kernels.pure, "_PLAIN_NODES", 0)
+        forced = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
+                  for p in punctures]
+        assert forced == plain
+
+
+def _image(mask, tau):
+    return sum(1 << tau[x] for x in range(len(tau)) if mask >> x & 1)
