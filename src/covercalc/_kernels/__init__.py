@@ -33,7 +33,7 @@ min_cover = pure.min_cover
 
 
 def load(name: str):
-    """Fetch a backend module by name ('pure' or 'c'), for benchmarks/tests."""
+    """Fetch a backend module by name ('pure' or 'c'), for tests."""
     if name == "pure":
         return pure
     if name in ("c", "fast"):

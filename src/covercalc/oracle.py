@@ -6,6 +6,12 @@ tuples) together with integer matrices generating the ring action
 are int bitmasks over the element indexing, and the heavy work (closures,
 exact minimum covers) runs in the selected search kernel.
 
+Both searches take their candidates from characters of M, read as weight
+vectors on the coordinates: the level sets of a character and of its
+images under the action are the cosets of the largest submodule inside
+its kernel (_level_sets).  Characters of order p give the maximal
+submodules; all characters give the puncture-avoiding cosets.
+
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
 submodules (every proper submodule of a finite module extends to a
@@ -17,6 +23,7 @@ the test suite.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
@@ -33,6 +40,9 @@ from .rings import FactoredIdeal, RingHandle
 SIGMA_SIZE_BOUND = 4096
 ALL_SUBGROUPS_BOUND = 64
 COSET_SIZE_BOUND = 32
+# maximal_submodules scans every element once per projective functional;
+# (Z/2)^12 is 4095 * 4096 elements, (Z/2)^13 four times that
+SIGMA_WORK_BOUND = 1 << 25
 HARD_SIZE_CAP = 1 << 16   # both kernels share these representation limits
 HARD_COORD_CAP = 16
 
@@ -222,13 +232,8 @@ def _scalar_action(mod: FiniteModule, scalar, x: int) -> int:
     for k, coeff in enumerate(coeffs):
         if k:
             x = kernels.apply_matrix(mod.orders, mod.actions[0], x)
-        out = _add(mod, out, _int_scale(mod, coeff, x))
+        out = _add(mod, out, mod.encode([coeff * v for v in mod.decode(x)]))
     return out
-
-
-def _int_scale(mod: FiniteModule, n: int, x: int) -> int:
-    digits = mod.decode(x)
-    return mod.encode([n * v for v in digits])
 
 
 def _add(mod: FiniteModule, x: int, y: int) -> int:
@@ -248,7 +253,6 @@ class SubmoduleSet:
 def _wrap(mod: FiniteModule, mask: int) -> SubmoduleSet:
     gens: list[int] = []
     span = 1
-    x = 0
     m = mask
     while m:
         lsb = m & -m
@@ -268,41 +272,75 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     K and M, so taking cores of all index-p subgroups and keeping the
     inclusion-maximal ones is exhaustive.  (For residue fields larger
     than F_p the maximal submodules themselves have non-prime index.)
+    The index-p subgroups are the kernels of the projective functionals
+    on M/pM, read as characters of order p.  Without an action every
+    such kernel is maximal and distinct functionals give distinct ones,
+    so only an action calls for the inclusion filter, and a core can
+    only lie in a strictly larger one.
+
+    The work, functionals times elements, is known up front: above
+    SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
     """
     n = mod.size
     if n == 1:
         return []
+    primes = arith.prime_factors(n)
+    work = n * sum((p ** sum(d % p == 0 for d in mod.orders) - 1) // (p - 1)
+                   for p in primes)
+    if work > SIGMA_WORK_BOUND:
+        raise TooLargeError(f"maximal submodules scan {work} elements: "
+                            f"the bound is {SIGMA_WORK_BOUND}")
+    top = lcm(*mod.orders)
     cores: set[int] = set()
-    for p in arith.prime_factors(n):
-        coords = [i for i, d in enumerate(mod.orders) if d % p == 0]
-        digit_cache = _mod_p_digits(mod, coords, p)
-        for a in _projective_vectors(p, len(coords)):
-            kmask = 0
-            for x in range(n):
-                if sum(ai * di for ai, di in zip(a, digit_cache[x])) % p == 0:
-                    kmask |= 1 << x
-            cores.add(kernels.invariant_core(mod.orders, mod.actions, kmask))
+    for p in primes:
+        for a in itertools.product(*(range(p) if d % p == 0 else (0,)
+                                     for d in mod.orders)):
+            if next(filter(None, a), 0) != 1:
+                continue    # one functional per line: first nonzero is 1
+            keys = _level_sets(mod, [aj * (top // p) for aj in a])
+            # the class of 0, as a mask
+            cores.add(int("".join(["0" if k else "1" for k in reversed(keys)]), 2))
     ordered = sorted(cores)
-    out = []
-    for c in ordered:
-        if not any(c != o and (c | o) == o for o in ordered):
-            out.append(c)
-    return out
+    if not mod.actions:
+        return ordered
+    larger = sorted(ordered, key=int.bit_count, reverse=True)
+    sizes = [-c.bit_count() for c in larger]
+    return [c for c in ordered
+            if not any((c | o) == o for o in
+                       larger[:bisect.bisect_left(sizes, -c.bit_count())])]
 
 
-def _mod_p_digits(mod: FiniteModule, coords, p: int):
-    cache = []
-    for x in range(mod.size):
-        digits = mod.decode(x)
-        cache.append(tuple(digits[c] % p for c in coords))
-    return cache
+def _level_sets(mod: FiniteModule, w) -> list[int]:
+    """Class keys of the elements under a character and its action images.
 
-
-def _projective_vectors(p: int, r: int):
-    """Representatives of (F_p^r - 0) / scalars: first nonzero entry is 1."""
-    for lead in range(r):
-        for tail in itertools.product(range(p), repeat=r - lead - 1):
-            yield (0,) * lead + (1,) + tail
+    The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
+    w_j d_j = 0 mod N so that it is well defined.  Two elements get the
+    same key when chi, chi.A, chi.A^2, ... (all words in the action
+    matrices) agree on them; the key of 0 is 0.  Values are built over
+    the mixed-radix index one coordinate at a time, and chi.A has the
+    weights w A mod N.  Once a round of images adds no class the
+    partition is final: the class of 0 is core(ker chi), the largest
+    submodule inside ker chi, and the other classes are its cosets.
+    """
+    orders, top, k = mod.orders, lcm(*mod.orders), len(mod.orders)
+    keys, count = None, 1
+    seen, layer = {(0,) * k}, [tuple(w)]
+    while True:
+        for v in layer:
+            vals = [0]
+            for d, vj in zip(orders, v):
+                vals = ([(x + s) % top for s in range(0, d * vj, vj)
+                         for x in vals] if vj else vals * d)
+            keys = vals if keys is None else [
+                key * top + val for key, val in zip(keys, vals)]
+        seen.update(layer)
+        layer = [v for v in dict.fromkeys(
+            tuple(sum(u[i] * mat[i][j] for i in range(k)) % top
+                  for j in range(k))
+            for u in layer for mat in mod.actions) if v not in seen]
+        if not layer or (classes := len(set(keys))) == count:
+            return keys
+        count = classes
 
 
 def all_subgroups(orders: Sequence[int]) -> list[int]:
@@ -366,14 +404,6 @@ def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
     return [_wrap(mod, m) for m in masks]
 
 
-def is_cyclic(mod: FiniteModule) -> bool:
-    """Cyclic iff some element lies in no maximal submodule."""
-    union = 0
-    for m in maximal_submodules(mod):
-        union |= m
-    return union != mod.full_mask
-
-
 def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
                         max_size: int = SIGMA_SIZE_BOUND):
     """Exact minimum number of proper submodules covering the module.
@@ -402,28 +432,53 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
 
 def punctured_coset_candidates(mod: FiniteModule, puncture: int,
                                inclusion_maximal: bool = True):
-    """Puncture-avoiding cosets of proper submodules as (coset, submodule, rep)."""
-    subs = [s.mask for s in enumerate_submodules(mod, maximal_only=False,
-                                                 max_size=mod.size)
-            if s.mask != mod.full_mask]
+    """Puncture-avoiding cosets of proper submodules as (coset, submodule, rep),
+    rep the least element of the coset.
+
+    With inclusion_maximal, only the inclusion-maximal ones: for each
+    nonzero character chi (one per core) every coset of K = core(ker chi)
+    but the puncture's, then the maximal ones among those.  That loses
+    none: y+S avoids the puncture p exactly when some chi vanishing on S
+    has chi(y) != chi(p); the submodule S lies in ker chi, so in K, and
+    y+S lies in y+K, which avoids p as chi is constant on it.  Without
+    it, every proper submodule from all_subgroups is translated, as the
+    reference.
+    """
     cands = []
-    for smask in subs:
-        assigned = 0
-        for x in range(mod.size):
-            if (assigned >> x) & 1:
-                continue
-            coset = kernels.translate(mod.orders, smask, x)
-            assigned |= coset
-            if not (coset >> puncture) & 1:
-                cands.append((coset, smask, x))
     if inclusion_maximal:
-        cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
+        top, seen = lcm(*mod.orders), set()
+        for a in itertools.product(*(range(d) for d in mod.orders)):
+            if not any(a):
+                continue
+            keys = _level_sets(mod, [aj * (top // d)
+                                     for aj, d in zip(a, mod.orders)])
+            classes: dict = {}
+            for x, key in enumerate(keys):
+                classes[key] = classes.get(key, 0) | 1 << x
+            if classes[0] not in seen:
+                seen.add(classes[0])
+                cands += [(c, classes[0], (c & -c).bit_length() - 1)
+                          for c in classes.values() if not (c >> puncture) & 1]
+    else:
+        for s in enumerate_submodules(mod, maximal_only=False,
+                                      max_size=mod.size):
+            if s.mask == mod.full_mask:
+                continue
+            assigned = 0
+            for x in range(mod.size):
+                if (assigned >> x) & 1:
+                    continue
+                coset = kernels.translate(mod.orders, s.mask, x)
+                assigned |= coset
+                if not (coset >> puncture) & 1:
+                    cands.append((coset, s.mask, x))
+    cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
+    if inclusion_maximal:
         kept = []
         for c in cands:
             if not any((c[0] | k[0]) == k[0] for k in kept):
                 kept.append(c)
         cands = kept
-    cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
     return cands
 
 

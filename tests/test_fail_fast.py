@@ -101,3 +101,12 @@ def test_prime_enumeration_past_its_bound_exits_1(capsys, argv):
     assert code == 1 and elapsed < BUDGET_S
     err = capsys.readouterr().err
     assert "the bound is" in err and "Traceback" not in err
+
+
+def test_oracle_sigma_past_its_work_bound_exits_1(capsys):
+    # (Z/2)^14: 16383 functionals times 16384 elements
+    code, elapsed = run_within_budget(
+        ["oracle", "sigma", "Z: R/(2)^14", "--max-size", "100000", "--json"])
+    assert code == 1 and elapsed < BUDGET_S
+    err = capsys.readouterr().err
+    assert "the bound is" in err and "Traceback" not in err

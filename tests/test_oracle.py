@@ -7,11 +7,17 @@ submodules, and the punctured coset search against its unrestricted
 variant.
 """
 
+import functools
+import itertools
+import math
+
 import pytest
 
 from covercalc import _kernels as kernels
 from covercalc import covering, modules, oracle, parser, rings
+from covercalc.cardinal import finite
 from covercalc.errors import ShapeMismatchError, TooLargeError, TrivialGroupError
+from covercalc.rings import FactoredIdeal
 
 Z = rings.integers()
 
@@ -42,6 +48,40 @@ def subgroups_by_join_closure(orders):
             break
         known |= new
     return known
+
+
+def block_modules(bound):
+    """(spec, module) for every sum of prime-power cyclic blocks of size
+    <= bound over Z, Z[i], F_2[t] and F_3[t]."""
+    out = []
+    for ring in (Z, rings.gaussian_integers(), rings.poly_over_prime_field(2),
+                 rings.poly_over_prime_field(3)):
+        blocks = []
+        for m in rings.maximal_ideals_with_residue_at_most(ring, bound):
+            r, n = m.residue_card.finite_value, 1
+            while r ** n <= bound:
+                blocks.append((FactoredIdeal.from_factors({m: n}), r ** n))
+                n += 1
+
+        def rec(start, size, chosen):
+            if chosen:
+                d = modules.make_descriptor(
+                    ring, torsion=[(ideal, finite(1)) for ideal in chosen])
+                out.append((parser.render_descriptor(d),
+                            oracle.materialize(d, max_size=bound)))
+            for j in range(start, len(blocks)):
+                if size * blocks[j][1] <= bound:
+                    chosen.append(blocks[j][0])
+                    rec(j, size * blocks[j][1], chosen)
+                    chosen.pop()
+
+        rec(0, 1, [])
+    return out
+
+
+def inclusion_maximal(masks):
+    """The masks contained in no other of the list."""
+    return [m for m in masks if not any(m != o and (m | o) == o for o in masks)]
 
 
 class TestMaterialize:
@@ -141,6 +181,75 @@ class TestEnumeration:
                 assert kernels.invariant_core(mod.orders, mod.actions, s.mask) == s.mask
             for s in oracle.enumerate_submodules(mod, maximal_only=True):
                 assert kernels.invariant_core(mod.orders, mod.actions, s.mask) == s.mask
+
+
+class TestCharacterLevelSets:
+    """The character routine behind maximal_submodules and the punctured
+    candidates, against elementwise invariant cores and all_subgroups."""
+
+    @pytest.mark.parametrize("spec", ["Z: R/(4) + R/(6)", "Zi: R/(1+i)^3",
+                                      "Zi: R/(2+i) + R/(3)",
+                                      "Fp[t] p=2: R/(t^2+t+1) + R/(t)^2",
+                                      "Fp[t] p=3: R/(t^2+1) + R/(t)"])
+    def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
+        mod = oracle.materialize(parse(spec), max_size=256)
+        top = math.lcm(*mod.orders)
+        for a in itertools.product(*(range(d) for d in mod.orders)):
+            w = [aj * (top // d) for aj, d in zip(a, mod.orders)]
+            keys = oracle._level_sets(mod, w)
+            kernel = sum(1 << x for x in range(mod.size)
+                         if sum(wj * v for wj, v in
+                                zip(w, mod.decode(x))) % top == 0)
+            core = kernels.invariant_core(mod.orders, mod.actions, kernel)
+            assert keys[0] == 0
+            assert sum(1 << x for x, k in enumerate(keys) if k == 0) == core
+            for x in range(mod.size):
+                coset = kernels.translate(mod.orders, core, x)
+                assert {keys[y] for y in range(mod.size)
+                        if coset >> y & 1} == {keys[x]}
+
+    def test_maximal_submodules_match_all_subgroups_up_to_64(self):
+        subgroups = functools.lru_cache(oracle.all_subgroups)
+        checked = 0
+        for spec, mod in block_modules(64):
+            # invariant under an action matrix: its element permutation
+            # maps the subgroup into itself
+            images = [[kernels.apply_matrix(mod.orders, mat, x)
+                       for x in range(mod.size)] for mat in mod.actions]
+            proper = [m for m in subgroups(mod.orders)
+                      if m != mod.full_mask
+                      and all(m >> image[x] & 1 for image in images
+                              for x in _bits(m))]
+            assert oracle.maximal_submodules(mod) == \
+                sorted(inclusion_maximal(proper)), spec
+            checked += 1
+        assert checked >= 500
+
+    def test_punctured_candidates_match_all_subgroups_up_to_32(
+            self, monkeypatch):
+        # the reference lists every subgroup once per puncture: memoize
+        monkeypatch.setattr(oracle, "all_subgroups",
+                            functools.lru_cache(oracle.all_subgroups))
+        checked = 0
+        for spec, mod in block_modules(32):
+            for puncture in {0, 1, mod.size - 1}:
+                if puncture >= mod.size:
+                    continue
+                every = oracle.punctured_coset_candidates(
+                    mod, puncture, inclusion_maximal=False)
+                maximal = inclusion_maximal([c[0] for c in every])
+                want = [c for c in every if c[0] in maximal]
+                assert oracle.punctured_coset_candidates(mod, puncture) == \
+                    want, (spec, puncture)
+                checked += 1
+        assert checked >= 800
+
+
+def _bits(mask):
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
 
 
 class TestMinCover:
