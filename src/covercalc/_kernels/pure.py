@@ -246,7 +246,10 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
             for j in _bits(orbit):
                 cands[j] = 0
 
-    dfs(0, 0, list(candidates), (1 << n) - 1, gens)
+    try:
+        dfs(0, 0, list(candidates), (1 << n) - 1, gens)
+    finally:
+        del dfs     # the recursive closure is a reference cycle: break it
     return best
 
 
@@ -326,6 +329,10 @@ def _lex_witness(universe: int, candidates, k: int) -> tuple:
             path.pop()
         return False
 
-    if not dfs(0, 0):
+    try:
+        found = dfs(0, 0)
+    finally:
+        del dfs
+    if not found:
         raise AssertionError("lex pass failed to reproduce the optimal size")
     return tuple(path)

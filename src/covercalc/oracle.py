@@ -653,32 +653,37 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     if max(i, j) >= len(mod.summands):
         raise ShapeMismatchError("witness indexes a missing summand")
     F = residues.residue_field(mod.ring, witness.ideal)
-    red_i = [F.reduce(elem) for elem in mod.summands[i].basis]
-    red_j = [F.reduce(elem) for elem in mod.summands[j].basis]
-    if len(witness.line_points) != F.q + 1:
+    q, points = F.q, witness.line_points
+    if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
         return False
+    add = [[F.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    # every element reduced once to its images in summands i and j, built
+    # over the mixed-radix index one coordinate at a time
+    images = []
+    for info in (mod.summands[i], mod.summands[j]):
+        vals = [0]
+        for k, d in enumerate(mod.orders):
+            if info.start <= k < info.start + info.ncoords:
+                r = F.reduce(info.basis[k - info.start])
+                row = [mul[s % F.p][r] for s in range(d)]
+                vals = [add[x][y] for y in row for x in vals]
+            else:
+                vals = vals * d
+        images.append(vals)
+    by_pair: dict = {}
+    for x, pair in enumerate(zip(*images)):
+        by_pair[pair] = by_pair.get(pair, 0) | 1 << x
     union = 0
-    for lam, mu in witness.line_points:
+    for lam, mu in points:
         line_mask = 0
-        for x in range(mod.size):
-            digits = mod.decode(x)
-            xi = _reduce_coords(F, digits, mod.summands[i], red_i)
-            xj = _reduce_coords(F, digits, mod.summands[j], red_j)
-            if F.mul(mu, xi) == F.mul(lam, xj):
-                line_mask |= 1 << x
-        if line_mask == mod.full_mask:
-            return False
-        if not _is_submodule(mod, line_mask):
+        for (xi, xj), mask in by_pair.items():
+            if mul[mu][xi] == mul[lam][xj]:
+                line_mask |= mask
+        if line_mask == mod.full_mask or not _is_submodule(mod, line_mask):
             return False
         union |= line_mask
     return union == mod.full_mask
-
-
-def _reduce_coords(F, digits, info: SummandInfo, red) -> int:
-    acc = 0
-    for c in range(info.ncoords):
-        acc = F.add(acc, F.mul(digits[info.start + c] % F.p, red[c]))
-    return acc
 
 
 def _is_submodule(mod: FiniteModule, mask: int) -> bool:

@@ -48,6 +48,15 @@ def test_large_primes_answer_within_budget(capsys, argv, key, value):
     assert json.loads(capsys.readouterr().out)[key] == value
 
 
+# the q+1 lines of F_64^2 and of F_61^2, each checked over all of M
+@pytest.mark.parametrize("spec", ["Fp[t] p=2: R/(t^6+t+1)^2",
+                                  "Z: R/(61) + R/(61)"])
+def test_large_lines_witness_checks_within_budget(capsys, spec):
+    code, elapsed = run_within_budget(["cover", spec, "--check", "--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert json.loads(capsys.readouterr().out)["witness_checked"] is True
+
+
 def test_integer_literal_guard_exits_65(capsys):
     assert cli.main(["phi", "Z: R/(9223372036854775808)"]) == 65
     assert "2^63" in capsys.readouterr().err

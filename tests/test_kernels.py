@@ -1,6 +1,7 @@
 """Kernel contracts, parity of the group kernels between the two
 backends, and soundness of the one exact-cover search with symmetries."""
 
+import gc
 import itertools
 import random
 
@@ -186,3 +187,24 @@ def test_stabilizer_generators_fix_the_representative():
         for h in pure._stabilizer(rep, gens, len(candidates)):
             assert h[rep] == rep
             assert sorted(h) == list(range(len(candidates)))
+
+
+def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
+    # the recursive search closures are freed on every exit, the
+    # _Unfinished one of the plain search included; this instance's plain
+    # search runs past 3 nodes
+    universe, candidates, gens = rotation_instances(7, 1)[0]
+    restarts = []
+    gc.collect()
+    gc.disable()
+    try:
+        pure.min_cover(0b111111, [0b000111, 0b111000, 0b010101])
+        monkeypatch.setattr(pure, "_PLAIN_NODES", 0)
+        pure.min_cover(universe, candidates, symmetries=lambda: gens)
+        monkeypatch.setattr(pure, "_PLAIN_NODES", 3)
+        pure.min_cover(universe, candidates,
+                       symmetries=lambda: restarts.append(1) or gens)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert restarts == [1]

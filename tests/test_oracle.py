@@ -10,13 +10,15 @@ variant.
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
 from covercalc import _kernels as kernels
-from covercalc import covering, modules, oracle, parser, rings
+from covercalc import covering, modules, oracle, parser, residues, rings
 from covercalc.cardinal import finite
-from covercalc.errors import ShapeMismatchError, TooLargeError, TrivialGroupError
+from covercalc.errors import (NotCoverableError, ShapeMismatchError,
+                              TooLargeError, TrivialGroupError)
 from covercalc.rings import FactoredIdeal
 
 Z = rings.integers()
@@ -333,6 +335,38 @@ class TestPuncturedCosets:
         assert counts == {4}
 
 
+def reference_verify_lines(mod, witness):
+    """A lines witness checked line by line, each element decoded and
+    reduced to F again for every line (F's operations memoized)."""
+    F = residues.residue_field(mod.ring, witness.ideal)
+    add, mul = functools.cache(F.add), functools.cache(F.mul)
+    i, j = witness.summand_pair
+    red_i = [F.reduce(elem) for elem in mod.summands[i].basis]
+    red_j = [F.reduce(elem) for elem in mod.summands[j].basis]
+
+    def reduce(digits, info, red):
+        acc = 0
+        for c in range(info.ncoords):
+            acc = add(acc, mul(digits[info.start + c] % F.p, red[c]))
+        return acc
+
+    if len(witness.line_points) != F.q + 1:
+        return False
+    union = 0
+    for lam, mu in witness.line_points:
+        line_mask = 0
+        for x in range(mod.size):
+            digits = mod.decode(x)
+            xi = reduce(digits, mod.summands[i], red_i)
+            xj = reduce(digits, mod.summands[j], red_j)
+            if mul(mu, xi) == mul(lam, xj):
+                line_mask |= 1 << x
+        if line_mask == mod.full_mask or not oracle._is_submodule(mod, line_mask):
+            return False
+        union |= line_mask
+    return union == mod.full_mask
+
+
 class TestVerifyWitness:
     def test_accepts_built_witnesses(self):
         for spec in ["Z: R/(2) + R/(2)", "Z: R/(12) + R/(18)",
@@ -351,6 +385,47 @@ class TestVerifyWitness:
                          line_strs=w.line_strs[:2])
         mod = oracle.materialize(d)
         assert not oracle.verify_cover_witness(mod, broken)
+
+    def test_agrees_with_the_per_line_reference_up_to_256(self, monkeypatch):
+        # both verifiers test the same line masks for submodules: check each
+        # mask once
+        monkeypatch.setattr(oracle, "_is_submodule",
+                            functools.cache(oracle._is_submodule))
+        kinds = set()
+        for spec, mod in block_modules(256):
+            try:
+                w = covering.build_cover_witness(parse(spec))
+            except NotCoverableError:
+                continue
+            assert oracle.verify_cover_witness(mod, w) is True, spec
+            assert reference_verify_lines(mod, w) is True, spec
+            kinds.add(mod.ring.kind)
+        assert len(kinds) == 3   # Z, Z[i] and F_p[t]
+
+    @pytest.mark.parametrize("spec", [
+        "Z: R/(2) + R/(2)", "Z: R/(12) + R/(18)", "Zi: R/(3) + R/(3)",
+        "Fp[t] p=2: R/(t^2+t+1)^2", "Fp[t] p=3: R/(t) + R/(t^2)"])
+    def test_rejects_tampered_points(self, spec):
+        d = parse(spec)
+        w = covering.build_cover_witness(d)
+        mod = oracle.materialize(d)
+        pts = w.line_points
+        q = len(pts) - 1
+        for bad in [(q, 1), (1, q), (-1, 1), pts[0], (0, 0)]:
+            tampered = replace(w, line_points=pts[:-1] + (bad,))
+            assert oracle.verify_cover_witness(mod, tampered) is False, bad
+
+    def test_rejects_a_witness_naming_another_maximal_ideal(self):
+        d = parse("Z: R/(4) + R/(4) + R/(3) + R/(3)")
+        mod = oracle.materialize(d)
+        w = covering.build_cover_witness(d)
+        assert (w.summand_pair, str(w.ideal)) == ((0, 1), "(2)")
+        other = covering.build_cover_witness(parse("Z: R/(3) + R/(3)"))
+        # two lines of (Z/4)^2 read modulo 3 instead of 2
+        assert not oracle.verify_cover_witness(mod, replace(w, ideal=other.ideal))
+        # four lines mod 3: x_0 = x_1 mod 3 is not a subgroup of (Z/4)^2
+        assert not oracle.verify_cover_witness(
+            mod, replace(w, ideal=other.ideal, line_points=other.line_points))
 
     def test_shape_mismatch(self):
         d = parse("Z: R/(2) + R/(2)")
