@@ -1,13 +1,18 @@
-"""Pure-Python search kernels over int bitmasks.
+"""Search kernels over int bitmasks, in Python.
 
 Elements of a finite abelian group with cyclic orders (d_0, ..., d_{k-1})
 are indexed in mixed radix (digit 0 least significant); subsets are Python
-ints with bit x set for element index x.  The compiled backend implements
-the group functions (all but min_cover) with identical results; min_cover,
-the exact-cover search, exists only here.
+ints with bit x set for element index x.  translate and closure act on a
+whole mask at once, one coordinate at a time, as shifts of the int;
+invariant_core and apply_matrix work element by element.  min_cover is
+the exact-cover search.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import prod
+from operator import mul
 
 BACKEND = "pure"
 
@@ -27,32 +32,47 @@ def decode(orders, x: int) -> tuple:
     return tuple(out)
 
 
-def _digits(orders, x: int):
-    out = []
-    for o in orders:
-        x, r = divmod(x, o)
-        out.append(r)
-    return out
+@lru_cache(maxsize=64)
+def _periods(orders) -> tuple:
+    """(stride, order, rep) per coordinate: the digit of x is
+    x // stride mod order, and rep has one bit at the start of each run
+    of stride * order indices, over which that digit cycles once."""
+    n, stride, out = prod(orders), 1, []
+    for d in orders:
+        period = stride * d
+        out.append((stride, d, ((1 << n) - 1) // ((1 << period) - 1)))
+        stride = period
+    return tuple(out)
+
+
+def _steps(orders, g: int) -> list:
+    """The shifts that add g, as (low, up, down) per coordinate where g has
+    a nonzero digit r: low holds the elements whose digit is below d - r;
+    they move up by r strides and the others wrap down by d - r strides."""
+    steps = []
+    for stride, d, rep in _periods(orders):
+        g, r = divmod(g, d)
+        if r:
+            steps.append(((rep << (d - r) * stride) - rep,
+                          r * stride, (d - r) * stride))
+    return steps
+
+
+def _shift(mask: int, steps) -> int:
+    for low, up, down in steps:
+        lo = mask & low
+        mask = (lo << up) | ((mask ^ lo) >> down)
+    return mask
 
 
 def translate(orders, mask: int, g: int) -> int:
     """{x + g : x in mask}."""
-    gd = _digits(orders, g)
-    out = 0
-    m = mask
-    while m:
-        lsb = m & -m
-        x = lsb.bit_length() - 1
-        xd = _digits(orders, x)
-        out |= 1 << encode(orders, [a + b for a, b in zip(xd, gd)])
-        m ^= lsb
-    return out
+    return _shift(mask, _steps(orders, g))
 
 
 def apply_matrix(orders, mat, x: int) -> int:
-    xd = _digits(orders, x)
-    k = len(orders)
-    return encode(orders, [sum(mat[i][j] * xd[j] for j in range(k)) for i in range(k)])
+    xd = decode(orders, x)
+    return encode(orders, [sum(map(mul, row, xd)) for row in mat])
 
 
 def closure(orders, actions, seeds) -> int:
@@ -63,10 +83,11 @@ def closure(orders, actions, seeds) -> int:
         g = pending.pop()
         if (members >> g) & 1:
             continue
-        t = translate(orders, members, g)
+        steps = _steps(orders, g)
+        t = _shift(members, steps)
         while t & ~members:
             members |= t
-            t = translate(orders, t, g)
+            t = _shift(t, steps)
         for mat in actions:
             pending.append(apply_matrix(orders, mat, g))
     return members
@@ -76,17 +97,14 @@ def invariant_core(orders, actions, mask: int) -> int:
     """Largest subset of a subgroup mask closed under every action matrix."""
     if not actions:
         return mask
+    # the images of each element of the mask, computed once
+    images = [(x, [apply_matrix(orders, mat, x) for mat in actions])
+              for x in _bits(mask)]
     while True:
         keep = mask
-        m = mask
-        while m:
-            lsb = m & -m
-            x = lsb.bit_length() - 1
-            for mat in actions:
-                if not (mask >> apply_matrix(orders, mat, x)) & 1:
-                    keep &= ~lsb
-                    break
-            m ^= lsb
+        for x, ys in images:
+            if (keep >> x) & 1 and not all((mask >> y) & 1 for y in ys):
+                keep &= ~(1 << x)
         if keep == mask:
             return mask
         mask = keep

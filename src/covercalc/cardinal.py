@@ -7,8 +7,9 @@ thresholds need; no distinction between uncountable cardinals is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
+
+from .records import record
 
 _FINITE = 0
 _ALEPH0 = 1
@@ -16,7 +17,7 @@ _UNCOUNTABLE = 2
 
 
 @total_ordering
-@dataclass(frozen=True)
+@record
 class Cardinal:
     level: int
     n: int = 0

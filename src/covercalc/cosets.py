@@ -15,12 +15,11 @@ the whole cover is finally translated by the puncture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import arith, modules, oracle, rings
 from .cardinal import finite
 from .errors import (InfiniteResidueError, NotMaterializableError,
                      TrivialGroupError, ZeroIdealError)
+from .records import record
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
 
@@ -84,7 +83,7 @@ def phi_conjecture_value(ring: RingHandle, blocks) -> tuple[int, bool]:
     return value, conjectural
 
 
-@dataclass(frozen=True)
+@record
 class CosetCoverWitness:
     ring: RingHandle
     modulus: FactoredIdeal

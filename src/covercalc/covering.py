@@ -21,7 +21,6 @@ chain inside the fraction field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import modules, residues, rings
@@ -30,6 +29,7 @@ from .errors import (DimensionTooSmallError, HasDivisiblePartError,
                      NonEnumerableResidueError, NotApplicableError,
                      NotCoverableError, NotEnumerableError)
 from .modules import Descriptor, ModuleDescriptor, make_descriptor
+from .records import record
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
 CYCLIC = "cyclic"
@@ -41,14 +41,14 @@ THRESHOLD = "threshold"
 UPPER_BOUND_ONLY = "upper-bound-only"
 
 
-@dataclass(frozen=True)
+@record
 class Trichotomy:
     kind: str
     q: Optional[Cardinal] = None
     witness_ideal: Optional[MaximalIdealId] = None
 
 
-@dataclass(frozen=True)
+@record
 class CoverAnswer:
     kind: str
     value: Optional[Cardinal] = None
@@ -171,7 +171,7 @@ PRUEFER_CHAIN = "pruefer-chain"
 LOCALIZATION_CHAIN = "localization-chain"
 
 
-@dataclass(frozen=True)
+@record
 class CoverWitness:
     kind: str                           # LINES or CHAIN
     ideal: Optional[MaximalIdealId] = None

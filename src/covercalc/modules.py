@@ -14,16 +14,16 @@ maximal ideal in canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import rings, snf
 from .cardinal import ALEPH0, Cardinal, ZERO, cardinal_sum, finite
 from .errors import NotApplicableError, SpecSemanticError
+from .records import record, replace
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
 
-@dataclass(frozen=True)
+@record
 class ModuleDescriptor:
     ring: RingHandle
     free_rank: Cardinal = ZERO
@@ -110,7 +110,7 @@ def _ideal_key(ideal: FactoredIdeal):
     return tuple((m.sort_key(), e) for m, e in ideal.factors)
 
 
-@dataclass(frozen=True)
+@record
 class NormalizedDescriptor:
     """Torsion split into prime-power blocks grouped by maximal ideal."""
 
@@ -154,7 +154,7 @@ def normalize(d: Descriptor) -> NormalizedDescriptor:
                                 d.field_copies, d.pruefer, d.tail_above)
 
 
-@dataclass(frozen=True)
+@record
 class NCSet:
     """Maximal ideals where at least two summands localize nonzero."""
 

@@ -11,20 +11,20 @@ remaining summands with the set of elements having a nonzero f-component
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import rings
 from .cardinal import finite
 from .errors import EmptyDescriptorError
 from .modules import ModuleDescriptor, make_descriptor
+from .records import record
 
 CYCLIC_MONOID = "cyclic-monoid"
 IS_GROUP = "is-group"
 TWO_SUBMONOIDS = "two-submonoids"
 
 
-@dataclass(frozen=True)
+@record
 class CyclicMonoidSummand:
     """Free N, or the finite cyclic monoid <f : f^(index+period) = f^index>."""
 
@@ -55,7 +55,7 @@ def finite_cyclic(index: int, period: int) -> CyclicMonoidSummand:
     return CyclicMonoidSummand(free=False, index=index, period=period)
 
 
-@dataclass(frozen=True)
+@record
 class MonoidDescriptor:
     summands: tuple
 
@@ -63,7 +63,7 @@ class MonoidDescriptor:
         return " + ".join(str(s) for s in self.summands)
 
 
-@dataclass(frozen=True)
+@record
 class MonoidPartition:
     """Partition into {x : x_pivot = 0} and {x : x_pivot > 0} with 0 shared."""
 
@@ -74,7 +74,7 @@ class MonoidPartition:
                 f"{{x : x[{self.pivot}] > 0}} + {{0}}")
 
 
-@dataclass(frozen=True)
+@record
 class MonoidAnswer:
     kind: str
     group_descriptor: Optional[ModuleDescriptor] = None

@@ -4,13 +4,13 @@ A finite module is a tuple of cyclic orders (elements are coordinate
 tuples) together with integer matrices generating the ring action
 (multiplication by i over Z[i], by t over F_p[t]; none over Z).  Subsets
 are int bitmasks over the element indexing, and the heavy work (closures,
-exact minimum covers) runs in the selected search kernel.
+exact minimum covers) runs in the kernels of covercalc._kernels.
 
 Both searches take their candidates from characters of M, read as weight
-vectors on the coordinates: the level sets of a character and of its
-images under the action are the cosets of the largest submodule inside
-its kernel (_level_sets).  Characters of order p give the maximal
-submodules; all characters give the puncture-avoiding cosets.
+vectors on the coordinates: the kernels of a character and of its images
+under the action meet in the largest submodule inside its kernel
+(_core).  Characters of order p give the maximal submodules; the cosets
+of the cores of all characters give the puncture-avoiding cosets.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
@@ -35,6 +35,7 @@ from .covering import CoverWitness, LINES
 from .errors import (NotMaterializableError, ShapeMismatchError,
                      TooLargeError, TrivialGroupError, UnsupportedRingError)
 from .modules import Descriptor, NormalizedDescriptor
+from .records import record
 from .rings import FactoredIdeal, RingHandle
 
 SIGMA_SIZE_BOUND = 4096
@@ -43,11 +44,11 @@ COSET_SIZE_BOUND = 32
 # maximal_submodules scans every element once per projective functional;
 # (Z/2)^12 is 4095 * 4096 elements, (Z/2)^13 four times that
 SIGMA_WORK_BOUND = 1 << 25
-HARD_SIZE_CAP = 1 << 16   # both kernels share these representation limits
+HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
 HARD_COORD_CAP = 16
 
 
-@dataclass(frozen=True)
+@record
 class SummandInfo:
     start: int
     ncoords: int
@@ -56,7 +57,7 @@ class SummandInfo:
     transform: tuple = () # Z[i]: row-major 2x2 basis change (a+bi coeffs -> coords)
 
 
-@dataclass(frozen=True)
+@record
 class FiniteModule:
     orders: tuple
     actions: tuple = ()
@@ -215,33 +216,30 @@ def _check_annihilators(mod: FiniteModule) -> None:
         for c in range(info.ncoords):
             x = [0] * len(mod.orders)
             x[info.start + c] = 1
-            y = _scalar_action(mod, gen, mod.encode(x))
-            if y != 0:
+            if any(_scalar_action(mod, gen, x)):
                 raise AssertionError(
                     f"annihilator {info.annihilator} does not kill summand")
 
 
-def _scalar_action(mod: FiniteModule, scalar, x: int) -> int:
-    """Apply multiplication by a ring element to one module element.
+def _scalar_action(mod: FiniteModule, scalar, digits) -> list:
+    """Multiplication by a ring element on one element's digit vector.
 
     The scalar is read as its coefficients in powers of the action: an
     integer over Z, a + b*i over Z[i], c0 + c1*t + ... over F_p[t].
+    Returns the reduced digits of the product.
     """
     coeffs = (scalar,) if isinstance(scalar, int) else scalar
-    out = 0
+    orders = mod.orders
+    out = [0] * len(orders)
     for k, coeff in enumerate(coeffs):
         if k:
-            x = kernels.apply_matrix(mod.orders, mod.actions[0], x)
-        out = _add(mod, out, mod.encode([coeff * v for v in mod.decode(x)]))
+            digits = [sum(map(mul, row, digits)) % d
+                      for row, d in zip(mod.actions[0], orders)]
+        out = [(o + coeff * v) % d for o, v, d in zip(out, digits, orders)]
     return out
 
 
-def _add(mod: FiniteModule, x: int, y: int) -> int:
-    xd, yd = mod.decode(x), mod.decode(y)
-    return mod.encode([a + b for a, b in zip(xd, yd)])
-
-
-@dataclass(frozen=True)
+@record
 class SubmoduleSet:
     mask: int
     generators: tuple
@@ -290,16 +288,14 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
-    top = lcm(*mod.orders)
+    top, memo = lcm(*mod.orders), {}
     cores: set[int] = set()
     for p in primes:
         for a in itertools.product(*(range(p) if d % p == 0 else (0,)
                                      for d in mod.orders)):
             if next(filter(None, a), 0) != 1:
                 continue    # one functional per line: first nonzero is 1
-            keys = _level_sets(mod, [aj * (top // p) for aj in a])
-            # the class of 0, as a mask
-            cores.add(int("".join(["0" if k else "1" for k in reversed(keys)]), 2))
+            cores.add(_core(mod, [aj * (top // p) for aj in a], memo))
     ordered = sorted(cores)
     if not mod.actions:
         return ordered
@@ -310,37 +306,72 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
                        larger[:bisect.bisect_left(sizes, -c.bit_count())])]
 
 
-def _level_sets(mod: FiniteModule, w) -> list[int]:
-    """Class keys of the elements under a character and its action images.
+def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
+    """Mask of core(ker chi), the largest submodule inside ker chi.
 
     The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
-    w_j d_j = 0 mod N so that it is well defined.  Two elements get the
-    same key when chi, chi.A, chi.A^2, ... (all words in the action
-    matrices) agree on them; the key of 0 is 0.  Values are built over
-    the mixed-radix index one coordinate at a time, and chi.A has the
-    weights w A mod N.  Once a round of images adds no class the
-    partition is final: the class of 0 is core(ker chi), the largest
-    submodule inside ker chi, and the other classes are its cosets.
+    w_j d_j = 0 mod N so that it is well defined; chi.A has the weights
+    w A mod N.  The core is the meet of the kernels of chi, chi.A,
+    chi.A^2, ... (all words in the action matrices), taken layer by
+    layer.  Once a whole layer leaves the meet K unchanged, K is the
+    core: every x in K has v(Ax) = (vA)(x) = 0 for each v met so far, as
+    vA lies in the next layer, so K is a submodule.  The meet also stops
+    at K = {0}, the least submodule.
+
+    memo maps weight vectors to their kernels; callers that take the
+    cores of many characters of one module share one.
     """
-    orders, top, k = mod.orders, lcm(*mod.orders), len(mod.orders)
-    keys, count = None, 1
-    seen, layer = {(0,) * k}, [tuple(w)]
-    while True:
-        for v in layer:
-            vals = [0]
-            for d, vj in zip(orders, v):
-                vals = ([(x + s) % top for s in range(0, d * vj, vj)
-                         for x in vals] if vj else vals * d)
-            keys = vals if keys is None else [
-                key * top + val for key, val in zip(keys, vals)]
-        seen.update(layer)
+    orders, top = mod.orders, lcm(*mod.orders)
+    if memo is None:
+        memo = {}
+
+    def kernel(v):
+        if v not in memo:
+            memo[v] = _kernel(orders, top, v)
+        return memo[v]
+
+    columns = [tuple(zip(*mat)) for mat in mod.actions]
+    w = tuple(w)
+    core = kernel(w)
+    seen, layer = {(0,) * len(orders), w}, [w]
+    while core != 1:
         layer = [v for v in dict.fromkeys(
-            tuple(sum(u[i] * mat[i][j] for i in range(k)) % top
-                  for j in range(k))
-            for u in layer for mat in mod.actions) if v not in seen]
-        if not layer or (classes := len(set(keys))) == count:
-            return keys
-        count = classes
+            tuple(sum(map(mul, u, col)) % top for col in cols)
+            for u in layer for cols in columns) if v not in seen]
+        if not layer:
+            break
+        seen.update(layer)
+        meet = core
+        for v in layer:
+            meet &= kernel(v)
+        if meet == core:
+            break
+        core = meet
+    return core
+
+
+def _kernel(orders, top: int, w) -> int:
+    """Mask of the kernel of x -> sum_j w_j x_j mod top.
+
+    Built over the mixed-radix index one coordinate at a time: classes
+    maps each value on the prefix coordinates to the mask of the prefix
+    elements taking it, and digit v of the next coordinate shifts each
+    class up by v prefix sizes.  The last coordinate builds class 0 only.
+    """
+    if not orders:
+        return 1
+    classes, size = {0: 1}, 1
+    for d, wj in zip(orders[:-1], w):
+        grown: dict = {}
+        for val, mask in classes.items():
+            for v in range(d):
+                key = (val + v * wj) % top
+                grown[key] = grown.get(key, 0) | mask << v * size
+        classes, size = grown, size * d
+    kernel = 0
+    for v in range(orders[-1]):
+        kernel |= classes.get(-v * w[-1] % top, 0) << v * size
+    return kernel
 
 
 def all_subgroups(orders: Sequence[int]) -> list[int]:
@@ -444,34 +475,27 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
     it, every proper submodule from all_subgroups is translated, as the
     reference.
     """
-    cands = []
     if inclusion_maximal:
-        top, seen = lcm(*mod.orders), set()
+        top, subs, memo = lcm(*mod.orders), {}, {}
         for a in itertools.product(*(range(d) for d in mod.orders)):
-            if not any(a):
-                continue
-            keys = _level_sets(mod, [aj * (top // d)
-                                     for aj, d in zip(a, mod.orders)])
-            classes: dict = {}
-            for x, key in enumerate(keys):
-                classes[key] = classes.get(key, 0) | 1 << x
-            if classes[0] not in seen:
-                seen.add(classes[0])
-                cands += [(c, classes[0], (c & -c).bit_length() - 1)
-                          for c in classes.values() if not (c >> puncture) & 1]
+            if any(a):
+                subs[_core(mod, [aj * (top // d)
+                                 for aj, d in zip(a, mod.orders)],
+                           memo)] = None
     else:
-        for s in enumerate_submodules(mod, maximal_only=False,
-                                      max_size=mod.size):
-            if s.mask == mod.full_mask:
-                continue
-            assigned = 0
-            for x in range(mod.size):
-                if (assigned >> x) & 1:
-                    continue
-                coset = kernels.translate(mod.orders, s.mask, x)
-                assigned |= coset
-                if not (coset >> puncture) & 1:
-                    cands.append((coset, s.mask, x))
+        subs = [s.mask for s in enumerate_submodules(
+            mod, maximal_only=False, max_size=mod.size)
+            if s.mask != mod.full_mask]
+    cands = []
+    for sub in subs:
+        assigned = 0
+        while assigned != mod.full_mask:
+            # the least element not yet assigned is the least of its coset
+            x = (~assigned & (assigned + 1)).bit_length() - 1
+            coset = kernels.translate(mod.orders, sub, x)
+            assigned |= coset
+            if not (coset >> puncture) & 1:
+                cands.append((coset, sub, x))
     cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
     if inclusion_maximal:
         kept = []

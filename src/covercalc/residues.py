@@ -7,13 +7,12 @@ Only the operations needed for line covers are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fppoly, gaussian, rings
 from .errors import NonEnumerableResidueError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class ResidueField:
     """F = R/m for a concrete ring; q = p^d elements coded as ints."""
 

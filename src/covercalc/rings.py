@@ -13,7 +13,6 @@ questions are routed around the maximal-ideal machinery entirely.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import arith, fppoly, gaussian
@@ -21,6 +20,7 @@ from .cardinal import Cardinal, finite
 from .errors import (NotApplicableError, NotEnumerableError, TooLargeError,
                      UnknownIdealError, UnsupportedLiteralError,
                      ZeroIdealError)
+from .records import record
 
 INTEGERS = "Z"
 GAUSSIAN = "Zi"
@@ -32,7 +32,7 @@ DEDEKIND = "dedekind"
 _MAX_FACTOR_INPUT = 2 ** 63
 
 
-@dataclass(frozen=True)
+@record
 class RingHandle:
     kind: str
     p: int = 0                                  # POLY: the coefficient prime
@@ -127,7 +127,7 @@ def has_infinite_spectrum(ring: RingHandle) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class MaximalIdealId:
     """A maximal ideal, named by its canonical generator (or an opaque label)."""
 
@@ -184,7 +184,7 @@ def maximal_ideal_abstract(label: str, residue: Cardinal) -> MaximalIdealId:
     return MaximalIdealId("abstract", label, residue)
 
 
-@dataclass(frozen=True)
+@record
 class FactoredIdeal:
     """A nonzero ideal as a product of maximal-ideal powers, or the unit/zero ideal."""
 

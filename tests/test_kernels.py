@@ -1,21 +1,15 @@
-"""Kernel contracts, parity of the group kernels between the two
-backends, and soundness of the one exact-cover search with symmetries."""
+"""Kernel contracts, the word-parallel group kernels against elementwise
+references, and soundness of the exact-cover search with symmetries."""
 
 import gc
 import itertools
 import random
 
 import pytest
+from test_oracle import block_modules
 
 from covercalc import _kernels
 from covercalc._kernels import pure
-
-try:
-    fast = _kernels.load("c")
-except Exception:
-    fast = None
-
-BACKENDS = [pure] + ([fast] if fast is not None else [])
 
 
 def brute_min_cover(universe, candidates):
@@ -34,7 +28,7 @@ def brute_min_cover(universe, candidates):
     return None, ()
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", [pure])
 class TestKernels:
     def test_encode_decode(self, impl):
         orders = (4, 3, 2)
@@ -103,32 +97,108 @@ class TestKernels:
                 assert witness == bwitness  # lexicographically least
 
 
-@pytest.mark.skipif(fast is None, reason="compiled kernel not built")
-class TestBackendParity:
-    def test_closure_parity(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            orders = tuple(rng.choice([2, 3, 4]) for _ in range(rng.randint(1, 3)))
-            n = 1
-            for o in orders:
-                n *= o
-            seeds = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
-            k = len(orders)
-            # a well-defined action: multiplication by an integer scalar
-            c = rng.randint(0, 5)
-            scalar = tuple(tuple(c if i == j else 0 for j in range(k))
-                           for i in range(k))
-            assert pure.closure(orders, (scalar,), seeds) == \
-                fast.closure(orders, (scalar,), seeds)
-            mask = rng.getrandbits(n) | 1
-            assert pure.invariant_core(orders, (scalar,), mask) == \
-                fast.invariant_core(orders, (scalar,), mask)
+def _bits(mask):
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def _add(orders, x, y):
+    return pure.encode(orders, [a + b for a, b in
+                                zip(pure.decode(orders, x),
+                                    pure.decode(orders, y))])
+
+
+def reference_translate(orders, mask, g):
+    """{x + g : x in mask}, element by element through the digits."""
+    return sum(1 << _add(orders, x, g) for x in _bits(mask))
+
+
+def reference_closure(orders, actions, seeds):
+    """The seeds' orbit under the action matrices, then every sum reached
+    from 0 by adding orbit elements: the subgroup an invariant set spans
+    is invariant."""
+    orbit, stack = set(seeds), list(seeds)
+    while stack:
+        x = stack.pop()
+        for mat in actions:
+            y = pure.apply_matrix(orders, mat, x)
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    members, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for g in orbit:
+            y = _add(orders, x, g)
+            if y not in members:
+                members.add(y)
+                stack.append(y)
+    return sum(1 << x for x in members)
+
+
+def reference_invariant_core(orders, actions, mask):
+    """Drop every element with an image outside the mask until none is."""
+    while True:
+        keep = sum(1 << x for x in _bits(mask)
+                   if all(mask >> pure.apply_matrix(orders, mat, x) & 1
+                          for mat in actions))
+        if keep == mask:
+            return mask
+        mask = keep
+
+
+@pytest.fixture(scope="module")
+def modules_up_to_64():
+    """Every block module of size <= 64 over Z, Z[i], F_2[t] and F_3[t]."""
+    mods = [mod for _, mod in block_modules(64)]
+    assert len(mods) >= 500
+    return mods
+
+
+class TestWordParallelKernels:
+    def test_translate_matches_the_elementwise_reference(self, modules_up_to_64):
+        rng = random.Random(11)
+        for mod in modules_up_to_64:
+            n, orders = mod.size, mod.orders
+            units = [pure.encode(orders, [int(i == j) for j in range(len(orders))])
+                     for i in range(len(orders))]
+            for g in units + [n - 1] + [rng.randrange(n) for _ in range(4)]:
+                for mask in (mod.full_mask, 1, rng.getrandbits(n),
+                             rng.getrandbits(n)):
+                    assert pure.translate(orders, mask, g) == \
+                        reference_translate(orders, mask, g), (orders, mask, g)
+
+    def test_closure_matches_the_elementwise_reference(self, modules_up_to_64):
+        rng = random.Random(12)
+        for mod in modules_up_to_64:
+            n, orders = mod.size, mod.orders
+            for count in (1, 1, 2, 3):
+                seeds = [rng.randrange(n) for _ in range(count)]
+                for actions in ((), mod.actions):
+                    assert pure.closure(orders, actions, seeds) == \
+                        reference_closure(orders, actions, seeds), \
+                        (orders, actions, seeds)
+
+    def test_invariant_core_matches_the_elementwise_reference(
+            self, modules_up_to_64):
+        rng = random.Random(13)
+        for mod in modules_up_to_64:
+            n, orders = mod.size, mod.orders
+            for count in (1, 2):
+                sub = pure.closure(orders, (),
+                                   [rng.randrange(n) for _ in range(count)])
+                for mask in (sub, rng.getrandbits(n) | 1):
+                    assert pure.invariant_core(orders, mod.actions, mask) == \
+                        reference_invariant_core(orders, mod.actions, mask)
 
 
 def test_one_min_cover_for_both_backends():
     assert _kernels.min_cover is pure.min_cover
-    if fast is not None:
-        assert not hasattr(fast, "min_cover")
+    assert _kernels.BACKEND == "pure"
+    for name in ("translate", "closure", "invariant_core"):
+        assert getattr(_kernels, name) is getattr(pure, name)
 
 
 def rotation_instances(seed, count):

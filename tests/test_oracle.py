@@ -10,7 +10,7 @@ variant.
 import functools
 import itertools
 import math
-from dataclasses import replace
+from covercalc.records import replace
 
 import pytest
 
@@ -118,15 +118,41 @@ class TestMaterialize:
         for x in range(mod.size):
             tx = kernels.apply_matrix(mod.orders, act, x)
             ttx = kernels.apply_matrix(mod.orders, act, tx)
-            s = oracle._add(mod, oracle._add(mod, ttx, tx), x)
-            assert s == 0
+            s = [a + b + c for a, b, c in
+                 zip(mod.decode(ttx), mod.decode(tx), mod.decode(x))]
+            assert mod.encode(s) == 0
 
     def test_gaussian_annihilator_killed(self):
         mod = oracle.materialize(parse("Zi: R/(2+i)"))
         assert mod.orders == (5,)
         # multiplication by 2+i is zero on every element
         for x in range(5):
-            assert oracle._scalar_action(mod, (2, 1), x) == 0
+            assert oracle._scalar_action(mod, (2, 1), mod.decode(x)) == [0]
+
+    @pytest.mark.parametrize("spec", ["Z: R/(4) + R/(3)", "Zi: R/(2+i)",
+                                      "Fp[t] p=2: R/(t^2+t+1)",
+                                      "Fp[t] p=3: R/(t)^2 + R/(t+1)"])
+    def test_annihilator_check_raises_on_a_nonzero_image(self, spec):
+        mod = oracle.materialize(parse(spec))
+        oracle._check_annihilators(mod)
+        # a summand read with its annihilator's prime removed, and a wrong
+        # action: each leaves some basis vector with a nonzero image
+        info = mod.summands[0]
+        ideal = info.annihilator
+        factors = dict(ideal.factors)
+        prime = next(iter(factors))
+        factors[prime] -= 1
+        smaller = FactoredIdeal.from_factors(
+            {m: e for m, e in factors.items() if e})
+        broken = [replace(mod, summands=(replace(info, annihilator=smaller),)
+                          + mod.summands[1:])]
+        if mod.actions:
+            k = len(mod.orders)
+            broken.append(replace(mod, actions=(tuple(
+                tuple(int(i == j) for j in range(k)) for i in range(k)),)))
+        for bad in broken:
+            with pytest.raises(AssertionError):
+                oracle._check_annihilators(bad)
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
@@ -156,7 +182,8 @@ class TestEnumeration:
         subs = oracle.enumerate_submodules(mod, maximal_only=False)
         proper_nonzero = [s for s in subs if 1 < s.size() < mod.size]
         assert len(proper_nonzero) == 1
-        img = {oracle._scalar_action(mod, (1, 1), x) for x in range(mod.size)}
+        img = {mod.encode(oracle._scalar_action(mod, (1, 1), mod.decode(x)))
+               for x in range(mod.size)}
         assert {i for i in range(mod.size) if (proper_nonzero[0].mask >> i) & 1} == img
 
     def test_f4_maximal_submodules_have_index_four(self):
@@ -196,19 +223,21 @@ class TestCharacterLevelSets:
     def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
         mod = oracle.materialize(parse(spec), max_size=256)
         top = math.lcm(*mod.orders)
+        memo = {}
         for a in itertools.product(*(range(d) for d in mod.orders)):
             w = [aj * (top // d) for aj, d in zip(a, mod.orders)]
-            keys = oracle._level_sets(mod, w)
             kernel = sum(1 << x for x in range(mod.size)
                          if sum(wj * v for wj, v in
                                 zip(w, mod.decode(x))) % top == 0)
             core = kernels.invariant_core(mod.orders, mod.actions, kernel)
-            assert keys[0] == 0
-            assert sum(1 << x for x, k in enumerate(keys) if k == 0) == core
-            for x in range(mod.size):
-                coset = kernels.translate(mod.orders, core, x)
-                assert {keys[y] for y in range(mod.size)
-                        if coset >> y & 1} == {keys[x]}
+            assert oracle._kernel(mod.orders, top, w) == kernel
+            assert oracle._core(mod, w) == core
+            assert oracle._core(mod, w, memo) == core
+            # its translates partition M
+            cosets = {kernels.translate(mod.orders, core, x)
+                      for x in range(mod.size)}
+            assert sum(c.bit_count() for c in cosets) == mod.size
+            assert functools.reduce(int.__or__, cosets) == mod.full_mask
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
         subgroups = functools.lru_cache(oracle.all_subgroups)
@@ -378,7 +407,7 @@ class TestVerifyWitness:
             assert oracle.verify_cover_witness(mod, w), spec
 
     def test_rejects_partial_cover(self):
-        from dataclasses import replace
+        from covercalc.records import replace
         d = parse("Z: R/(2) + R/(2)")
         w = covering.build_cover_witness(d)
         broken = replace(w, line_points=w.line_points[:2],
