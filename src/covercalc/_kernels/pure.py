@@ -14,6 +14,8 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
+from ..errors import TooLargeError
+
 BACKEND = "pure"
 
 
@@ -122,6 +124,9 @@ def _bits(mask: int):
 _PLAIN_NODES = 500
 # Each child group keeps at most this many stabilizer generators.
 _STABILIZER_GENS = 12
+# A search past this many nodes raises TooLargeError.  The heaviest
+# instance the oracles answer takes about 155,000: (Z/7)^2 minus a point.
+_NODE_BUDGET = 300_000
 
 
 def min_cover(universe: int, candidates, symmetries=None) -> tuple:
@@ -135,7 +140,8 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
     i), each induced by a permutation of the elements that maps the universe
     onto itself.  It is called only when the plain search needs more than
     _PLAIN_NODES nodes; the symmetries prune the proof of optimality but
-    never change the size or the witness.
+    never change the size or the witness.  A search that visits more than
+    _NODE_BUDGET nodes raises TooLargeError.
     """
     if universe == 0:
         return 0, ()
@@ -189,9 +195,18 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     optimal is lost.  The child's group is the stabilizer of its
     representative.  With no generators this is element branching with
     sibling exclusion.  Returns the optimum, or raises _Unfinished with the
-    best size found once node_limit nodes have been visited.
+    best size found once node_limit nodes have been visited.  With no
+    node_limit, a search past _NODE_BUDGET nodes raises TooLargeError.
     """
+    if node_limit == 0:
+        raise _Unfinished(upper)
+    # the root's counting bound, before the holders are built: it alone
+    # proves every instance whose greedy size meets it
+    maxcov = max((c & universe).bit_count() for c in candidates)
+    if -(-universe.bit_count() // maxcov) >= upper:
+        return upper
     n = len(candidates)
+    limit = _NODE_BUDGET if node_limit is None else node_limit
     # the candidates holding each element, keyed by the element's bit
     holders = dict.fromkeys((1 << e for e in _bits(universe)), 0)
     for i, c in enumerate(candidates):
@@ -206,8 +221,11 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     def dfs(cov: int, depth: int, cands: list, allowed: int, gens):
         nonlocal best, nodes
         nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _Unfinished(best)
+        if nodes > limit:
+            if node_limit is not None:
+                raise _Unfinished(best)
+            raise TooLargeError("the cover search ran out of nodes: "
+                                f"the bound is {_NODE_BUDGET}")
         rem = universe & ~cov
         if not rem:
             if depth < best:

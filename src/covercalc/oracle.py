@@ -457,7 +457,11 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
         union |= c
     if union != mod.full_mask:
         return None, []   # some generator escapes every proper submodule
-    size, idxs = kernels.min_cover(mod.full_mask, candidates)
+    # every candidate holds 0, so covering M - {0} is covering M, and the
+    # root's counting bound over it, (|M|-1)/(|M|/p-1), exceeds p
+    size, idxs = kernels.min_cover(
+        mod.full_mask & ~1, candidates,
+        symmetries=lambda: coset_symmetries(mod, 0, candidates))
     return size, [_wrap(mod, candidates[i]) for i in idxs]
 
 

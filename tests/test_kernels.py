@@ -6,10 +6,11 @@ import itertools
 import random
 
 import pytest
-from test_oracle import block_modules
+from test_oracle import block_modules, parse
 
-from covercalc import _kernels
+from covercalc import _kernels, oracle
 from covercalc._kernels import pure
+from covercalc.errors import TooLargeError
 
 
 def brute_min_cover(universe, candidates):
@@ -249,6 +250,52 @@ def test_symmetries_are_fetched_only_past_the_plain_node_count():
         raise AssertionError("symmetries fetched for an easy instance")
     assert pure.min_cover(0b111111, [0b000111, 0b111000, 0b010101],
                           symmetries=refuse) == (2, (0, 1))
+
+
+@pytest.mark.parametrize("spec, answer", [
+    ("Z: R/(2)^8", 3), ("Z: R/(3)^4", 4), ("Z: R/(4) + R/(2)^3", 3),
+    ("Zi: R/(3) + R/(3)", 10), ("Fp[t] p=2: R/(t^2+t+1)^3", 5)])
+def test_sigma_root_bound_closes_before_any_symmetry(monkeypatch, spec,
+                                                     answer):
+    # over M - {0} the counting bound (|M|-1)/(|M|/p-1) is p+1 when the
+    # least residue field repeats, so greedy's cover is proved at the root;
+    # one plain node would otherwise be enough to fetch the symmetries
+    def refuse(*args):
+        raise AssertionError("symmetries fetched for a root-bound instance")
+    monkeypatch.setattr(pure, "_PLAIN_NODES", 1)
+    monkeypatch.setattr(oracle, "coset_symmetries", refuse)
+    assert oracle.min_submodule_cover(oracle.materialize(parse(spec)))[0] \
+        == answer
+
+
+@pytest.mark.parametrize("spec", [
+    "Z: R/(2) + R/(5)^2", "Z: R/(2) + R/(3)^3", "Z: R/(2) + R/(3) + R/(5)^2",
+    "Z: R/(4) + R/(9) + R/(3)"])
+def test_symmetric_sigma_search_matches_bruteforce(monkeypatch, spec):
+    # greedy overshoots on these, so the search goes past the root bound,
+    # with the automorphisms from the root
+    fetched = []
+    real = oracle.coset_symmetries
+    monkeypatch.setattr(pure, "_PLAIN_NODES", 0)
+    monkeypatch.setattr(oracle, "coset_symmetries",
+                        lambda *args: fetched.append(real(*args)) or fetched[-1])
+    mod = oracle.materialize(parse(spec))
+    size, witness = oracle.min_submodule_cover(mod)
+    candidates = oracle.maximal_submodules(mod)
+    assert (size, tuple(candidates.index(s.mask) for s in witness)) \
+        == brute_min_cover(mod.full_mask, candidates)
+    assert pure._greedy_size(mod.full_mask, candidates) > size
+    assert len(fetched) == 1 and fetched[0]
+
+
+def test_search_past_its_node_budget_raises(monkeypatch):
+    # the first instance past the root bound
+    universe, candidates, _ = next(
+        inst for inst in rotation_instances(11, 60)
+        if pure._greedy_size(*inst[:2]) > pure.min_cover(*inst[:2])[0])
+    monkeypatch.setattr(pure, "_NODE_BUDGET", 1)
+    with pytest.raises(TooLargeError, match="the bound is 1"):
+        pure.min_cover(universe, candidates)
 
 
 def test_stabilizer_generators_fix_the_representative():

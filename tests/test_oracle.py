@@ -52,12 +52,13 @@ def subgroups_by_join_closure(orders):
     return known
 
 
-def block_modules(bound):
+def block_modules(bound, over=None):
     """(spec, module) for every sum of prime-power cyclic blocks of size
-    <= bound over Z, Z[i], F_2[t] and F_3[t]."""
+    <= bound over the given rings, by default Z, Z[i], F_2[t] and F_3[t]."""
     out = []
-    for ring in (Z, rings.gaussian_integers(), rings.poly_over_prime_field(2),
-                 rings.poly_over_prime_field(3)):
+    for ring in over or (Z, rings.gaussian_integers(),
+                         rings.poly_over_prime_field(2),
+                         rings.poly_over_prime_field(3)):
         blocks = []
         for m in rings.maximal_ideals_with_residue_at_most(ring, bound):
             r, n = m.residue_card.finite_value, 1
