@@ -353,7 +353,14 @@ def _lex_witness(universe: int, candidates, k: int) -> tuple:
             return not (universe & ~cov)
         if universe & ~(cov | suffix[start]):
             return False
-        for i in range(start, n - (k - len(path)) + 1):
+        rem = universe & ~cov
+        left = k - len(path)
+        # counting bound: left more candidates cover at most left times the
+        # most any one of them still covers
+        most = max(map(int.bit_count, map(rem.__and__, candidates[start:])))
+        if left * most < rem.bit_count():
+            return False
+        for i in range(start, n - left + 1):
             if universe & ~(cov | suffix[i]):
                 break
             # in a minimum cover every member contributes new elements

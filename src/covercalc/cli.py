@@ -24,7 +24,6 @@ import math
 import sys
 import time
 
-from . import cosets, covering, modules, monoids, oracle, parser, rings, snf
 from .errors import CoverCalcError, SpecSemanticError, SpecSyntaxError
 
 EXIT_OK = 0
@@ -57,12 +56,12 @@ def _build_parser() -> _Parser:
     spec_cmd("sigma", help="exact covering answer")
     c = spec_cmd("cover", help="covering answer with witness")
     c.add_argument("--check", action="store_true")
-    c.add_argument("--max-size", type=int, default=oracle.SIGMA_SIZE_BOUND)
+    c.add_argument("--max-size", type=int)
     spec_cmd("phi", help="punctured coset-cover count")
     c = spec_cmd("coset-cover", help="explicit punctured coset cover")
     c.add_argument("--puncture", default="0")
     c.add_argument("--check", action="store_true")
-    c.add_argument("--max-size", type=int, default=oracle.SIGMA_SIZE_BOUND)
+    c.add_argument("--max-size", type=int)
     c = sub.add_parser("monoid", help="classify a sum of cyclic monoids")
     c.add_argument("spec")
     c.add_argument("--json", action="store_true")
@@ -74,7 +73,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--puncture", default="0")
     c.add_argument("--maximal-only", choices=["true", "false"], default="true")
     c = spec_cmd("verify", help="formula vs. oracle")
-    c.add_argument("--max-size", type=int, default=oracle.SIGMA_SIZE_BOUND)
+    c.add_argument("--max-size", type=int)
     c.add_argument("--phi", action="store_true")
     c.add_argument("--puncture", default="0")
     c = sub.add_parser("snf", help="Smith normal form")
@@ -132,11 +131,18 @@ def _dispatch(args) -> tuple[dict, int]:
     return _cmd_s_set(args), EXIT_OK
 
 
+def _sigma_max_size(args) -> int:
+    """--max-size, or the oracle's sigma bound when it is not given."""
+    from .oracle import SIGMA_SIZE_BOUND
+    return SIGMA_SIZE_BOUND if args.max_size is None else args.max_size
+
+
 def _base_report(command: str, text: str) -> dict:
     return {"schema": "cover-calc/1", "command": command, "input": text}
 
 
 def _sigma_payload(d) -> dict:
+    from . import covering, modules, rings
     ans = covering.sigma(d)
     out = {"answer": ans.token()}
     if rings.is_field(d.ring):
@@ -151,6 +157,7 @@ def _sigma_payload(d) -> dict:
 
 
 def _cmd_sigma(args) -> dict:
+    from . import parser
     ring, d = parser.parse_spec(args.spec)
     rep = _base_report("sigma", args.spec)
     rep["ring"] = parser.render_ring(ring)
@@ -160,6 +167,7 @@ def _cmd_sigma(args) -> dict:
 
 
 def _witness_json(w) -> dict:
+    from . import covering
     if w.kind == covering.LINES:
         return {"kind": "lines", "ideal": str(w.ideal),
                 "summands": list(w.summand_pair),
@@ -172,6 +180,7 @@ def _witness_json(w) -> dict:
 
 
 def _cmd_cover(args) -> dict:
+    from . import covering, parser
     ring, d = parser.parse_spec(args.spec)
     rep = _cmd_sigma(args)
     rep["command"] = "cover"
@@ -180,13 +189,15 @@ def _cmd_cover(args) -> dict:
     if args.check:
         ok = None
         if w.kind == covering.LINES and w.materializable:
-            mod = oracle.materialize(d, max_size=args.max_size)
+            from . import oracle
+            mod = oracle.materialize(d, max_size=_sigma_max_size(args))
             ok = oracle.verify_cover_witness(mod, w)
         rep["witness_checked"] = ok
     return rep
 
 
 def _phi_blocks(d) -> list:
+    from . import modules
     norm = modules.normalize(d)
     blocks = []
     for m, exps in norm.blocks:
@@ -198,6 +209,7 @@ def _phi_blocks(d) -> list:
 
 
 def _cmd_phi(args) -> dict:
+    from . import cosets, modules, parser
     ring, d = parser.parse_spec(args.spec)
     rep = _base_report("phi", args.spec)
     rep["ring"] = parser.render_ring(ring)
@@ -211,6 +223,7 @@ def _cmd_phi(args) -> dict:
 
 
 def _cyclic_ideal(ring, d):
+    from . import covering, rings
     if covering.classify(d).kind != covering.CYCLIC or d.is_zero:
         raise SpecSemanticError(
             "coset-cover needs a cyclic torsion module (coprime annihilators)")
@@ -222,6 +235,7 @@ def _cyclic_ideal(ring, d):
 
 
 def _cmd_coset_cover(args) -> dict:
+    from . import cosets, parser, rings
     ring, d = parser.parse_spec(args.spec)
     rep = _base_report("coset-cover", args.spec)
     rep["ring"] = parser.render_ring(ring)
@@ -241,17 +255,19 @@ def _cmd_coset_cover(args) -> dict:
     }
     if args.check:
         rep["witness_checked"] = cosets.verify_coset_cover(
-            w, max_size=args.max_size)
+            w, max_size=_sigma_max_size(args))
     return rep
 
 
 def _cmd_monoid(args) -> dict:
+    from . import monoids, parser
     d = parser.parse_monoid(args.spec)
     rep = _base_report("monoid", args.spec)
     rep["descriptor"] = str(d)
     ans = monoids.classify_monoid(d)
     rep["classification"] = ans.kind
     if ans.kind == monoids.IS_GROUP:
+        from . import covering
         rep["delegate"] = parser.render_descriptor(ans.group_descriptor)
         rep["answer"] = covering.sigma(ans.group_descriptor).token()
     elif ans.kind == monoids.TWO_SUBMONOIDS:
@@ -265,6 +281,7 @@ def _cmd_monoid(args) -> dict:
 
 
 def _materialize_for_oracle(args):
+    from . import oracle, parser
     ring, d = parser.parse_spec(args.spec)
     if args.max_size:
         max_size = args.max_size
@@ -278,6 +295,7 @@ def _materialize_for_oracle(args):
 
 
 def _puncture_index(args, ring, d, mod) -> int:
+    from . import parser
     text = args.puncture
     if len(mod.summands) == 1:
         return mod.encode_ring_element(0, parser.parse_element(text, ring))
@@ -289,6 +307,7 @@ def _puncture_index(args, ring, d, mod) -> int:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import oracle, parser
     ring, d, mod, max_size = _materialize_for_oracle(args)
     rep = _base_report(f"oracle {args.mode}", args.spec)
     rep["ring"] = parser.render_ring(ring)
@@ -313,23 +332,25 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import cosets, covering, oracle, parser
     ring, d = parser.parse_spec(args.spec)
     rep = _base_report("verify", args.spec)
     rep["ring"] = parser.render_ring(ring)
     rep["descriptor"] = parser.render_descriptor(d)
-    mod = oracle.materialize(d, max_size=args.max_size)
+    max_size = _sigma_max_size(args)
+    mod = oracle.materialize(d, max_size=max_size)
     if args.phi:
         value, conjectural = cosets.phi_conjecture_value(ring, _phi_blocks(d))
         puncture = _puncture_index(
             argparse.Namespace(puncture=args.puncture), ring, d, mod)
         got, _ = oracle.min_coset_cover_punctured(mod, puncture,
-                                                  max_size=args.max_size)
+                                                  max_size=max_size)
         rep["formula"] = value
         rep["conjectural"] = conjectural
         rep["oracle"] = {"value": got, "match": got == value}
     else:
         formula = covering.sigma_integer(d)
-        size, _ = oracle.min_submodule_cover(mod, max_size=args.max_size)
+        size, _ = oracle.min_submodule_cover(mod, max_size=max_size)
         got = size if size is not None else math.inf
         rep["formula"] = "no-cover" if formula == math.inf else formula
         rep["oracle"] = {"value": "no-cover" if size is None else size,
@@ -339,6 +360,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_snf(args) -> dict:
+    from . import parser, rings, snf
     ring = parser.parse_ring(args.ring)
     A = parser.parse_matrix(args.matrix, ring)
     try:
@@ -355,6 +377,7 @@ def _cmd_snf(args) -> dict:
 
 
 def _cmd_s_set(args) -> dict:
+    from . import covering, parser
     ring = parser.parse_ring(args.ring)
     rep = _base_report("s-set", f"{args.ring} n={args.n}")
     rep["ring"] = parser.render_ring(ring)

@@ -15,7 +15,7 @@ the whole cover is finally translated by the puncture.
 
 from __future__ import annotations
 
-from . import arith, modules, oracle, rings
+from . import arith, modules, rings
 from .cardinal import finite
 from .errors import (InfiniteResidueError, NotMaterializableError,
                      TrivialGroupError, ZeroIdealError)
@@ -144,6 +144,7 @@ def verify_coset_cover(witness: CosetCoverWitness, max_size: int = 4096) -> bool
     True iff no coset contains the puncture, every submodule is proper,
     and the union is exactly the module minus the puncture.
     """
+    from . import oracle
     ring = witness.ring
     d = modules.make_descriptor(ring, torsion=((witness.modulus, finite(1)),))
     mod = oracle.materialize(d, max_size=max_size)

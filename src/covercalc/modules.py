@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from . import rings, snf
+from . import rings
 from .cardinal import ALEPH0, Cardinal, ZERO, cardinal_sum, finite
 from .errors import NotApplicableError, SpecSemanticError
 from .records import record, replace
@@ -239,6 +239,7 @@ def _as_plain(d: Descriptor) -> ModuleDescriptor:
 
 def smith_normal_form(ring: RingHandle, A):
     """Re-exported from snf for a one-stop module API."""
+    from . import snf
     return snf.smith_normal_form(ring, A)
 
 
@@ -248,6 +249,7 @@ def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> Mo
     Rows of A index generators, columns are relations; unit invariant
     factors vanish, zero ones contribute free rank.
     """
+    from . import snf
     if ncols_free < 0:
         raise ValueError("ncols_free must be nonnegative")
     m = len(A)

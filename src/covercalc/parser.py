@@ -20,12 +20,16 @@ equal value (the text may normalize, e.g. primes(4) expands).
 from __future__ import annotations
 
 import re
-from . import fppoly, monoids, rings
+from typing import TYPE_CHECKING
+
+from . import fppoly, rings
 from .cardinal import Cardinal, ZERO, finite, parse_cardinal
 from .errors import SpecSemanticError, SpecSyntaxError, TooLargeError
 from .modules import ModuleDescriptor, make_descriptor
-from .monoids import MonoidDescriptor
 from .rings import FactoredIdeal, RingHandle
+
+if TYPE_CHECKING:
+    from .monoids import MonoidDescriptor
 
 _INT = re.compile(r"-?\d+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -333,6 +337,7 @@ def parse_element(text: str, ring: RingHandle):
 
 
 def parse_monoid(text: str) -> MonoidDescriptor:
+    from . import monoids
     cur = _Cursor(text)
     summands = []
     while True:
@@ -353,7 +358,7 @@ def parse_monoid(text: str) -> MonoidDescriptor:
         if cur.done():
             break
         cur.expect("+")
-    return MonoidDescriptor(tuple(summands))
+    return monoids.MonoidDescriptor(tuple(summands))
 
 
 def parse_matrix(text: str, ring: RingHandle) -> list[list]:

@@ -28,12 +28,33 @@ def record(cls):
     template = {f: cls.__dict__.get(f, _MISSING) for f in fields}
     count = len(fields)
     post_init = cls.__dict__.get("__post_init__")
+    # after n positional arguments: the other fields in order, with their
+    # defaults, and the ones of them that have no default
+    tails = [({f: template[f] for f in fields[n:]},
+              frozenset(f for f in fields[n:] if template[f] is _MISSING))
+             for n in range(count)]
 
     def __init__(self, *args, **kwargs):
-        if len(args) == count and not kwargs:
+        n = len(args)
+        if n == count and not kwargs:
             self.__dict__.update(zip(fields, args))
         else:
-            self.__dict__.update(_bind(cls.__name__, template, args, kwargs))
+            if n >= count:
+                raise _call_error(cls.__name__, fields)
+            tail, required = tails[n]
+            d = self.__dict__
+            d.update(zip(fields, args))
+            if kwargs:
+                # a keyword that is no field, or repeats a positional one,
+                # adds a key; a field with no default must be given
+                values = tail | kwargs
+                if len(values) != count - n or not kwargs.keys() >= required:
+                    raise _call_error(cls.__name__, fields)
+                d.update(values)
+            elif required:
+                raise _call_error(cls.__name__, fields)
+            else:
+                d.update(tail)
         if post_init is not None:
             post_init(self)
 
@@ -58,16 +79,9 @@ def replace(obj, **changes):
     return type(obj)(**{**obj.__dict__, **changes})
 
 
-def _bind(name, template, args, kwargs) -> dict:
-    given = dict(zip(template, args))
-    given.update(kwargs)
-    values = template.copy()
-    values.update(given)
-    if (len(given) != len(args) + len(kwargs)
-            or len(values) > len(template) or _MISSING in values.values()):
-        raise TypeError(f"{name}() takes the fields {', '.join(template)}: "
-                        f"missing, unknown or repeated arguments")
-    return values
+def _call_error(name, fields) -> TypeError:
+    return TypeError(f"{name}() takes the fields {', '.join(fields)}: "
+                     f"missing, unknown or repeated arguments")
 
 
 def _eq(self, other):

@@ -325,3 +325,39 @@ def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
     finally:
         gc.enable()
     assert restarts == [1]
+
+
+def planted_partitions(seed, count):
+    """Universes split into k equal blocks, hidden among random masks of
+    the same size: the blocks are a minimum cover, and along it the
+    counting bound of the lex pass is met with equality."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k, width = rng.randint(2, 4), rng.randint(2, 3)
+        bits = list(range(k * width))
+        rng.shuffle(bits)
+        blocks = [sum(1 << b for b in bits[j::k]) for j in range(k)]
+        noise = [sum(1 << b for b in rng.sample(range(k * width), width))
+                 for _ in range(rng.randint(2, 6))]
+        candidates = blocks + noise
+        rng.shuffle(candidates)
+        out.append(((1 << (k * width)) - 1, candidates))
+    return out
+
+
+def test_lex_witness_counting_bound_matches_bruteforce():
+    # the rows of a 3x3 grid, after a column pair: once candidate 0 is
+    # chosen the rows still cover what is left, but two more candidates
+    # cover at most 2 * 3 of its 7 elements, so the lex pass prunes there
+    rows = [0b000000111, 0b000111000, 0b111000000]
+    universe, candidates = 0b111111111, [0b000001001] + rows
+    rem = universe & ~candidates[0]
+    assert universe & ~(candidates[0] | rows[0] | rows[1] | rows[2]) == 0
+    assert 2 * max((c & rem).bit_count() for c in rows) < rem.bit_count()
+    assert pure.min_cover(universe, candidates) == (3, (1, 2, 3)) \
+        == brute_min_cover(universe, candidates)
+    # at the root, and at every node along the blocks, left * max == |rem|
+    for universe, candidates in planted_partitions(5, 40):
+        assert pure.min_cover(universe, candidates) \
+            == brute_min_cover(universe, candidates)

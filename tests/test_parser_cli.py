@@ -175,7 +175,8 @@ class TestCli:
         def wrong_cover(mod, maximal_only=True, max_size=4096):
             return 17, []
 
-        monkeypatch.setattr(cli.oracle, "min_submodule_cover", wrong_cover)
+        monkeypatch.setattr("covercalc.oracle.min_submodule_cover",
+                            wrong_cover)
         code = cli.main(["verify", "Z: R/(2) + R/(2)", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2

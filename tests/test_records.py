@@ -31,10 +31,19 @@ class Reference:
             raise ValueError("negative x")
 
 
+# every way to bind: all positional, positional then defaults, keywords
+# (complete, in or out of field order, or with defaults), and positional
+# then keywords
 CALLS = [((1,), {}), ((1, 2), {}), ((1, 2, ("a",)), {}), ((), {"x": 5}),
-         ((1,), {"tags": (1,)}), ((), {"tags": (), "x": 2})]
+         ((1,), {"tags": (1,)}), ((), {"tags": (), "x": 2}),
+         ((), {"x": 1, "y": 2, "tags": ("a",)}),
+         ((), {"tags": ("a",), "y": 2, "x": 1}), ((1, 2), {"tags": ("b",)}),
+         ((1,), {"y": 4, "tags": ()}), ((), {"x": 1, "y": 2})]
 BAD_CALLS = [((), {}), ((1, 2, 3, 4), {}), ((1,), {"x": 2}), ((1,), {"w": 2}),
-             ((), {"y": 1})]
+             ((), {"y": 1}), ((1, 2, ()), {"x": 1}), ((1, 2, ()), {"w": 1}),
+             ((1, 2, (), 4), {"x": 1}), ((), {"x": 1, "y": 2, "tags": (),
+                                              "w": 0}),
+             ((1,), {"y": 2, "w": 3}), ((), {"y": 1, "tags": ()})]
 
 
 @pytest.mark.parametrize("args, kwargs", CALLS)
@@ -52,6 +61,19 @@ def test_rejects_what_a_dataclass_rejects(args, kwargs):
     for cls in (Point, Reference):
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+    with pytest.raises(TypeError, match=r"^Point\(\) takes the fields x, y, "
+                       r"tags: missing, unknown or repeated arguments$"):
+        Point(*args, **kwargs)
+
+
+@pytest.mark.parametrize("args, kwargs", CALLS)
+def test_post_init_runs_on_every_path(args, kwargs):
+    if args:
+        args = (-1, *args[1:])
+    else:
+        kwargs = {**kwargs, "x": -1}
+    with pytest.raises(ValueError):
+        Point(*args, **kwargs)
 
 
 def test_post_init_frozen_and_replace():
