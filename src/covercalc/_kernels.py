@@ -5,7 +5,8 @@ are indexed in mixed radix (digit 0 least significant); subsets are Python
 ints with bit x set for element index x.  translate and closure act on a
 whole mask at once, one coordinate at a time, as shifts of the int;
 invariant_core and apply_matrix work element by element.  min_cover is
-the exact-cover search.
+the exact-cover search.  BACKEND names the implementation; the benchmark
+records it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from ..errors import TooLargeError
+from .errors import TooLargeError
 
 BACKEND = "pure"
 

@@ -111,24 +111,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> tuple[dict, int]:
-    cmd = args.command
-    if cmd == "sigma":
-        return _cmd_sigma(args), EXIT_OK
-    if cmd == "cover":
-        return _cmd_cover(args), EXIT_OK
-    if cmd == "phi":
-        return _cmd_phi(args), EXIT_OK
-    if cmd == "coset-cover":
-        return _cmd_coset_cover(args), EXIT_OK
-    if cmd == "monoid":
-        return _cmd_monoid(args), EXIT_OK
-    if cmd == "oracle":
-        return _cmd_oracle(args), EXIT_OK
-    if cmd == "verify":
-        return _cmd_verify(args)
-    if cmd == "snf":
-        return _cmd_snf(args), EXIT_OK
-    return _cmd_s_set(args), EXIT_OK
+    report = _COMMANDS[args.command](args)
+    mismatch = args.command == "verify" and not report["oracle"]["match"]
+    return report, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _sigma_max_size(args) -> int:
@@ -141,11 +126,21 @@ def _base_report(command: str, text: str) -> dict:
     return {"schema": "cover-calc/1", "command": command, "input": text}
 
 
+def _spec_report(args, command: str):
+    """Parse the spec; (ring, descriptor, the report's header fields)."""
+    from . import parser
+    ring, d = parser.parse_spec(args.spec)
+    rep = _base_report(command, args.spec)
+    rep["ring"] = parser.render_ring(ring)
+    rep["descriptor"] = parser.render_descriptor(d)
+    return ring, d, rep
+
+
 def _sigma_payload(d) -> dict:
-    from . import covering, modules, rings
+    from . import covering, modules
     ans = covering.sigma(d)
     out = {"answer": ans.token()}
-    if rings.is_field(d.ring):
+    if d.ring.is_field:
         out["q"] = None
         out["nc"] = None
         return out
@@ -157,11 +152,7 @@ def _sigma_payload(d) -> dict:
 
 
 def _cmd_sigma(args) -> dict:
-    from . import parser
-    ring, d = parser.parse_spec(args.spec)
-    rep = _base_report("sigma", args.spec)
-    rep["ring"] = parser.render_ring(ring)
-    rep["descriptor"] = parser.render_descriptor(d)
+    _, d, rep = _spec_report(args, "sigma")
     rep.update(_sigma_payload(d))
     return rep
 
@@ -180,10 +171,9 @@ def _witness_json(w) -> dict:
 
 
 def _cmd_cover(args) -> dict:
-    from . import covering, parser
-    ring, d = parser.parse_spec(args.spec)
-    rep = _cmd_sigma(args)
-    rep["command"] = "cover"
+    from . import covering
+    _, d, rep = _spec_report(args, "cover")
+    rep.update(_sigma_payload(d))
     w = covering.build_cover_witness(d)
     rep["witness"] = _witness_json(w)
     if args.check:
@@ -209,11 +199,8 @@ def _phi_blocks(d) -> list:
 
 
 def _cmd_phi(args) -> dict:
-    from . import cosets, modules, parser
-    ring, d = parser.parse_spec(args.spec)
-    rep = _base_report("phi", args.spec)
-    rep["ring"] = parser.render_ring(ring)
-    rep["descriptor"] = parser.render_descriptor(d)
+    from . import cosets, modules
+    ring, d, rep = _spec_report(args, "phi")
     if d.has_divisible_part or d.free_rank > modules.ZERO or d.tail_above:
         raise SpecSemanticError("phi is defined for finite torsion modules")
     value, conjectural = cosets.phi_conjecture_value(ring, _phi_blocks(d))
@@ -235,15 +222,12 @@ def _cyclic_ideal(ring, d):
 
 
 def _cmd_coset_cover(args) -> dict:
-    from . import cosets, parser, rings
-    ring, d = parser.parse_spec(args.spec)
-    rep = _base_report("coset-cover", args.spec)
-    rep["ring"] = parser.render_ring(ring)
-    rep["descriptor"] = parser.render_descriptor(d)
+    from . import cosets, parser
+    ring, d, rep = _spec_report(args, "coset-cover")
     ideal = _cyclic_ideal(ring, d)
     puncture = parser.parse_element(args.puncture, ring)
     w = cosets.build_coset_cover(ring, ideal, puncture)
-    render = rings.element_ops(ring).render
+    render = ring.render
     rep["answer"] = w.count()
     rep["witness"] = {
         "kind": "coset-cover",
@@ -280,23 +264,19 @@ def _cmd_monoid(args) -> dict:
     return rep
 
 
-def _materialize_for_oracle(args):
-    from . import oracle, parser
-    ring, d = parser.parse_spec(args.spec)
+def _oracle_max_size(args) -> int:
+    from . import oracle
     if args.max_size:
-        max_size = args.max_size
-    elif args.mode == "phi":
-        max_size = oracle.COSET_SIZE_BOUND
-    elif args.maximal_only == "false":
-        max_size = oracle.ALL_SUBGROUPS_BOUND
-    else:
-        max_size = oracle.SIGMA_SIZE_BOUND
-    return ring, d, oracle.materialize(d, max_size=max_size), max_size
+        return args.max_size
+    if args.mode == "phi":
+        return oracle.COSET_SIZE_BOUND
+    if args.maximal_only == "false":
+        return oracle.ALL_SUBGROUPS_BOUND
+    return oracle.SIGMA_SIZE_BOUND
 
 
-def _puncture_index(args, ring, d, mod) -> int:
+def _puncture_index(text: str, ring, mod) -> int:
     from . import parser
-    text = args.puncture
     if len(mod.summands) == 1:
         return mod.encode_ring_element(0, parser.parse_element(text, ring))
     try:
@@ -307,11 +287,10 @@ def _puncture_index(args, ring, d, mod) -> int:
 
 
 def _cmd_oracle(args) -> dict:
-    from . import oracle, parser
-    ring, d, mod, max_size = _materialize_for_oracle(args)
-    rep = _base_report(f"oracle {args.mode}", args.spec)
-    rep["ring"] = parser.render_ring(ring)
-    rep["descriptor"] = parser.render_descriptor(d)
+    from . import oracle
+    ring, d, rep = _spec_report(args, f"oracle {args.mode}")
+    max_size = _oracle_max_size(args)
+    mod = oracle.materialize(d, max_size=max_size)
     rep["module_size"] = mod.size
     if args.mode == "sigma":
         size, witness = oracle.min_submodule_cover(
@@ -320,7 +299,7 @@ def _cmd_oracle(args) -> dict:
         rep["witness"] = [{"generators": list(s.generators), "size": s.size()}
                           for s in witness]
     else:
-        puncture = _puncture_index(args, ring, d, mod)
+        puncture = _puncture_index(args.puncture, ring, mod)
         size, witness = oracle.min_coset_cover_punctured(
             mod, puncture, max_size=max_size)
         rep["answer"] = size
@@ -331,18 +310,14 @@ def _cmd_oracle(args) -> dict:
     return rep
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    from . import cosets, covering, oracle, parser
-    ring, d = parser.parse_spec(args.spec)
-    rep = _base_report("verify", args.spec)
-    rep["ring"] = parser.render_ring(ring)
-    rep["descriptor"] = parser.render_descriptor(d)
+def _cmd_verify(args) -> dict:
+    from . import cosets, covering, oracle
+    ring, d, rep = _spec_report(args, "verify")
     max_size = _sigma_max_size(args)
     mod = oracle.materialize(d, max_size=max_size)
     if args.phi:
         value, conjectural = cosets.phi_conjecture_value(ring, _phi_blocks(d))
-        puncture = _puncture_index(
-            argparse.Namespace(puncture=args.puncture), ring, d, mod)
+        puncture = _puncture_index(args.puncture, ring, mod)
         got, _ = oracle.min_coset_cover_punctured(mod, puncture,
                                                   max_size=max_size)
         rep["formula"] = value
@@ -355,12 +330,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
         rep["formula"] = "no-cover" if formula == math.inf else formula
         rep["oracle"] = {"value": "no-cover" if size is None else size,
                          "match": got == formula}
-    code = EXIT_OK if rep["oracle"]["match"] else EXIT_MISMATCH
-    return rep, code
+    return rep
 
 
 def _cmd_snf(args) -> dict:
-    from . import parser, rings, snf
+    from . import parser, snf
     ring = parser.parse_ring(args.ring)
     A = parser.parse_matrix(args.matrix, ring)
     try:
@@ -369,7 +343,7 @@ def _cmd_snf(args) -> dict:
         raise SpecSemanticError(str(exc)) from exc
     rep = _base_report("snf", args.matrix)
     rep["ring"] = parser.render_ring(ring)
-    render = rings.element_ops(ring).render
+    render = ring.render
     rep["diagonal"] = [render(x) for x in diag]
     rep["U"] = [[render(x) for x in row] for row in U]
     rep["V"] = [[render(x) for x in row] for row in V]
@@ -384,6 +358,12 @@ def _cmd_s_set(args) -> dict:
     rep["modules"] = [parser.render_descriptor(d)
                       for d in covering.s_set(ring, args.n)]
     return rep
+
+
+_COMMANDS = {"sigma": _cmd_sigma, "cover": _cmd_cover, "phi": _cmd_phi,
+             "coset-cover": _cmd_coset_cover, "monoid": _cmd_monoid,
+             "oracle": _cmd_oracle, "verify": _cmd_verify, "snf": _cmd_snf,
+             "s-set": _cmd_s_set}
 
 
 def _print_human(report: dict, elapsed_ms: float) -> None:

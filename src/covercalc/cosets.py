@@ -95,7 +95,7 @@ class CosetCoverWitness:
         return len(self.cosets)
 
     def target_str(self) -> str:
-        gen = rings.element_ops(self.ring).render(self.modulus_element)
+        gen = self.ring.render(self.modulus_element)
         return f"{self.ring}: R/({gen})"
 
 
@@ -107,7 +107,7 @@ def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
     nonzero residues r, lifted by the product of previously peeled blocks,
     then the whole list is translated by the puncture.
     """
-    if not rings.is_concrete(ring):
+    if not ring.is_concrete:
         raise NotMaterializableError(f"cannot build concrete cosets over {ring}")
     if not isinstance(ideal, FactoredIdeal):
         ideal = rings.factor_ideal(ring, ideal)
@@ -115,23 +115,22 @@ def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
         raise ZeroIdealError("R/I needs a nonzero ideal")
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
-    ops = rings.element_ops(ring)
-    h = rings.ideal_generator_element(ring, ideal)
-    puncture = ops.reduce(puncture, h)
+    h = ring.generator(ideal)
+    puncture = ring.reduce(puncture, h)
     cosets = []
-    g = ops.one
+    g = ring.one
     for m, e in ideal.factors:
         pi = m.data
         for j in range(1, e + 1):
-            sub_gen = ops.reduce(ops.mul(g, ops.pow(pi, j)), h)
+            sub_gen = ring.reduce(ring.mul(g, ring.pow(pi, j)), h)
             # only the last layer of the last factor has sub_gen = 0 mod h;
             # its cosets are single points, represented mod h
-            modulus = h if ops.is_zero(sub_gen) else sub_gen
-            layer = ops.mul(g, ops.pow(pi, j - 1))
-            for r in ops.nonzero_residues(pi):
-                rep = ops.reduce(ops.add(ops.mul(r, layer), puncture), h)
-                cosets.append((sub_gen, ops.reduce(rep, modulus)))
-        g = ops.mul(g, ops.pow(pi, e))
+            modulus = h if ring.is_zero(sub_gen) else sub_gen
+            layer = ring.mul(g, ring.pow(pi, j - 1))
+            for r in ring.nonzero_residues(pi):
+                rep = ring.reduce(ring.add(ring.mul(r, layer), puncture), h)
+                cosets.append((sub_gen, ring.reduce(rep, modulus)))
+        g = ring.mul(g, ring.pow(pi, e))
     expected = phi_cyclic(ring, ideal)
     if len(cosets) != expected:
         raise AssertionError(f"built {len(cosets)} cosets, expected {expected}")

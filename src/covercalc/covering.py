@@ -85,7 +85,7 @@ def upper_bound_only(value: Cardinal) -> CoverAnswer:
 def classify(d: Descriptor) -> Trichotomy:
     """Cyclic / countable-not-finite / threshold-at-q, for reduced descriptors."""
     d = modules._as_plain(d)
-    if rings.is_field(d.ring):
+    if d.ring.is_field:
         raise NotApplicableError("classify needs a non-field ring; use nu1")
     if d.has_divisible_part:
         raise HasDivisiblePartError("classify takes reduced descriptors; see sigma")
@@ -116,7 +116,7 @@ def nu1(field_card: Cardinal, dim_card: Cardinal) -> Cardinal:
 def sigma(d: Descriptor) -> CoverAnswer:
     """Exact covering answer for any descriptor shape."""
     d = modules._as_plain(d)
-    if rings.is_field(d.ring):
+    if d.ring.is_field:
         if d.free_rank < finite(2):
             return no_cover()
         return threshold(nu1(d.ring.card, d.free_rank))
@@ -138,7 +138,7 @@ def sigma(d: Descriptor) -> CoverAnswer:
         return threshold(q.successor())
     if d.reduced_summand_count().is_infinite:
         return threshold(ALEPH0)
-    if d.free_rank > ZERO and rings.has_infinite_spectrum(d.ring):
+    if d.free_rank > ZERO and d.ring.infinite_spectrum:
         return upper_bound_only(q)
     return threshold(q)
 
@@ -153,7 +153,7 @@ def sigma_integer(d: Descriptor) -> Union[int, float]:
 
 def s_set(ring: RingHandle, n: int) -> list[ModuleDescriptor]:
     """The planes (R/m)^2 over all m with |R/m| < n, in canonical order."""
-    if not rings.has_enumerable_primes(ring):
+    if not ring.enumerable_primes:
         raise NotEnumerableError(f"{ring} has no enumerable maximal ideals")
     if n < 1:
         raise ValueError("n must be positive")
@@ -207,8 +207,8 @@ def build_cover_witness(d: Descriptor) -> CoverWitness:
 
 
 def _lines_witness(d: ModuleDescriptor, q: int) -> CoverWitness:
-    red, _ = modules.reduced_divisible_split(d) if rings.is_pid_kind(d.ring) else (d, None)
-    if rings.is_field(d.ring):
+    red, _ = modules.reduced_divisible_split(d) if d.ring.is_pid else (d, None)
+    if d.ring.is_field:
         raise NonEnumerableResidueError(
             "vector-space covers are supported through nu1 only")
     _, m = modules.q_witness(red)
@@ -216,7 +216,7 @@ def _lines_witness(d: ModuleDescriptor, q: int) -> CoverWitness:
         raise NonEnumerableResidueError(
             "no declared maximal ideal attains the minimum residue")
     pair = _summand_pair(red, m)
-    if rings.is_concrete(d.ring):
+    if d.ring.is_concrete:
         F = residues.residue_field(d.ring, m)
         pts = [(1, 0)] + [(lam, 1) for lam in F.elements()]
         strs = tuple(_point_str(F, lam, mu) for lam, mu in pts)
@@ -261,7 +261,7 @@ def _summand_pair(red: ModuleDescriptor, m: MaximalIdealId) -> tuple[int, int]:
 
 def _chain_witness(d: ModuleDescriptor) -> CoverWitness:
     if d.field_copies > ZERO:
-        p = rings.least_maximal_ideal(d.ring)
+        p = d.ring.least_maximal_ideal()
         desc = (f"chain 0 < R_(p) < R_(p)*(1/p) < R_(p)*(1/p^2) < ... at p={p}, "
                 f"union = fraction field; lifted across the other summands")
         return CoverWitness(CHAIN, ideal=p, chain_kind=LOCALIZATION_CHAIN,

@@ -74,10 +74,10 @@ def make_descriptor(ring: RingHandle,
     torsion_t = tuple(sorted(merged.items(), key=lambda kv: _ideal_key(kv[0])))
 
     if field_copies > ZERO or pruefer:
-        if not rings.is_pid_kind(ring):
+        if not ring.is_pid:
             raise SpecSemanticError(
                 f"fraction-field and Pruefer summands need a PID kind, not {ring}")
-    if rings.is_field(ring):
+    if ring.is_field:
         if pruefer:
             raise SpecSemanticError("a field has no Pruefer modules")
         if torsion_t:
@@ -95,9 +95,9 @@ def make_descriptor(ring: RingHandle,
     pruefer_t = tuple(sorted(pr_merged.items(), key=lambda kv: kv[0].sort_key()))
 
     if tail_above:
-        if not rings.has_enumerable_primes(ring):
+        if not ring.enumerable_primes:
             raise SpecSemanticError(f"{ring} cannot carry a prime-family tail")
-        if not rings.has_infinite_spectrum(ring):
+        if not ring.infinite_spectrum:
             raise SpecSemanticError("prime-family tail needs an infinite spectrum")
         if free_rank > ZERO or field_copies > ZERO or pruefer_t:
             raise SpecSemanticError(
@@ -179,7 +179,7 @@ def nc_set(d: Descriptor) -> NCSet:
     thresholds for non-reduced modules depend only on the reduced part.
     """
     d = _as_plain(d)
-    if rings.is_field(d.ring):
+    if d.ring.is_field:
         raise NotApplicableError("fields have no maximal ideals here")
     if d.free_rank >= finite(2):
         return NCSet(all_maximal=True)
@@ -216,7 +216,7 @@ def q_witness(d: Descriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealI
         return None, None
     d = _as_plain(d)
     if nc.all_maximal:
-        return rings.min_residue_cardinality(d.ring), rings.least_maximal_ideal(d.ring)
+        return rings.min_residue_cardinality(d.ring), d.ring.least_maximal_ideal()
     q = q_value(d)
     best = [m for m in nc.ideals
             if rings.residue_cardinality(d.ring, m) == q]
@@ -226,7 +226,7 @@ def q_witness(d: Descriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealI
 def reduced_divisible_split(d: Descriptor) -> tuple[ModuleDescriptor, ModuleDescriptor]:
     """(reduced part: free + torsion, divisible part: field copies + Pruefer)."""
     d = _as_plain(d)
-    if not rings.is_pid_kind(d.ring):
+    if not d.ring.is_pid:
         raise NotApplicableError(f"no divisible/reduced split over {d.ring}")
     red = replace(d, field_copies=ZERO, pruefer=())
     div = replace(d, free_rank=ZERO, torsion=(), tail_above=0)
@@ -235,12 +235,6 @@ def reduced_divisible_split(d: Descriptor) -> tuple[ModuleDescriptor, ModuleDesc
 
 def _as_plain(d: Descriptor) -> ModuleDescriptor:
     return d.to_descriptor() if isinstance(d, NormalizedDescriptor) else d
-
-
-def smith_normal_form(ring: RingHandle, A):
-    """Re-exported from snf for a one-stop module API."""
-    from . import snf
-    return snf.smith_normal_form(ring, A)
 
 
 def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> ModuleDescriptor:
@@ -258,7 +252,7 @@ def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> Mo
     free = ncols_free + max(m - n, 0) if m else ncols_free
     torsion = []
     for dd in diag:
-        if rings.element_ops(ring).is_zero(dd):
+        if ring.is_zero(dd):
             free += 1
             continue
         ideal = rings.factor_ideal(ring, dd)

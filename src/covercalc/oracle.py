@@ -30,7 +30,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
-from . import arith, fppoly, modules, residues, rings, snf
+from . import arith, modules, residues, rings
 from .covering import CoverWitness, LINES
 from .errors import (NotMaterializableError, ShapeMismatchError,
                      TooLargeError, TrivialGroupError, UnsupportedRingError)
@@ -54,7 +54,7 @@ class SummandInfo:
     ncoords: int
     annihilator: FactoredIdeal
     basis: tuple          # ring element represented by each coordinate
-    transform: tuple = () # Z[i]: row-major 2x2 basis change (a+bi coeffs -> coords)
+    one: tuple            # the digits of 1 in the summand
 
 
 @record
@@ -90,27 +90,12 @@ class FiniteModule:
         return kernels.closure(self.orders, self.actions, list(seeds))
 
     def encode_ring_element(self, summand_idx: int, elem) -> int:
-        """Element index of a ring element inside one cyclic summand."""
+        """Element index of a ring element inside one cyclic summand: the
+        element times the summand's generator 1."""
         info = self.summands[summand_idx]
         digits = [0] * len(self.orders)
-        coords = _ring_element_coords(self.ring, info, elem)
-        for c, v in enumerate(coords):
-            digits[info.start + c] = v % self.orders[info.start + c]
-        return self.encode(digits)
-
-
-def _ring_element_coords(ring: RingHandle, info: SummandInfo, elem) -> list:
-    if ring.kind == rings.INTEGERS:
-        return [elem]
-    if ring.kind == rings.POLY:
-        g = rings.ideal_generator_element(ring, info.annihilator)
-        r = rings.element_ops(ring).reduce(elem, g)
-        return [r[c] if c < len(r) else 0 for c in range(info.ncoords)]
-    if ring.kind == rings.GAUSSIAN:
-        a, b = elem
-        # transform rows are the kept rows of the lattice basis change
-        return [r0 * a + r1 * b for (r0, r1) in info.transform]
-    raise UnsupportedRingError(f"{ring} is not materializable")
+        digits[info.start:info.start + info.ncoords] = info.one
+        return self.encode(_scalar_action(self, elem, digits))
 
 
 def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule:
@@ -122,7 +107,7 @@ def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule
     """
     plain = modules._as_plain(d)
     ring = plain.ring
-    if not rings.is_concrete(ring):
+    if not ring.is_concrete:
         raise UnsupportedRingError(f"cannot materialize modules over {ring}")
     if plain.has_divisible_part or plain.free_rank > modules.ZERO or plain.tail_above:
         raise NotMaterializableError("only finite torsion descriptors materialize")
@@ -141,19 +126,18 @@ def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule
             raise TooLargeError(f"materialized size exceeds {max_size}")
 
     orders: list[int] = []
-    blocks: list = []   # per summand: (action block or None, basis, transform)
+    blocks: list = []   # per summand: its action block, None over Z
     infos: list[SummandInfo] = []
     for ideal in flat:
         start = len(orders)
-        o, act, basis, transform = _materialize_summand(ring, ideal)
+        o, act, basis, one = ring.cyclic_block(ideal)
         orders.extend(o)
         blocks.append(act)
-        infos.append(SummandInfo(start, len(o), ideal, tuple(basis),
-                                 transform=transform))
+        infos.append(SummandInfo(start, len(o), ideal, tuple(basis), one))
     if len(orders) > HARD_COORD_CAP:
         raise TooLargeError(f"more than {HARD_COORD_CAP} cyclic coordinates")
     actions = ()
-    if ring.kind in (rings.GAUSSIAN, rings.POLY) and orders:
+    if orders and blocks[0] is not None:
         k = len(orders)
         mat = [[0] * k for _ in range(k)]
         pos = 0
@@ -169,50 +153,10 @@ def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule
     return mod
 
 
-def _materialize_summand(ring: RingHandle, ideal: FactoredIdeal):
-    if ring.kind == rings.INTEGERS:
-        n = rings.ideal_generator_element(ring, ideal)
-        return [n], None, [1], ()
-    if ring.kind == rings.POLY:
-        g = rings.ideal_generator_element(ring, ideal)
-        dg = fppoly.deg(g)
-        comp = [[0] * dg for _ in range(dg)]
-        for i in range(1, dg):
-            comp[i][i - 1] = 1
-        for i in range(dg):
-            comp[i][dg - 1] = (-g[i]) % ring.p
-        basis = [tuple([0] * c + [1]) for c in range(dg)]
-        return [ring.p] * dg, comp, basis, ()
-    if ring.kind == rings.GAUSSIAN:
-        return _materialize_gauss(ideal)
-    raise UnsupportedRingError(f"{ring} is not materializable")
-
-
-def _materialize_gauss(ideal: FactoredIdeal):
-    a, b = rings.ideal_generator_element(rings.gaussian_integers(), ideal)
-    lattice = [[a, -b], [b, a]]
-    diag, U, _ = snf.smith_normal_form(rings.integers(), lattice)
-    det = U[0][0] * U[1][1] - U[0][1] * U[1][0]
-    Uinv = [[U[1][1] // det, -U[0][1] // det],
-            [-U[1][0] // det, U[0][0] // det]]
-    T = [[0, -1], [1, 0]]  # multiplication by i on (1, i) coordinates
-    UT = [[sum(U[i][l] * T[l][j] for l in range(2)) for j in range(2)]
-          for i in range(2)]
-    A = [[sum(UT[i][l] * Uinv[l][j] for l in range(2)) for j in range(2)]
-         for i in range(2)]
-    kept = [c for c in range(2) if diag[c] != 1]
-    orders = [diag[c] for c in kept]
-    act = [[A[i][j] % orders[ki] for kj, j in enumerate(kept)]
-           for ki, i in enumerate(kept)]
-    basis = [(Uinv[0][c], Uinv[1][c]) for c in kept]
-    transform = tuple(tuple(U[i][j] for j in range(2)) for i in kept)
-    return orders, act, basis, transform
-
-
 def _check_annihilators(mod: FiniteModule) -> None:
     """Re-derive each summand's annihilator action and require it to vanish."""
     for info in mod.summands:
-        gen = rings.ideal_generator_element(mod.ring, info.annihilator)
+        gen = mod.ring.generator(info.annihilator)
         for c in range(info.ncoords):
             x = [0] * len(mod.orders)
             x[info.start + c] = 1

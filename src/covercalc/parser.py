@@ -224,13 +224,19 @@ def _single_prime(ring: RingHandle, lit) -> rings.MaximalIdealId:
 
 
 def _element_literal(cur: _Cursor, ring: RingHandle):
-    if ring.kind == rings.INTEGERS:
-        return cur.int_()
     if ring.kind == rings.GAUSSIAN:
         return _gauss_literal(cur)
+    if ring.is_concrete:
+        return _entry(cur, ring)
+    return _abstract_literal(cur, ring)
+
+
+def _entry(cur: _Cursor, ring: RingHandle):
+    """A polynomial in t over F_p[t], an integer otherwise: the element
+    literals of Z and F_p[t], and the entries of a matrix."""
     if ring.kind == rings.POLY:
         return _poly_literal(cur, ring.p)
-    return _abstract_literal(cur, ring)
+    return cur.int_()
 
 
 def _gauss_literal(cur: _Cursor) -> tuple[int, int]:
@@ -295,6 +301,8 @@ def _poly_literal(cur: _Cursor, p: int) -> tuple:
         e = 1
         if cur.try_lit("^"):
             e = cur.int_()
+            if e < 0:
+                raise cur.error("exponents in t must be nonnegative")
         coeffs[e] = coeffs.get(e, 0) + sign * coeff
         first = False
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
@@ -310,21 +318,16 @@ def _abstract_literal(cur: _Cursor, ring: RingHandle) -> FactoredIdeal:
         e = 1
         if cur.try_lit("^"):
             e = cur.int_()
-        m = rings.maximal_ideal_abstract(label, _declared_residue(ring, label))
+        residue = ring.declared_residue(label)
+        if residue is None:
+            raise SpecSemanticError(f"{label} is not a declared prime of {ring}")
+        if e < 1:
+            raise cur.error("exponents of prime labels must be positive")
+        m = rings.maximal_ideal_abstract(label, residue)
         factors[m] = factors.get(m, 0) + e
         if not cur.try_lit("*"):
             break
     return FactoredIdeal.from_factors(factors)
-
-
-def _declared_residue(ring: RingHandle, label: str) -> Cardinal:
-    if ring.kind == rings.LOCAL and label == ring.label:
-        return ring.residue
-    if ring.kind == rings.DEDEKIND:
-        for lab, res in ring.primes:
-            if lab == label:
-                return res
-    raise SpecSemanticError(f"{label} is not a declared prime of {ring}")
 
 
 def parse_element(text: str, ring: RingHandle):
@@ -370,10 +373,7 @@ def parse_matrix(text: str, ring: RingHandle) -> list[list]:
         cur.expect("[")
         row = []
         while True:
-            if ring.kind == rings.POLY:
-                row.append(_poly_literal(cur, ring.p))
-            else:
-                row.append(cur.int_())
+            row.append(_entry(cur, ring))
             if not cur.try_lit(","):
                 break
         cur.expect("]")
@@ -407,9 +407,8 @@ def render_descriptor(d: ModuleDescriptor) -> str:
             mult = _card_minus_one(mult)
             if mult == ZERO:
                 continue
-        if rings.is_concrete(d.ring):
-            gen = rings.element_ops(d.ring).render(
-                rings.ideal_generator_element(d.ring, ideal))
+        if d.ring.is_concrete:
+            gen = d.ring.render(d.ring.generator(ideal))
         else:
             gen = str(ideal)
         parts.append(_suffix(f"R/({gen})", mult))

@@ -1,5 +1,7 @@
-"""Small residue-field arithmetic R/m for the concrete ring kinds.
+"""Small residue-field arithmetic R/m for the concrete rings.
 
+R/m is F_p[x]/(f) for the minimal polynomial f of the ring's generator
+(t over F_p[t], i over Z[i]; an integer is a constant, so f = t over Z).
 Elements are encoded as integers 0..q-1 via the base-p code of their
 coefficient vector, which doubles as the canonical enumeration order.
 Only the operations needed for line covers are provided.
@@ -7,7 +9,7 @@ Only the operations needed for line covers are provided.
 
 from __future__ import annotations
 
-from . import fppoly, gaussian, rings
+from . import fppoly, rings
 from .errors import NonEnumerableResidueError
 from .records import record
 
@@ -18,10 +20,8 @@ class ResidueField:
 
     p: int
     d: int
-    modulus: tuple = ()     # minimal polynomial of the generator when d > 1
+    modulus: tuple          # minimal polynomial of the generator, of degree d
     symbol: str = "t"
-    gauss_i: int = 0        # image of i mod m (Z[i] with prime residue)
-    source_kind: str = rings.INTEGERS
 
     @property
     def q(self) -> int:
@@ -51,16 +51,10 @@ class ResidueField:
         return fppoly.poly_str(self._decode(a), self.symbol)
 
     def reduce(self, x) -> int:
-        """Code of the image in F of an element of the source ring."""
-        if self.source_kind == rings.INTEGERS:
-            return x % self.p
-        if self.source_kind == rings.POLY:
-            r = fppoly.mod(fppoly.trim(x, self.p), self.modulus, self.p)
-            return fppoly.code(r, self.p)
-        a, b = x
-        if self.d == 1:
-            return (a + b * self.gauss_i) % self.p
-        return fppoly.code(fppoly.trim((a, b), self.p), self.p)
+        """Code of the image in F of an element of the source ring, read as
+        a polynomial in the generator."""
+        f = fppoly.trim((x,) if isinstance(x, int) else x, self.p)
+        return fppoly.code(fppoly.mod(f, self.modulus, self.p), self.p)
 
 
 def residue_field(ring: rings.RingHandle, m: rings.MaximalIdealId) -> ResidueField:
@@ -68,18 +62,7 @@ def residue_field(ring: rings.RingHandle, m: rings.MaximalIdealId) -> ResidueFie
     res = rings.residue_cardinality(ring, m)
     if not res.is_finite:
         raise NonEnumerableResidueError(f"residue of {m} is infinite")
-    if ring.kind == rings.INTEGERS:
-        return ResidueField(p=m.data, d=1, source_kind=rings.INTEGERS)
-    if ring.kind == rings.POLY:
-        return ResidueField(p=ring.p, d=fppoly.deg(m.data), modulus=m.data,
-                            symbol="t", source_kind=rings.POLY)
-    if ring.kind == rings.GAUSSIAN:
-        u, v = m.data
-        if v == 0:
-            # inert prime: F_{p^2} = F_p[i] with i^2 = -1
-            return ResidueField(p=u, d=2, modulus=(1, 0, 1), symbol="i",
-                                source_kind=rings.GAUSSIAN)
-        p = gaussian.norm(m.data)
-        c = (-u * pow(v, p - 2, p)) % p
-        return ResidueField(p=p, d=1, gauss_i=c, source_kind=rings.GAUSSIAN)
-    raise NonEnumerableResidueError(f"{ring} has no concrete residue fields")
+    if not ring.is_concrete:
+        raise NonEnumerableResidueError(f"{ring} has no concrete residue fields")
+    p, modulus = ring.residue_field_modulus(m)
+    return ResidueField(p, fppoly.deg(modulus), modulus, ring.symbol)

@@ -9,7 +9,6 @@ unit determinants.
 
 from __future__ import annotations
 
-from . import rings
 from .rings import INTEGERS, POLY, RingHandle
 
 
@@ -22,18 +21,17 @@ def smith_normal_form(ring: RingHandle, A):
     """
     if ring.kind not in (INTEGERS, POLY):
         raise ValueError("Smith normal form supports Z and F_p[t] matrices only")
-    ops = rings.element_ops(ring)
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not rectangular")
-    D = [[ops.coerce(x) for x in row] for row in A]
-    U = _identity(ops, m)
-    V = _identity(ops, n)
+    D = [[ring.coerce(x) for x in row] for row in A]
+    U = _identity(ring, m)
+    V = _identity(ring, n)
 
     for k in range(min(m, n)):
         while True:
-            piv = _smallest_entry(ops, D, k)
+            piv = _smallest_entry(ring, D, k)
             if piv is None:
                 break
             pi, pj = piv
@@ -45,51 +43,51 @@ def smith_normal_form(ring: RingHandle, A):
                 _swap_cols(V, k, pj)
             dirty = False
             for i in range(k + 1, m):
-                if not ops.is_zero(D[i][k]):
-                    q, r = ops.divmod(D[i][k], D[k][k])
-                    _row_sub(ops, D, U, i, k, q)
-                    dirty = dirty or not ops.is_zero(r)
+                if not ring.is_zero(D[i][k]):
+                    q, r = ring.divmod(D[i][k], D[k][k])
+                    _row_sub(ring, D, U, i, k, q)
+                    dirty = dirty or not ring.is_zero(r)
             for j in range(k + 1, n):
-                if not ops.is_zero(D[k][j]):
-                    q, r = ops.divmod(D[k][j], D[k][k])
-                    _col_sub(ops, D, V, j, k, q)
-                    dirty = dirty or not ops.is_zero(r)
+                if not ring.is_zero(D[k][j]):
+                    q, r = ring.divmod(D[k][j], D[k][k])
+                    _col_sub(ring, D, V, j, k, q)
+                    dirty = dirty or not ring.is_zero(r)
             if dirty:
                 continue
             # pivot must divide the remaining submatrix for the chain
             offender = None
             for i in range(k + 1, m):
                 for j in range(k + 1, n):
-                    if not ops.is_zero(ops.divmod(D[i][j], D[k][k])[1]):
+                    if not ring.is_zero(ring.divmod(D[i][j], D[k][k])[1]):
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            _row_add(ops, D, U, k, offender)
+            _row_add(ring, D, U, k, offender)
         # normalize the pivot to its canonical associate
-        if not ops.is_zero(D[k][k]):
-            u = ops.canonical_unit(D[k][k])
-            if u != ops.one:
-                D[k] = [ops.mul(u, x) for x in D[k]]
-                U[k] = [ops.mul(u, x) for x in U[k]]
+        if not ring.is_zero(D[k][k]):
+            u = ring.canonical_unit(D[k][k])
+            if u != ring.one:
+                D[k] = [ring.mul(u, x) for x in D[k]]
+                U[k] = [ring.mul(u, x) for x in U[k]]
 
     diag = [D[k][k] for k in range(min(m, n))]
     return diag, U, V
 
 
-def _identity(ops, n):
-    return [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]
+def _identity(ring, n):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
-def _smallest_entry(ops, D, k):
+def _smallest_entry(ring, D, k):
     best = None
     best_norm = None
     for i in range(k, len(D)):
         for j in range(k, len(D[0])):
-            if not ops.is_zero(D[i][j]):
-                nm = ops.norm(D[i][j])
+            if not ring.is_zero(D[i][j]):
+                nm = ring.norm(D[i][j])
                 if best_norm is None or nm < best_norm:
                     best, best_norm = (i, j), nm
     return best
@@ -100,32 +98,31 @@ def _swap_cols(M, a, b):
         row[a], row[b] = row[b], row[a]
 
 
-def _row_sub(ops, D, U, i, k, q):
-    D[i] = [ops.sub(x, ops.mul(q, y)) for x, y in zip(D[i], D[k])]
-    U[i] = [ops.sub(x, ops.mul(q, y)) for x, y in zip(U[i], U[k])]
+def _row_sub(ring, D, U, i, k, q):
+    D[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(D[i], D[k])]
+    U[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(U[i], U[k])]
 
 
-def _row_add(ops, D, U, k, i):
-    D[k] = [ops.add(x, y) for x, y in zip(D[k], D[i])]
-    U[k] = [ops.add(x, y) for x, y in zip(U[k], U[i])]
+def _row_add(ring, D, U, k, i):
+    D[k] = [ring.add(x, y) for x, y in zip(D[k], D[i])]
+    U[k] = [ring.add(x, y) for x, y in zip(U[k], U[i])]
 
 
-def _col_sub(ops, D, V, j, k, q):
+def _col_sub(ring, D, V, j, k, q):
     for row in D:
-        row[j] = ops.sub(row[j], ops.mul(q, row[k]))
+        row[j] = ring.sub(row[j], ring.mul(q, row[k]))
     for row in V:
-        row[j] = ops.sub(row[j], ops.mul(q, row[k]))
+        row[j] = ring.sub(row[j], ring.mul(q, row[k]))
 
 
-def matmul(ops_ring: RingHandle, A, B):
+def matmul(ring: RingHandle, A, B):
     """Exact matrix product over Z or F_p[t] (for checking U*A*V = D)."""
-    ops = rings.element_ops(ops_ring)
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[ops.zero for _ in range(cols)] for _ in range(rows)]
+    out = [[ring.zero for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
-            acc = ops.zero
+            acc = ring.zero
             for l in range(inner):
-                acc = ops.add(acc, ops.mul(ops.coerce(A[i][l]), ops.coerce(B[l][j])))
+                acc = ring.add(acc, ring.mul(ring.coerce(A[i][l]), ring.coerce(B[l][j])))
             out[i][j] = acc
     return out

@@ -83,6 +83,11 @@ def test_closed_forms_and_usage_errors_load_no_search(argv, code):
 def test_the_oracle_loads_the_search():
     got, loaded = run_cli(["oracle", "sigma", "Z: R/(4) + R/(4)", "--json"])
     assert got == 0
+    assert loaded & SEARCH == {"oracle", "_kernels"}
+    # only the Z[i] block takes a Smith normal form (of its lattice)
+    got, loaded = run_cli(["oracle", "sigma", "Zi: R/(1+i) + R/(1+i)",
+                           "--json"])
+    assert got == 0
     assert SEARCH <= loaded
 
 

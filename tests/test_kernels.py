@@ -9,7 +9,6 @@ import pytest
 from test_oracle import block_modules, parse
 
 from covercalc import _kernels, oracle
-from covercalc._kernels import pure
 from covercalc.errors import TooLargeError
 
 
@@ -29,57 +28,56 @@ def brute_min_cover(universe, candidates):
     return None, ()
 
 
-@pytest.mark.parametrize("impl", [pure])
 class TestKernels:
-    def test_encode_decode(self, impl):
+    def test_encode_decode(self):
         orders = (4, 3, 2)
         for x in range(24):
-            assert impl.encode(orders, impl.decode(orders, x)) == x
+            assert _kernels.encode(orders, _kernels.decode(orders, x)) == x
 
-    def test_translate(self, impl):
+    def test_translate(self):
         orders = (4,)
         mask = 0b0011  # {0, 1}
-        assert impl.translate(orders, mask, 2) == 0b1100
+        assert _kernels.translate(orders, mask, 2) == 0b1100
 
-    def test_apply_matrix(self, impl):
+    def test_apply_matrix(self):
         orders = (2, 2)
         swap = ((0, 1), (1, 0))
-        assert impl.apply_matrix(orders, swap, impl.encode(orders, (1, 0))) == \
-            impl.encode(orders, (0, 1))
+        assert _kernels.apply_matrix(orders, swap, _kernels.encode(orders, (1, 0))) == \
+            _kernels.encode(orders, (0, 1))
 
-    def test_closure_subgroup(self, impl):
+    def test_closure_subgroup(self):
         orders = (4, 2)
-        mask = impl.closure(orders, (), [impl.encode(orders, (2, 1))])
-        members = {impl.decode(orders, i) for i in range(8) if (mask >> i) & 1}
+        mask = _kernels.closure(orders, (), [_kernels.encode(orders, (2, 1))])
+        members = {_kernels.decode(orders, i) for i in range(8) if (mask >> i) & 1}
         assert members == {(0, 0), (2, 1)}
 
-    def test_closure_with_action(self, impl):
+    def test_closure_with_action(self):
         orders = (2, 2)
         swap = ((0, 1), (1, 0))
-        mask = impl.closure(orders, (swap,), [impl.encode(orders, (1, 0))])
+        mask = _kernels.closure(orders, (swap,), [_kernels.encode(orders, (1, 0))])
         assert mask.bit_count() == 4
 
-    def test_invariant_core(self, impl):
+    def test_invariant_core(self):
         orders = (2, 2)
         swap = ((0, 1), (1, 0))
-        sub = 1 | (1 << impl.encode(orders, (1, 0)))   # {0, (1,0)}: not invariant
-        assert impl.invariant_core(orders, (swap,), sub) == 1
-        diag = 1 | (1 << impl.encode(orders, (1, 1)))
-        assert impl.invariant_core(orders, (swap,), diag) == diag
+        sub = 1 | (1 << _kernels.encode(orders, (1, 0)))   # {0, (1,0)}: not invariant
+        assert _kernels.invariant_core(orders, (swap,), sub) == 1
+        diag = 1 | (1 << _kernels.encode(orders, (1, 1)))
+        assert _kernels.invariant_core(orders, (swap,), diag) == diag
 
-    def test_min_cover_small(self, impl):
+    def test_min_cover_small(self):
         universe = 0b111111
         candidates = [0b000111, 0b111000, 0b010101, 0b101010]
         size, witness = _kernels.min_cover(universe, candidates)
         assert size == 2 and witness == (0, 1)
 
-    def test_min_cover_infeasible(self, impl):
+    def test_min_cover_infeasible(self):
         assert _kernels.min_cover(0b111, [0b001]) == (None, ())
 
-    def test_min_cover_empty_universe(self, impl):
+    def test_min_cover_empty_universe(self):
         assert _kernels.min_cover(0, [0b1]) == (0, ())
 
-    def test_min_cover_matches_bruteforce(self, impl):
+    def test_min_cover_matches_bruteforce(self):
         rng = random.Random(42)
         for _ in range(60):
             nbits = rng.randint(3, 10)
@@ -106,9 +104,9 @@ def _bits(mask):
 
 
 def _add(orders, x, y):
-    return pure.encode(orders, [a + b for a, b in
-                                zip(pure.decode(orders, x),
-                                    pure.decode(orders, y))])
+    return _kernels.encode(orders, [a + b for a, b in
+                                    zip(_kernels.decode(orders, x),
+                                        _kernels.decode(orders, y))])
 
 
 def reference_translate(orders, mask, g):
@@ -124,7 +122,7 @@ def reference_closure(orders, actions, seeds):
     while stack:
         x = stack.pop()
         for mat in actions:
-            y = pure.apply_matrix(orders, mat, x)
+            y = _kernels.apply_matrix(orders, mat, x)
             if y not in orbit:
                 orbit.add(y)
                 stack.append(y)
@@ -143,7 +141,7 @@ def reference_invariant_core(orders, actions, mask):
     """Drop every element with an image outside the mask until none is."""
     while True:
         keep = sum(1 << x for x in _bits(mask)
-                   if all(mask >> pure.apply_matrix(orders, mat, x) & 1
+                   if all(mask >> _kernels.apply_matrix(orders, mat, x) & 1
                           for mat in actions))
         if keep == mask:
             return mask
@@ -163,12 +161,12 @@ class TestWordParallelKernels:
         rng = random.Random(11)
         for mod in modules_up_to_64:
             n, orders = mod.size, mod.orders
-            units = [pure.encode(orders, [int(i == j) for j in range(len(orders))])
+            units = [_kernels.encode(orders, [int(i == j) for j in range(len(orders))])
                      for i in range(len(orders))]
             for g in units + [n - 1] + [rng.randrange(n) for _ in range(4)]:
                 for mask in (mod.full_mask, 1, rng.getrandbits(n),
                              rng.getrandbits(n)):
-                    assert pure.translate(orders, mask, g) == \
+                    assert _kernels.translate(orders, mask, g) == \
                         reference_translate(orders, mask, g), (orders, mask, g)
 
     def test_closure_matches_the_elementwise_reference(self, modules_up_to_64):
@@ -178,7 +176,7 @@ class TestWordParallelKernels:
             for count in (1, 1, 2, 3):
                 seeds = [rng.randrange(n) for _ in range(count)]
                 for actions in ((), mod.actions):
-                    assert pure.closure(orders, actions, seeds) == \
+                    assert _kernels.closure(orders, actions, seeds) == \
                         reference_closure(orders, actions, seeds), \
                         (orders, actions, seeds)
 
@@ -188,18 +186,11 @@ class TestWordParallelKernels:
         for mod in modules_up_to_64:
             n, orders = mod.size, mod.orders
             for count in (1, 2):
-                sub = pure.closure(orders, (),
-                                   [rng.randrange(n) for _ in range(count)])
+                sub = _kernels.closure(orders, (),
+                                       [rng.randrange(n) for _ in range(count)])
                 for mask in (sub, rng.getrandbits(n) | 1):
-                    assert pure.invariant_core(orders, mod.actions, mask) == \
+                    assert _kernels.invariant_core(orders, mod.actions, mask) == \
                         reference_invariant_core(orders, mod.actions, mask)
-
-
-def test_one_min_cover_for_both_backends():
-    assert _kernels.min_cover is pure.min_cover
-    assert _kernels.BACKEND == "pure"
-    for name in ("translate", "closure", "invariant_core"):
-        assert getattr(_kernels, name) is getattr(pure, name)
 
 
 def rotation_instances(seed, count):
@@ -231,16 +222,16 @@ def rotation_instances(seed, count):
 def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
     # plain_nodes 0 searches with the symmetries from the root; 3 restarts
     # after a few plain nodes with whatever upper bound they found
-    monkeypatch.setattr(pure, "_PLAIN_NODES", plain_nodes)
+    monkeypatch.setattr(_kernels, "_PLAIN_NODES", plain_nodes)
     overshoots = 0
     for universe, candidates, gens in rotation_instances(11, 60):
         calls = []
-        got = pure.min_cover(universe, candidates,
-                             symmetries=lambda: calls.append(1) or gens)
+        got = _kernels.min_cover(universe, candidates,
+                                 symmetries=lambda: calls.append(1) or gens)
         assert got == brute_min_cover(universe, candidates)
         if plain_nodes == 0:
             assert calls == [1]
-        overshoots += pure._greedy_size(universe, candidates) > got[0]
+        overshoots += _kernels._greedy_size(universe, candidates) > got[0]
     # instances where greedy is already optimal cannot catch over-pruning
     assert overshoots >= 5
 
@@ -248,8 +239,8 @@ def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
 def test_symmetries_are_fetched_only_past_the_plain_node_count():
     def refuse():
         raise AssertionError("symmetries fetched for an easy instance")
-    assert pure.min_cover(0b111111, [0b000111, 0b111000, 0b010101],
-                          symmetries=refuse) == (2, (0, 1))
+    assert _kernels.min_cover(0b111111, [0b000111, 0b111000, 0b010101],
+                              symmetries=refuse) == (2, (0, 1))
 
 
 @pytest.mark.parametrize("spec, answer", [
@@ -262,7 +253,7 @@ def test_sigma_root_bound_closes_before_any_symmetry(monkeypatch, spec,
     # one plain node would otherwise be enough to fetch the symmetries
     def refuse(*args):
         raise AssertionError("symmetries fetched for a root-bound instance")
-    monkeypatch.setattr(pure, "_PLAIN_NODES", 1)
+    monkeypatch.setattr(_kernels, "_PLAIN_NODES", 1)
     monkeypatch.setattr(oracle, "coset_symmetries", refuse)
     assert oracle.min_submodule_cover(oracle.materialize(parse(spec)))[0] \
         == answer
@@ -276,7 +267,7 @@ def test_symmetric_sigma_search_matches_bruteforce(monkeypatch, spec):
     # with the automorphisms from the root
     fetched = []
     real = oracle.coset_symmetries
-    monkeypatch.setattr(pure, "_PLAIN_NODES", 0)
+    monkeypatch.setattr(_kernels, "_PLAIN_NODES", 0)
     monkeypatch.setattr(oracle, "coset_symmetries",
                         lambda *args: fetched.append(real(*args)) or fetched[-1])
     mod = oracle.materialize(parse(spec))
@@ -284,7 +275,7 @@ def test_symmetric_sigma_search_matches_bruteforce(monkeypatch, spec):
     candidates = oracle.maximal_submodules(mod)
     assert (size, tuple(candidates.index(s.mask) for s in witness)) \
         == brute_min_cover(mod.full_mask, candidates)
-    assert pure._greedy_size(mod.full_mask, candidates) > size
+    assert _kernels._greedy_size(mod.full_mask, candidates) > size
     assert len(fetched) == 1 and fetched[0]
 
 
@@ -292,16 +283,16 @@ def test_search_past_its_node_budget_raises(monkeypatch):
     # the first instance past the root bound
     universe, candidates, _ = next(
         inst for inst in rotation_instances(11, 60)
-        if pure._greedy_size(*inst[:2]) > pure.min_cover(*inst[:2])[0])
-    monkeypatch.setattr(pure, "_NODE_BUDGET", 1)
+        if _kernels._greedy_size(*inst[:2]) > _kernels.min_cover(*inst[:2])[0])
+    monkeypatch.setattr(_kernels, "_NODE_BUDGET", 1)
     with pytest.raises(TooLargeError, match="the bound is 1"):
-        pure.min_cover(universe, candidates)
+        _kernels.min_cover(universe, candidates)
 
 
 def test_stabilizer_generators_fix_the_representative():
     universe, candidates, gens = rotation_instances(5, 1)[0]
     for rep in range(len(candidates)):
-        for h in pure._stabilizer(rep, gens, len(candidates)):
+        for h in _kernels._stabilizer(rep, gens, len(candidates)):
             assert h[rep] == rep
             assert sorted(h) == list(range(len(candidates)))
 
@@ -315,12 +306,12 @@ def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        pure.min_cover(0b111111, [0b000111, 0b111000, 0b010101])
-        monkeypatch.setattr(pure, "_PLAIN_NODES", 0)
-        pure.min_cover(universe, candidates, symmetries=lambda: gens)
-        monkeypatch.setattr(pure, "_PLAIN_NODES", 3)
-        pure.min_cover(universe, candidates,
-                       symmetries=lambda: restarts.append(1) or gens)
+        _kernels.min_cover(0b111111, [0b000111, 0b111000, 0b010101])
+        monkeypatch.setattr(_kernels, "_PLAIN_NODES", 0)
+        _kernels.min_cover(universe, candidates, symmetries=lambda: gens)
+        monkeypatch.setattr(_kernels, "_PLAIN_NODES", 3)
+        _kernels.min_cover(universe, candidates,
+                           symmetries=lambda: restarts.append(1) or gens)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -355,9 +346,9 @@ def test_lex_witness_counting_bound_matches_bruteforce():
     rem = universe & ~candidates[0]
     assert universe & ~(candidates[0] | rows[0] | rows[1] | rows[2]) == 0
     assert 2 * max((c & rem).bit_count() for c in rows) < rem.bit_count()
-    assert pure.min_cover(universe, candidates) == (3, (1, 2, 3)) \
+    assert _kernels.min_cover(universe, candidates) == (3, (1, 2, 3)) \
         == brute_min_cover(universe, candidates)
     # at the root, and at every node along the blocks, left * max == |rem|
     for universe, candidates in planted_partitions(5, 40):
-        assert pure.min_cover(universe, candidates) \
+        assert _kernels.min_cover(universe, candidates) \
             == brute_min_cover(universe, candidates)

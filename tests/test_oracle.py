@@ -15,7 +15,8 @@ from covercalc.records import replace
 import pytest
 
 from covercalc import _kernels as kernels
-from covercalc import covering, modules, oracle, parser, residues, rings
+from covercalc import (covering, fppoly, gaussian, modules, oracle, parser,
+                       residues, rings)
 from covercalc.cardinal import finite
 from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
@@ -526,7 +527,7 @@ class TestCosetSymmetries:
         punctures = (0, 3, mod.size - 1)
         plain = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
                  for p in punctures]
-        monkeypatch.setattr(kernels.pure, "_PLAIN_NODES", 0)
+        monkeypatch.setattr(kernels, "_PLAIN_NODES", 0)
         forced = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
                   for p in punctures]
         assert forced == plain
@@ -534,3 +535,52 @@ class TestCosetSymmetries:
 
 def _image(mask, tau):
     return sum(1 << tau[x] for x in range(len(tau)) if mask >> x & 1)
+
+
+
+def _elements_and_arithmetic(ring):
+    """Sample elements of a concrete ring, its subtraction, and the
+    multiplication by its generator (None over Z)."""
+    if ring is Z:
+        return list(range(-30, 31)), lambda x, y: x - y, None
+    if ring is rings.gaussian_integers():
+        elems = [(a, b) for a in range(-5, 6) for b in range(-5, 6)]
+        return elems, gaussian.sub, lambda x: gaussian.mul((0, 1), x)
+    p = ring.p
+    return ([fppoly.from_code(v, p) for v in range(p ** 5)],
+            lambda x, y: fppoly.sub(x, y, p),
+            lambda x: fppoly.mul((0, 1), x, p))
+
+
+def _divides(ring, h, x):
+    if ring is Z:
+        return x % h == 0
+    if ring is rings.gaussian_integers():
+        return gaussian.divides(h, x)
+    return not fppoly.divmod_poly(x, h, ring.p)[1]
+
+
+@pytest.mark.parametrize("spec", ["Z: R/(12)", "Zi: R/(2+2i)", "Zi: R/(3)",
+                                  "Zi: R/(3+4i)", "Fp[t] p=2: R/(t^3+t)",
+                                  "Fp[t] p=3: R/(t^2+1)"])
+def test_ring_elements_encode_through_the_quotient_map(spec):
+    """encode_ring_element sends each coordinate's basis element to that
+    coordinate, is onto, identifies x and y exactly when h divides x - y,
+    adds, and turns multiplication by the generator into the action."""
+    ring, d = parser.parse_spec(spec)
+    mod = oracle.materialize(d, max_size=64)
+    info = mod.summands[0]
+    for c, element in enumerate(info.basis):
+        unit = [int(k == c) for k in range(len(mod.orders))]
+        assert mod.encode_ring_element(0, element) == mod.encode(unit)
+    h = ring.generator(info.annihilator)
+    elems, sub, times_generator = _elements_and_arithmetic(ring)
+    index = {x: mod.encode_ring_element(0, x) for x in elems}
+    assert set(index.values()) == set(range(mod.size))
+    for x, y in itertools.product(elems, repeat=2):
+        assert (index[x] == index[y]) == _divides(ring, h, sub(x, y))
+        total = [a + b for a, b in zip(mod.decode(index[x]), mod.decode(index[y]))]
+        assert mod.encode_ring_element(0, ring.add(x, y)) == mod.encode(total)
+    for x in elems if times_generator else ():
+        moved = kernels.apply_matrix(mod.orders, mod.actions[0], index[x])
+        assert mod.encode_ring_element(0, times_generator(x)) == moved

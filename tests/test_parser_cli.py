@@ -181,3 +181,43 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 2
         assert out["oracle"]["match"] is False
+
+    def test_cover_parses_the_spec_once(self, capsys, monkeypatch):
+        calls = []
+        parse_spec = parser.parse_spec
+
+        def counting(text):
+            calls.append(text)
+            return parse_spec(text)
+
+        monkeypatch.setattr(parser, "parse_spec", counting)
+        assert cli.main(["cover", "Z: R/(12) + R/(18)", "--json"]) == 0
+        assert calls == ["Z: R/(12) + R/(18)"]
+
+
+class TestExponents:
+    """Exponents below 0 in t, or below 1 on a prime label, are parse
+    errors: exit 65 with a message, never a traceback or another reading."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "Fp[t] p=3: R/(t^-1 + t^2) + R/(t^2)", "--json"],
+        ["sigma", "Fp[t] p=2: R/(t^-2 + 1)", "--json"],
+        ["snf", "Fp[t] p=2", "[[t^-1]]", "--json"],
+        ["sigma", "local residue=4: R/(m^0)", "--json"],
+        ["sigma", "dedekind {a:2, b:9} min=2: R/(a^0*b)", "--json"],
+        ["sigma", "dedekind {a:2, b:9} min=2: R/(b*a^-1)", "--json"],
+        ["coset-cover", "Fp[t] p=2: R/(t^2)", "--puncture", "t^-1", "--json"],
+    ])
+    def test_exit_65(self, capsys, argv):
+        assert cli.main(argv) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponents" in captured.err
+
+    def test_zero_exponent_in_t_is_one(self):
+        assert parser.parse_spec("Fp[t] p=3: R/(t^0 + t)") == \
+            parser.parse_spec("Fp[t] p=3: R/(t + 1)")
+
+    def test_undeclared_label_is_named_first(self):
+        with pytest.raises(SpecSemanticError, match="x is not a declared prime"):
+            parser.parse_spec("local residue=4: R/(x^0)")

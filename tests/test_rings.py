@@ -6,13 +6,16 @@ irreducible polynomials by root/product elimination, Gaussian primes by
 exhaustive norm search.
 """
 
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercalc import cardinal, fppoly, gaussian, rings
+from covercalc import cardinal, fppoly, gaussian, parser, residues, rings
 from covercalc.cardinal import ALEPH0, UNCOUNTABLE, finite
 from covercalc.errors import (NotApplicableError, NotEnumerableError,
                               UnknownIdealError, UnsupportedLiteralError,
@@ -236,6 +239,119 @@ class TestEnumeration:
             prev = len(ids)
             for m in ids:
                 assert rings.residue_cardinality(ring, m) <= finite(n)
+
+
+ALL_KINDS = [
+    Z, ZI, F2T, F3T,
+    rings.field_ring(finite(4)), rings.field_ring(ALEPH0),
+    rings.abstract_local(finite(5)), rings.abstract_local(ALEPH0, "p"),
+    rings.abstract_dedekind([("m1", finite(3)), ("m2", ALEPH0)], finite(3)),
+    rings.abstract_dedekind([("a", finite(4))], finite(2), False),
+]
+
+
+class TestRingKinds:
+    def test_concrete_rings_are_interned(self):
+        assert rings.integers() is Z
+        assert rings.gaussian_integers() is ZI
+        assert rings.poly_over_prime_field(2) is F2T
+        assert F2T is not F3T and F2T != F3T
+        for ring in (Z, ZI, F3T):
+            assert parser.parse_ring(str(ring)) is ring
+            assert pickle.loads(pickle.dumps(ring)) is ring
+            assert copy.deepcopy(ring) is ring
+        # ideals name their ring, so those of equal generators are equal
+        assert rings.factor_ideal(F3T, (0, 1)).factors[0][0] == \
+            rings.maximal_ideal_poly(3, (0, 1))
+        assert rings.maximal_ideal_poly(2, (0, 1)) != \
+            rings.maximal_ideal_poly(3, (0, 1))
+
+    @pytest.mark.parametrize("ring", ALL_KINDS, ids=str)
+    def test_str_parses_back_to_an_equal_ring(self, ring):
+        again = parser.parse_ring(str(ring))
+        assert again == ring and hash(again) == hash(ring)
+        assert type(again) is type(ring)
+
+    def test_each_kind_holds_only_its_own_fields(self):
+        fields = {type(r).__name__: sorted(vars(r)) for r in ALL_KINDS}
+        assert fields == {
+            "Integers": [], "GaussianIntegers": [], "PolyRing": ["p"],
+            "Field": ["card"], "LocalRing": ["label", "residue"],
+            "DedekindRing": ["infinite_spectrum", "min_residue", "primes"]}
+
+    def test_abstract_ideals_carry_no_ring(self):
+        ded = rings.abstract_dedekind([("m1", finite(3))], finite(3))
+        m = rings.maximal_ideals_with_residue_at_most(ded, 3)[0]
+        assert m.ring is None and m == rings.maximal_ideal_abstract("m1", finite(3))
+        with pytest.raises(UnknownIdealError):
+            rings.residue_cardinality(Z, m)
+        with pytest.raises(UnknownIdealError):
+            rings.residue_cardinality(ded, rings.maximal_ideal_z(3))
+
+
+def reference_reduce_code(ring, m, x) -> int:
+    """The code of x mod m by a rule of each kind, independent of fppoly.mod:
+    x mod p over Z; over Z[i], the r in 0..p-1 with pi | x - r when N(pi)
+    = p is prime, else a + b*q for x = a + bi mod the inert q; over F_p[t],
+    x reduced through the powers t^k mod f, each got from the last by
+    multiplying by t and cancelling the leading term with f."""
+    if ring is Z:
+        return x % m.data
+    if ring is ZI:
+        u, v = m.data
+        if v == 0:
+            return x[0] % u + (x[1] % u) * u
+        p = gaussian.norm(m.data)
+        return next(r for r in range(p)
+                    if gaussian.divides(m.data, gaussian.sub(x, (r, 0))))
+    p, f = ring.p, m.data
+    d = len(f) - 1
+    power = [1] + [0] * (d - 1)          # t^0 mod f
+    acc = [0] * d
+    for c in x:
+        acc = [(a + c * b) % p for a, b in zip(acc, power)]
+        lead = power[-1]
+        power = [0] + power[:-1]         # times t, then t^d = -(f_0 + ... )
+        power = [(b - lead * fc) % p for b, fc in zip(power, f)]
+    return sum(c * p ** k for k, c in enumerate(acc))
+
+
+def residue_fields_up_to_81():
+    for ring in (Z, ZI, F2T, F3T):
+        for m in rings.maximal_ideals_with_residue_at_most(ring, 81):
+            yield ring, m
+
+
+def sample_elements(ring, rng):
+    if ring is Z:
+        return list(range(-200, 201))
+    if ring is ZI:
+        return [(a, b) for a in range(-9, 10) for b in range(-9, 10)] + \
+            [(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6))
+             for _ in range(50)]
+    polys = [tuple(rng.randrange(-ring.p, 2 * ring.p) for _ in range(k))
+             for k in range(10) for _ in range(30)]
+    return polys + [(), (0,), (0, 0, 1)]
+
+
+class TestResidueFieldReduce:
+    @pytest.mark.parametrize("ring, m", list(residue_fields_up_to_81()),
+                             ids=lambda v: str(v))
+    def test_matches_the_per_kind_reference(self, ring, m):
+        F = residues.residue_field(ring, m)
+        assert F.q == m.residue_card.finite_value
+        rng = random.Random(F.q)
+        for x in sample_elements(ring, rng):
+            assert F.reduce(x) == reference_reduce_code(ring, m, x), x
+
+    def test_every_field_is_covered(self):
+        counts = {}
+        for ring, m in residue_fields_up_to_81():
+            counts[str(ring)] = counts.get(str(ring), 0) + 1
+        # the 22 primes <= 81; over Z[i], 1+i, two primes above each of
+        # the 9 split p = 1 mod 4 below 81, and the inert 3 and 7; the
+        # monic irreducibles of degree <= 6 over F_2 and <= 4 over F_3
+        assert counts == {"Z": 22, "Zi": 21, "Fp[t] p=2": 23, "Fp[t] p=3": 32}
 
 
 class TestCanonicalGaussian:
