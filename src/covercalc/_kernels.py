@@ -2,11 +2,12 @@
 
 Elements of a finite abelian group with cyclic orders (d_0, ..., d_{k-1})
 are indexed in mixed radix (digit 0 least significant); subsets are Python
-ints with bit x set for element index x.  translate and closure act on a
-whole mask at once, one coordinate at a time, as shifts of the int;
-invariant_core and apply_matrix work element by element.  min_cover is
-the exact-cover search.  BACKEND names the implementation; the benchmark
-records it.
+ints with bit x set for element index x.  A module's ring acts through
+one integer matrix on the digits (multiplication by i over Z[i], by t over
+F_p[t]), or None over Z.  translate and closure act on a whole mask at
+once, one coordinate at a time, as shifts of the int; invariant_core and
+apply_matrix work element by element.  min_cover is the exact-cover
+search.  BACKEND names the implementation; the benchmark records it.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def apply_matrix(orders, mat, x: int) -> int:
     return encode(orders, [sum(map(mul, row, xd)) for row in mat])
 
 
-def closure(orders, actions, seeds) -> int:
-    """Subgroup generated by the seed indices, closed under the action matrices."""
-    members = 1  # the zero element
+def closure(orders, action, seeds, members=1) -> int:
+    """The submodule generated by a submodule mask (default {0}) and the
+    seed indices: their subgroup, closed under the action matrix."""
     pending = list(seeds)
     while pending:
         g = pending.pop()
@@ -91,22 +92,21 @@ def closure(orders, actions, seeds) -> int:
         while t & ~members:
             members |= t
             t = _shift(t, steps)
-        for mat in actions:
-            pending.append(apply_matrix(orders, mat, g))
+        if action is not None:
+            pending.append(apply_matrix(orders, action, g))
     return members
 
 
-def invariant_core(orders, actions, mask: int) -> int:
-    """Largest subset of a subgroup mask closed under every action matrix."""
-    if not actions:
+def invariant_core(orders, action, mask: int) -> int:
+    """Largest subset of a subgroup mask closed under the action matrix."""
+    if action is None:
         return mask
-    # the images of each element of the mask, computed once
-    images = [(x, [apply_matrix(orders, mat, x) for mat in actions])
-              for x in _bits(mask)]
+    # the image of each element of the mask, computed once
+    images = [(x, apply_matrix(orders, action, x)) for x in _bits(mask)]
     while True:
         keep = mask
-        for x, ys in images:
-            if (keep >> x) & 1 and not all((mask >> y) & 1 for y in ys):
+        for x, y in images:
+            if (keep >> x) & 1 and not (mask >> y) & 1:
                 keep &= ~(1 << x)
         if keep == mask:
             return mask

@@ -82,9 +82,21 @@ def _build_parser() -> _Parser:
     c.add_argument("--json", action="store_true")
     c = sub.add_parser("s-set", help="planes (R/m)^2 with residue < n")
     c.add_argument("ring")
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=_positive_int)
     c.add_argument("--json", action="store_true")
     return p
+
+
+def _positive_int(text: str) -> int:
+    """An argument n >= 1; argparse reports anything else as a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return n
 
 
 def main(argv=None) -> int:

@@ -157,6 +157,8 @@ def s_set(ring: RingHandle, n: int) -> list[ModuleDescriptor]:
         raise NotEnumerableError(f"{ring} has no enumerable maximal ideals")
     if n < 1:
         raise ValueError("n must be positive")
+    if n == 1:
+        return []       # every residue field has at least 2 elements
     out = []
     for m in rings.maximal_ideals_with_residue_at_most(ring, n - 1):
         ideal = FactoredIdeal.from_factors({m: 1})

@@ -48,11 +48,6 @@ class ModuleDescriptor:
             parts.append(ALEPH0)
         return cardinal_sum(parts)
 
-    def summand_count(self) -> Cardinal:
-        parts = [self.reduced_summand_count(), self.field_copies]
-        parts.extend(mult for _, mult in self.pruefer)
-        return cardinal_sum(parts)
-
 
 def make_descriptor(ring: RingHandle,
                     free_rank: Cardinal = ZERO,

@@ -1,16 +1,17 @@
 """Brute-force ground truth on materialized finite modules.
 
 A finite module is a tuple of cyclic orders (elements are coordinate
-tuples) together with integer matrices generating the ring action
-(multiplication by i over Z[i], by t over F_p[t]; none over Z).  Subsets
+tuples) together with one integer matrix for the ring action: every ring
+materialized here is generated by one element over Z, so the action is
+multiplication by i over Z[i], by t over F_p[t], and None over Z.  Subsets
 are int bitmasks over the element indexing, and the heavy work (closures,
 exact minimum covers) runs in the kernels of covercalc._kernels.
 
 Both searches take their candidates from characters of M, read as weight
-vectors on the coordinates: the kernels of a character and of its images
-under the action meet in the largest submodule inside its kernel
-(_core).  Characters of order p give the maximal submodules; the cosets
-of the cores of all characters give the puncture-avoiding cosets.
+vectors on the coordinates: the kernels of a character chi and of its
+images chi.A, chi.A^2, ... meet in the largest submodule inside its
+kernel (_core).  Characters of order p give the maximal submodules; the
+cosets of the cores of all characters give the puncture-avoiding cosets.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -23,7 +24,6 @@ the test suite.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from math import gcd, lcm, prod
 from operator import mul
@@ -60,17 +60,18 @@ class SummandInfo:
 @record
 class FiniteModule:
     orders: tuple
-    actions: tuple = ()
+    action: Optional[tuple] = None    # the ring generator's matrix
     ring: RingHandle = rings.integers()
     summands: tuple = ()
 
     def __post_init__(self):
-        for mat in self.actions:
-            for i, di in enumerate(self.orders):
-                for j, dj in enumerate(self.orders):
-                    if (dj * mat[i][j]) % di:
-                        raise ValueError(
-                            f"action entry [{i}][{j}] is not well defined")
+        if self.action is None:
+            return
+        for i, di in enumerate(self.orders):
+            for j, dj in enumerate(self.orders):
+                if (dj * self.action[i][j]) % di:
+                    raise ValueError(
+                        f"action entry [{i}][{j}] is not well defined")
 
     @property
     def size(self) -> int:
@@ -87,7 +88,7 @@ class FiniteModule:
         return kernels.decode(self.orders, x)
 
     def span(self, seeds) -> int:
-        return kernels.closure(self.orders, self.actions, list(seeds))
+        return kernels.closure(self.orders, self.action, list(seeds))
 
     def encode_ring_element(self, summand_idx: int, elem) -> int:
         """Element index of a ring element inside one cyclic summand: the
@@ -99,7 +100,7 @@ class FiniteModule:
 
 
 def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule:
-    """Realize a finite torsion descriptor as orders + action matrices.
+    """Realize a finite torsion descriptor as orders + action matrix.
 
     Summands materialize as listed (composite annihilators give a single
     cyclic block); normalized descriptors therefore yield one block per
@@ -136,7 +137,7 @@ def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule
         infos.append(SummandInfo(start, len(o), ideal, tuple(basis), one))
     if len(orders) > HARD_COORD_CAP:
         raise TooLargeError(f"more than {HARD_COORD_CAP} cyclic coordinates")
-    actions = ()
+    action = None
     if orders and blocks[0] is not None:
         k = len(orders)
         mat = [[0] * k for _ in range(k)]
@@ -147,8 +148,8 @@ def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule
                 for j in range(b):
                     mat[pos + i][pos + j] = act[i][j] % orders[pos + i]
             pos += b
-        actions = (tuple(tuple(row) for row in mat),)
-    mod = FiniteModule(tuple(orders), actions, ring, tuple(infos))
+        action = tuple(tuple(row) for row in mat)
+    mod = FiniteModule(tuple(orders), action, ring, tuple(infos))
     _check_annihilators(mod)
     return mod
 
@@ -178,7 +179,7 @@ def _scalar_action(mod: FiniteModule, scalar, digits) -> list:
     for k, coeff in enumerate(coeffs):
         if k:
             digits = [sum(map(mul, row, digits)) % d
-                      for row, d in zip(mod.actions[0], orders)]
+                      for row, d in zip(mod.action, orders)]
         out = [(o + coeff * v) % d for o, v, d in zip(out, digits, orders)]
     return out
 
@@ -193,17 +194,20 @@ class SubmoduleSet:
 
 
 def _wrap(mod: FiniteModule, mask: int) -> SubmoduleSet:
-    gens: list[int] = []
-    span = 1
-    m = mask
-    while m:
-        lsb = m & -m
-        x = lsb.bit_length() - 1
-        if not (span >> x) & 1:
-            gens.append(x)
-            span = mod.span(gens)
-        m &= ~span
-    return SubmoduleSet(mask, tuple(gens))
+    return SubmoduleSet(mask, _generators(mod, mask)[0])
+
+
+def _generators(mod: FiniteModule, mask: int) -> tuple:
+    """(generators, span): each generator is the least element of the mask
+    outside the span of those before it, and the span grows by one closure
+    per generator.  The span is the mask exactly when it is a submodule."""
+    gens, span = [], 1
+    while mask & ~span:
+        rest = mask & ~span
+        x = (rest & -rest).bit_length() - 1
+        gens.append(x)
+        span = kernels.closure(mod.orders, mod.action, (x,), span)
+    return tuple(gens), span
 
 
 def maximal_submodules(mod: FiniteModule) -> list[int]:
@@ -216,9 +220,8 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     than F_p the maximal submodules themselves have non-prime index.)
     The index-p subgroups are the kernels of the projective functionals
     on M/pM, read as characters of order p.  Without an action every
-    such kernel is maximal and distinct functionals give distinct ones,
-    so only an action calls for the inclusion filter, and a core can
-    only lie in a strictly larger one.
+    such kernel is maximal, so only an action calls for the inclusion
+    filter.
 
     The work, functionals times elements, is known up front: above
     SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
@@ -241,13 +244,20 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
                 continue    # one functional per line: first nonzero is 1
             cores.add(_core(mod, [aj * (top // p) for aj in a], memo))
     ordered = sorted(cores)
-    if not mod.actions:
-        return ordered
-    larger = sorted(ordered, key=int.bit_count, reverse=True)
-    sizes = [-c.bit_count() for c in larger]
-    return [c for c in ordered
-            if not any((c | o) == o for o in
-                       larger[:bisect.bisect_left(sizes, -c.bit_count())])]
+    return ordered if mod.action is None else _inclusion_maximal(ordered)
+
+
+def _inclusion_maximal(items, mask=lambda item: item) -> list:
+    """The items whose (distinct) masks lie in no other item's, in order.
+
+    Masks are met largest first: one inside another lies inside a maximal
+    one, so each is checked against the maxima found so far only."""
+    maxima: list[int] = []
+    for m in sorted(map(mask, items), key=int.bit_count, reverse=True):
+        if not any((m | o) == o for o in maxima):
+            maxima.append(m)
+    keep = set(maxima)
+    return [item for item in items if mask(item) in keep]
 
 
 def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
@@ -255,12 +265,13 @@ def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
 
     The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
     w_j d_j = 0 mod N so that it is well defined; chi.A has the weights
-    w A mod N.  The core is the meet of the kernels of chi, chi.A,
-    chi.A^2, ... (all words in the action matrices), taken layer by
-    layer.  Once a whole layer leaves the meet K unchanged, K is the
-    core: every x in K has v(Ax) = (vA)(x) = 0 for each v met so far, as
-    vA lies in the next layer, so K is a submodule.  The meet also stops
-    at K = {0}, the least submodule.
+    w A mod N.  The core is the meet of the kernels of the chain chi,
+    chi.A, chi.A^2, ..., taken one image at a time.  Once chi.A^k leaves
+    the meet K unchanged, K is the core: every x in K has
+    (chi.A^j)(Ax) = (chi.A^(j+1))(x) = 0 for each j < k, as chi.A^(j+1)
+    has been met, so K is a submodule.  A repeated image leaves K
+    unchanged, so the chain ends; it also ends at K = {0}, the least
+    submodule.
 
     memo maps weight vectors to their kernels; callers that take the
     cores of many characters of one module share one.
@@ -274,20 +285,14 @@ def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
             memo[v] = _kernel(orders, top, v)
         return memo[v]
 
-    columns = [tuple(zip(*mat)) for mat in mod.actions]
     w = tuple(w)
     core = kernel(w)
-    seen, layer = {(0,) * len(orders), w}, [w]
+    if mod.action is None:
+        return core
+    columns = tuple(zip(*mod.action))
     while core != 1:
-        layer = [v for v in dict.fromkeys(
-            tuple(sum(map(mul, u, col)) % top for col in cols)
-            for u in layer for cols in columns) if v not in seen]
-        if not layer:
-            break
-        seen.update(layer)
-        meet = core
-        for v in layer:
-            meet &= kernel(v)
+        w = tuple(sum(map(mul, w, col)) % top for col in columns)
+        meet = core & kernel(w)
         if meet == core:
             break
         core = meet
@@ -347,7 +352,7 @@ def all_subgroups(orders: Sequence[int]) -> list[int]:
         j = len(cols)
         if j == k:
             gens = [kernels.encode(orders, col) for col in cols]
-            found.add(kernels.closure(orders, (), gens))
+            found.add(kernels.closure(orders, None, gens))
             return
         for hjj in col_divisors[j]:
             for off in itertools.product(*(range(cols[i][i]) for i in range(j))):
@@ -375,7 +380,7 @@ def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
         masks = maximal_submodules(mod)
     else:
         masks = [m for m in all_subgroups(mod.orders)
-                 if kernels.invariant_core(mod.orders, mod.actions, m) == m]
+                 if kernels.invariant_core(mod.orders, mod.action, m) == m]
     return [_wrap(mod, m) for m in masks]
 
 
@@ -446,11 +451,8 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
                 cands.append((coset, sub, x))
     cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
     if inclusion_maximal:
-        kept = []
-        for c in cands:
-            if not any((c[0] | k[0]) == k[0] for k in kept):
-                kept.append(c)
-        cands = kept
+        # distinct cosets: a coset determines its submodule
+        cands = _inclusion_maximal(cands, mask=lambda t: t[0])
     return cands
 
 
@@ -469,12 +471,12 @@ def automorphisms(mod: FiniteModule) -> list[tuple]:
     k = len(mod.orders)
     blocks = ([(info.start, info.ncoords) for info in mod.summands]
               if mod.summands else [(c, 1) for c in range(k)])
+    act = mod.action
     groups: dict = {}
     for start, width in blocks:
         coords = range(start, start + width)
         sig = (tuple(mod.orders[c] for c in coords),
-               tuple(tuple(tuple(mat[r][c] for c in coords) for r in coords)
-                     for mat in mod.actions))
+               act and tuple(tuple(act[r][c] for c in coords) for r in coords))
         groups.setdefault(sig, []).append(start)
     classes = [(len(sig[0]), starts) for sig, starts in groups.items()]
 
@@ -534,20 +536,17 @@ def _unit_of_largest_order(m: int) -> int:
 
 
 def _is_automorphism(mod: FiniteModule, sigma) -> bool:
-    """Well defined on the orders and commuting with every action matrix.
+    """Well defined on the orders and commuting with the action matrix.
     (Swaps, unit scalings and shears are invertible by construction.)"""
-    orders, k = mod.orders, len(mod.orders)
+    orders, k, mat = mod.orders, len(mod.orders), mod.action
     for r in range(k):
         for c in range(k):
             if (sigma[r][c] * orders[c]) % orders[r]:
                 return False
-    for mat in mod.actions:
-        for r in range(k):
-            for c in range(k):
-                lhs = sum(sigma[r][t] * mat[t][c] for t in range(k))
-                rhs = sum(mat[r][t] * sigma[t][c] for t in range(k))
-                if (lhs - rhs) % orders[r]:
-                    return False
+            if mat is not None and (
+                    sum(sigma[r][t] * mat[t][c] - mat[r][t] * sigma[t][c]
+                        for t in range(k)) % orders[r]):
+                return False
     return True
 
 
@@ -652,23 +651,9 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
         for (xi, xj), mask in by_pair.items():
             if mul[mu][xi] == mul[lam][xj]:
                 line_mask |= mask
-        if line_mask == mod.full_mask or not _is_submodule(mod, line_mask):
+        if (line_mask == mod.full_mask
+                or _generators(mod, line_mask)[1] != line_mask):
             return False
         union |= line_mask
     return union == mod.full_mask
 
-
-def _is_submodule(mod: FiniteModule, mask: int) -> bool:
-    if not (mask & 1):
-        return False
-    gens: list[int] = []
-    span = 1
-    m = mask
-    while m & ~span:
-        x = (m & ~span)
-        x = (x & -x).bit_length() - 1
-        gens.append(x)
-        span = mod.span(gens)
-        if span & ~mask:
-            return False
-    return span == mask

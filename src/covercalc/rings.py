@@ -126,28 +126,17 @@ class FactoredIdeal:
         return FactoredIdeal(unit=True)
 
     @staticmethod
-    def zero_ideal() -> "FactoredIdeal":
-        return FactoredIdeal(zero=True)
-
-    @staticmethod
     def from_factors(factors: dict) -> "FactoredIdeal":
         if not factors:
             return FactoredIdeal.unit_ideal()
         items = tuple(sorted(factors.items(), key=lambda kv: kv[0].sort_key()))
         return FactoredIdeal(factors=items)
 
-    @property
-    def is_proper_nonzero(self) -> bool:
-        return bool(self.factors)
-
     def exponent_of(self, m: MaximalIdealId) -> int:
         for mm, e in self.factors:
             if mm == m:
                 return e
         return 0
-
-    def primes(self) -> list[MaximalIdealId]:
-        return [m for m, _ in self.factors]
 
     def quotient_size(self) -> Cardinal:
         """|R/I| = product of residue^exponent over the factors."""

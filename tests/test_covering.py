@@ -189,6 +189,12 @@ class TestSSet:
         assert [parser.render_descriptor(d) for d in covering.s_set(Z, 3)] == \
             ["Z: R/(2)^2"]
 
+    def test_no_residue_field_below_two(self):
+        for ring in (Z, rings.gaussian_integers(),
+                     rings.poly_over_prime_field(2)):
+            assert covering.s_set(ring, 1) == []
+            assert covering.s_set(ring, 2) == []
+
     def test_poly(self):
         out = covering.s_set(rings.poly_over_prime_field(2), 5)
         assert [parser.render_descriptor(d) for d in out] == \

@@ -3,7 +3,9 @@
 Every run of sigma, phi and cover (without --check) must exit 0, 1, 64 or
 65 without an exception escaping main, print a --json document that
 parses when it exits 0, and print the same bytes when run again.  An
-exponent below 0 in t, or below 1 on a prime label, must exit 65.
+exponent below 0 in t, or below 1 on a prime label, must exit 65.  s-set
+over the enumerable rings must answer every bound n >= 1 and refuse every
+n < 1 with exit 64.
 """
 
 import contextlib
@@ -118,4 +120,18 @@ def test_cli_exits_cleanly_and_repeats_its_bytes(spec, command):
         assert out == "" and err.startswith("cover-calc: ")
     if refused:
         assert code == 65, (argv, out)
+    assert run(argv) == (code, out, err)
+
+
+@given(ring=st.sampled_from(["Z", "Zi", "Fp[t] p=2"]), n=st.integers(-3, 60))
+@settings(max_examples=200, deadline=timedelta(seconds=2))
+def test_s_set_answers_or_refuses_its_bound(ring, n):
+    argv = ["s-set", ring, str(n), "--json"]
+    code, out, err = run(argv)
+    if n < 1:
+        assert (code, out) == (64, ""), (argv, code, err)
+        assert err.startswith("cover-calc: "), argv
+    else:
+        assert code == 0, (argv, code, err)
+        assert len(json.loads(out)["modules"]) <= n
     assert run(argv) == (code, out, err)

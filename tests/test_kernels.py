@@ -47,23 +47,23 @@ class TestKernels:
 
     def test_closure_subgroup(self):
         orders = (4, 2)
-        mask = _kernels.closure(orders, (), [_kernels.encode(orders, (2, 1))])
+        mask = _kernels.closure(orders, None, [_kernels.encode(orders, (2, 1))])
         members = {_kernels.decode(orders, i) for i in range(8) if (mask >> i) & 1}
         assert members == {(0, 0), (2, 1)}
 
     def test_closure_with_action(self):
         orders = (2, 2)
         swap = ((0, 1), (1, 0))
-        mask = _kernels.closure(orders, (swap,), [_kernels.encode(orders, (1, 0))])
+        mask = _kernels.closure(orders, swap, [_kernels.encode(orders, (1, 0))])
         assert mask.bit_count() == 4
 
     def test_invariant_core(self):
         orders = (2, 2)
         swap = ((0, 1), (1, 0))
         sub = 1 | (1 << _kernels.encode(orders, (1, 0)))   # {0, (1,0)}: not invariant
-        assert _kernels.invariant_core(orders, (swap,), sub) == 1
+        assert _kernels.invariant_core(orders, swap, sub) == 1
         diag = 1 | (1 << _kernels.encode(orders, (1, 1)))
-        assert _kernels.invariant_core(orders, (swap,), diag) == diag
+        assert _kernels.invariant_core(orders, swap, diag) == diag
 
     def test_min_cover_small(self):
         universe = 0b111111
@@ -114,18 +114,16 @@ def reference_translate(orders, mask, g):
     return sum(1 << _add(orders, x, g) for x in _bits(mask))
 
 
-def reference_closure(orders, actions, seeds):
-    """The seeds' orbit under the action matrices, then every sum reached
+def reference_closure(orders, action, seeds):
+    """The seeds' orbit under the action matrix, then every sum reached
     from 0 by adding orbit elements: the subgroup an invariant set spans
     is invariant."""
     orbit, stack = set(seeds), list(seeds)
-    while stack:
-        x = stack.pop()
-        for mat in actions:
-            y = _kernels.apply_matrix(orders, mat, x)
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
+    while stack and action is not None:
+        y = _kernels.apply_matrix(orders, action, stack.pop())
+        if y not in orbit:
+            orbit.add(y)
+            stack.append(y)
     members, stack = {0}, [0]
     while stack:
         x = stack.pop()
@@ -137,15 +135,15 @@ def reference_closure(orders, actions, seeds):
     return sum(1 << x for x in members)
 
 
-def reference_invariant_core(orders, actions, mask):
+def reference_invariant_core(orders, action, mask):
     """Drop every element with an image outside the mask until none is."""
-    while True:
+    while action is not None:
         keep = sum(1 << x for x in _bits(mask)
-                   if all(mask >> _kernels.apply_matrix(orders, mat, x) & 1
-                          for mat in actions))
+                   if mask >> _kernels.apply_matrix(orders, action, x) & 1)
         if keep == mask:
-            return mask
+            break
         mask = keep
+    return mask
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +173,17 @@ class TestWordParallelKernels:
             n, orders = mod.size, mod.orders
             for count in (1, 1, 2, 3):
                 seeds = [rng.randrange(n) for _ in range(count)]
-                for actions in ((), mod.actions):
-                    assert _kernels.closure(orders, actions, seeds) == \
-                        reference_closure(orders, actions, seeds), \
-                        (orders, actions, seeds)
+                for action in (None, mod.action):
+                    assert _kernels.closure(orders, action, seeds) == \
+                        reference_closure(orders, action, seeds), \
+                        (orders, action, seeds)
+                # from the submodule one more element generates: the
+                # closure of the seeds and that element
+                extra = rng.randrange(n)
+                sub = _kernels.closure(orders, mod.action, [extra])
+                assert _kernels.closure(orders, mod.action, seeds, sub) == \
+                    reference_closure(orders, mod.action, seeds + [extra]), \
+                    (orders, seeds, extra)
 
     def test_invariant_core_matches_the_elementwise_reference(
             self, modules_up_to_64):
@@ -186,11 +191,11 @@ class TestWordParallelKernels:
         for mod in modules_up_to_64:
             n, orders = mod.size, mod.orders
             for count in (1, 2):
-                sub = _kernels.closure(orders, (),
+                sub = _kernels.closure(orders, None,
                                        [rng.randrange(n) for _ in range(count)])
                 for mask in (sub, rng.getrandbits(n) | 1):
-                    assert _kernels.invariant_core(orders, mod.actions, mask) == \
-                        reference_invariant_core(orders, mod.actions, mask)
+                    assert _kernels.invariant_core(orders, mod.action, mask) == \
+                        reference_invariant_core(orders, mod.action, mask)
 
 
 def rotation_instances(seed, count):

@@ -148,6 +148,21 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["modules"] == ["Z: R/(2)^2", "Z: R/(3)^2"]
 
+    def test_s_set_below_one_is_a_usage_error(self, capsys):
+        assert cli.main(["s-set", "Z", "0", "--json"]) == 64
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith("cover-calc: argument n")
+
+    def test_s_set_negative_is_a_usage_error(self, capsys):
+        assert cli.main(["s-set", "Z", "-3", "--json"]) == 64
+        assert capsys.readouterr().out == ""
+
+    def test_s_set_one_is_empty(self, capsys):
+        for ring in ("Z", "Zi", "Fp[t] p=2"):
+            code = cli.main(["s-set", ring, "1", "--json"])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and out["modules"] == []
+
     def test_usage_exit(self, capsys):
         assert cli.main(["nonsense"]) == 64
 
