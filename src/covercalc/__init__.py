@@ -18,9 +18,9 @@ _EXPORTS = {
     "cosets": ("CosetCoverWitness", "build_coset_cover", "phi_cyclic",
                "phi_conjecture_value", "phi_finite_abelian", "phi_prime",
                "phi_vector_space", "verify_coset_cover"),
-    "modules": ("ModuleDescriptor", "NormalizedDescriptor", "NCSet",
-                "descriptor_from_presentation", "make_descriptor", "nc_set",
-                "normalize", "q_value", "reduced_divisible_split"),
+    "modules": ("ModuleDescriptor", "NCSet", "descriptor_from_presentation",
+                "make_descriptor", "nc_set", "normalize", "q_value",
+                "reduced_divisible_split"),
     "monoids": ("MonoidAnswer", "MonoidDescriptor", "classify_monoid",
                 "verify_monoid_partition"),
     "oracle": ("FiniteModule", "SubmoduleSet", "enumerate_submodules",

@@ -72,8 +72,6 @@ def finite(n: int) -> Cardinal:
 
 
 ZERO = finite(0)
-ONE = finite(1)
-TWO = finite(2)
 ALEPH0 = Cardinal(_ALEPH0)
 UNCOUNTABLE = Cardinal(_UNCOUNTABLE)
 

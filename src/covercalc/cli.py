@@ -199,22 +199,18 @@ def _cmd_cover(args) -> dict:
 
 
 def _phi_blocks(d) -> list:
-    from . import modules
-    norm = modules.normalize(d)
+    if not d.is_finite_torsion:
+        raise SpecSemanticError("phi is defined for finite torsion modules")
     blocks = []
-    for m, exps in norm.blocks:
+    for m, exps in d.blocks:
         for e, mult in exps:
-            if not mult.is_finite:
-                raise SpecSemanticError("phi needs finite multiplicities")
             blocks.extend([(m, e)] * mult.finite_value)
     return blocks
 
 
 def _cmd_phi(args) -> dict:
-    from . import cosets, modules
+    from . import cosets
     ring, d, rep = _spec_report(args, "phi")
-    if d.has_divisible_part or d.free_rank > modules.ZERO or d.tail_above:
-        raise SpecSemanticError("phi is defined for finite torsion modules")
     value, conjectural = cosets.phi_conjecture_value(ring, _phi_blocks(d))
     rep["answer"] = value
     rep["conjectural"] = conjectural
@@ -292,10 +288,14 @@ def _puncture_index(text: str, ring, mod) -> int:
     if len(mod.summands) == 1:
         return mod.encode_ring_element(0, parser.parse_element(text, ring))
     try:
-        return int(text)
+        index = int(text)
     except ValueError as exc:
         raise SpecSemanticError(
             "puncture on a direct sum is an element index") from exc
+    if not 0 <= index < mod.size:
+        raise SpecSemanticError(
+            f"puncture index {index} is outside 0..{mod.size - 1}")
+    return index
 
 
 def _cmd_oracle(args) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import arith, modules, rings
 from .cardinal import finite
 from .errors import (InfiniteResidueError, NotMaterializableError,
-                     TrivialGroupError, ZeroIdealError)
+                     TrivialGroupError)
 from .records import record
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
@@ -40,8 +40,6 @@ def phi_cyclic(ring: RingHandle, ideal) -> int:
     """Minimum punctured coset cover size of R/I, I factored or a literal."""
     if not isinstance(ideal, FactoredIdeal):
         ideal = rings.factor_ideal(ring, ideal)
-    if ideal.zero:
-        raise ZeroIdealError("R/I needs a nonzero ideal")
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
     return sum(phi_prime(ring, m, e) for m, e in ideal.factors)
@@ -111,8 +109,6 @@ def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
         raise NotMaterializableError(f"cannot build concrete cosets over {ring}")
     if not isinstance(ideal, FactoredIdeal):
         ideal = rings.factor_ideal(ring, ideal)
-    if ideal.zero:
-        raise ZeroIdealError("R/I needs a nonzero ideal")
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
     h = ring.generator(ideal)

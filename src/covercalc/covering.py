@@ -28,7 +28,7 @@ from .cardinal import ALEPH0, Cardinal, ZERO, finite
 from .errors import (DimensionTooSmallError, HasDivisiblePartError,
                      NonEnumerableResidueError, NotApplicableError,
                      NotCoverableError, NotEnumerableError)
-from .modules import Descriptor, ModuleDescriptor, make_descriptor
+from .modules import ModuleDescriptor, make_descriptor
 from .records import record
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
@@ -82,9 +82,8 @@ def upper_bound_only(value: Cardinal) -> CoverAnswer:
     return CoverAnswer(UPPER_BOUND_ONLY, value, note="not finitely coverable")
 
 
-def classify(d: Descriptor) -> Trichotomy:
+def classify(d: ModuleDescriptor) -> Trichotomy:
     """Cyclic / countable-not-finite / threshold-at-q, for reduced descriptors."""
-    d = modules._as_plain(d)
     if d.ring.is_field:
         raise NotApplicableError("classify needs a non-field ring; use nu1")
     if d.has_divisible_part:
@@ -113,9 +112,8 @@ def nu1(field_card: Cardinal, dim_card: Cardinal) -> Cardinal:
     return field_card.successor()
 
 
-def sigma(d: Descriptor) -> CoverAnswer:
+def sigma(d: ModuleDescriptor) -> CoverAnswer:
     """Exact covering answer for any descriptor shape."""
-    d = modules._as_plain(d)
     if d.ring.is_field:
         if d.free_rank < finite(2):
             return no_cover()
@@ -143,7 +141,7 @@ def sigma(d: Descriptor) -> CoverAnswer:
     return threshold(q)
 
 
-def sigma_integer(d: Descriptor) -> Union[int, float]:
+def sigma_integer(d: ModuleDescriptor) -> Union[int, float]:
     """The least finite cover size, or math.inf when no finite cover exists."""
     ans = sigma(d)
     if ans.kind == THRESHOLD and ans.value.is_finite:
@@ -189,14 +187,13 @@ class CoverWitness:
         return len(self.line_strs) if self.kind == LINES else None
 
 
-def build_cover_witness(d: Descriptor) -> CoverWitness:
+def build_cover_witness(d: ModuleDescriptor) -> CoverWitness:
     """An explicit minimal cover matching sigma(d).
 
     Finite thresholds produce the q+1 lifted lines; countable answers a
     chain description.  Raises when no cover exists or when no concrete
     maximal ideal attaining q can be named.
     """
-    d = modules._as_plain(d)
     ans = sigma(d)
     if ans.kind == NO_COVER:
         raise NotCoverableError("no cover by proper submodules exists")
@@ -222,12 +219,9 @@ def _lines_witness(d: ModuleDescriptor, q: int) -> CoverWitness:
         F = residues.residue_field(d.ring, m)
         pts = [(1, 0)] + [(lam, 1) for lam in F.elements()]
         strs = tuple(_point_str(F, lam, mu) for lam, mu in pts)
-        mat = (not d.has_divisible_part and d.free_rank == ZERO
-               and d.tail_above == 0
-               and all(mult.is_finite for _, mult in d.torsion))
         return CoverWitness(LINES, ideal=m, summand_pair=pair,
                             line_points=tuple(pts), line_strs=strs,
-                            materializable=mat)
+                            materializable=d.is_finite_torsion)
     strs = ("(1:0)",) + tuple(f"({k}:1)" for k in range(q))
     return CoverWitness(LINES, ideal=m, summand_pair=pair, line_strs=strs,
                         symbolic=True)

@@ -7,14 +7,15 @@ cardinals), copies of the fraction field, and Pruefer summands.  A torsion
 above a bound, which is how families like "one cyclic summand per prime"
 are written down without listing them.
 
-Normalization splits every torsion annihilator into prime-power blocks
-(the summand-wise Chinese remainder decomposition) and groups blocks by
-maximal ideal in canonical order.
+Normalization splits every torsion annihilator into its prime-power
+parts (the summand-wise Chinese remainder decomposition) and returns a
+descriptor of the same module; the blocks property groups those parts by
+maximal ideal in canonical order, on any descriptor.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from . import rings
 from .cardinal import ALEPH0, Cardinal, ZERO, cardinal_sum, finite
@@ -42,6 +43,25 @@ class ModuleDescriptor:
     def has_divisible_part(self) -> bool:
         return self.field_copies > ZERO or bool(self.pruefer)
 
+    @property
+    def is_finite_torsion(self) -> bool:
+        """Finitely many torsion summands and nothing else."""
+        return (self.free_rank == ZERO and not self.has_divisible_part
+                and self.tail_above == 0
+                and all(mult.is_finite for _, mult in self.torsion))
+
+    @property
+    def blocks(self) -> tuple:
+        """Torsion prime-power parts grouped by maximal ideal, in canonical
+        order: ((MaximalIdealId, ((exp, mult), ... exp desc)), ...)."""
+        by_m: dict[MaximalIdealId, dict[int, Cardinal]] = {}
+        for ideal, mult in self.torsion:
+            for m, e in ideal.factors:
+                exps = by_m.setdefault(m, {})
+                exps[e] = cardinal_sum([exps.get(e, ZERO), mult])
+        return tuple((m, tuple(sorted(by_m[m].items(), key=lambda kv: -kv[0])))
+                     for m in sorted(by_m, key=lambda m: m.sort_key()))
+
     def reduced_summand_count(self) -> Cardinal:
         parts = [self.free_rank] + [mult for _, mult in self.torsion]
         if self.tail_above:
@@ -60,7 +80,7 @@ def make_descriptor(ring: RingHandle,
     for ideal, mult in torsion:
         if not isinstance(ideal, FactoredIdeal):
             ideal = rings.factor_ideal(ring, ideal)
-        if ideal.zero or ideal.unit:
+        if ideal.unit:
             raise SpecSemanticError(
                 "torsion annihilators must be proper nonzero ideals")
         if mult == ZERO:
@@ -105,48 +125,13 @@ def _ideal_key(ideal: FactoredIdeal):
     return tuple((m.sort_key(), e) for m, e in ideal.factors)
 
 
-@record
-class NormalizedDescriptor:
-    """Torsion split into prime-power blocks grouped by maximal ideal."""
-
-    ring: RingHandle
-    free_rank: Cardinal
-    blocks: tuple              # ((MaximalIdealId, ((exp, mult), ... exp desc)), ...)
-    field_copies: Cardinal
-    pruefer: tuple
-    tail_above: int = 0
-
-    def torsion_entries(self):
-        """Flatten back to ((single-prime FactoredIdeal, mult), ...) in block order."""
-        out = []
-        for m, exps in self.blocks:
-            for e, mult in exps:
-                out.append((FactoredIdeal.from_factors({m: e}), mult))
-        return tuple(out)
-
-    def to_descriptor(self) -> ModuleDescriptor:
-        return make_descriptor(self.ring, self.free_rank, self.torsion_entries(),
-                               self.field_copies, self.pruefer, self.tail_above)
-
-
-Descriptor = Union[ModuleDescriptor, NormalizedDescriptor]
-
-
-def normalize(d: Descriptor) -> NormalizedDescriptor:
-    """Chinese-remainder split of each torsion summand; idempotent."""
-    if isinstance(d, NormalizedDescriptor):
-        return d
-    by_m: dict[MaximalIdealId, dict[int, Cardinal]] = {}
-    for ideal, mult in d.torsion:
-        for m, e in ideal.factors:
-            exps = by_m.setdefault(m, {})
-            exps[e] = cardinal_sum([exps.get(e, ZERO), mult])
-    blocks = []
-    for m in sorted(by_m, key=lambda m: m.sort_key()):
-        exps = tuple(sorted(by_m[m].items(), key=lambda kv: -kv[0]))
-        blocks.append((m, exps))
-    return NormalizedDescriptor(d.ring, d.free_rank, tuple(blocks),
-                                d.field_copies, d.pruefer, d.tail_above)
+def normalize(d: ModuleDescriptor) -> ModuleDescriptor:
+    """The same module with every torsion summand split into its
+    prime-power parts (Chinese remainder theorem); idempotent."""
+    torsion = [(FactoredIdeal.from_factors({m: e}), mult)
+               for m, exps in d.blocks for e, mult in exps]
+    return make_descriptor(d.ring, d.free_rank, torsion, d.field_copies,
+                           d.pruefer, d.tail_above)
 
 
 @record
@@ -166,14 +151,13 @@ class NCSet:
         return "{" + ", ".join(str(m) for m in self.ideals) + "}"
 
 
-def nc_set(d: Descriptor) -> NCSet:
+def nc_set(d: ModuleDescriptor) -> NCSet:
     """Ideals at which two or more reduced summands localize nonzero.
 
     Free summands localize nonzero everywhere, a torsion summand R/I exactly
     at the primes dividing I.  Divisible summands are excluded: the covering
     thresholds for non-reduced modules depend only on the reduced part.
     """
-    d = _as_plain(d)
     if d.ring.is_field:
         raise NotApplicableError("fields have no maximal ideals here")
     if d.free_rank >= finite(2):
@@ -193,23 +177,21 @@ def nc_set(d: Descriptor) -> NCSet:
                  ideals=tuple(sorted(members, key=lambda m: m.sort_key())))
 
 
-def q_value(d: Descriptor) -> Optional[Cardinal]:
+def q_value(d: ModuleDescriptor) -> Optional[Cardinal]:
     """min |R/m| over the NC set; None when the NC set is empty."""
     nc = nc_set(d)
     if nc.is_empty:
         return None
-    d = _as_plain(d)
     if nc.all_maximal:
         return rings.min_residue_cardinality(d.ring)
     return min(rings.residue_cardinality(d.ring, m) for m in nc.ideals)
 
 
-def q_witness(d: Descriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealId]]:
+def q_witness(d: ModuleDescriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealId]]:
     """(q, canonically least maximal ideal attaining it); ideal may be None."""
     nc = nc_set(d)
     if nc.is_empty:
         return None, None
-    d = _as_plain(d)
     if nc.all_maximal:
         return rings.min_residue_cardinality(d.ring), d.ring.least_maximal_ideal()
     q = q_value(d)
@@ -218,18 +200,13 @@ def q_witness(d: Descriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealI
     return q, min(best, key=lambda m: m.sort_key())
 
 
-def reduced_divisible_split(d: Descriptor) -> tuple[ModuleDescriptor, ModuleDescriptor]:
+def reduced_divisible_split(d: ModuleDescriptor) -> tuple[ModuleDescriptor, ModuleDescriptor]:
     """(reduced part: free + torsion, divisible part: field copies + Pruefer)."""
-    d = _as_plain(d)
     if not d.ring.is_pid:
         raise NotApplicableError(f"no divisible/reduced split over {d.ring}")
     red = replace(d, field_copies=ZERO, pruefer=())
     div = replace(d, free_rank=ZERO, torsion=(), tail_above=0)
     return red, div
-
-
-def _as_plain(d: Descriptor) -> ModuleDescriptor:
-    return d.to_descriptor() if isinstance(d, NormalizedDescriptor) else d
 
 
 def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> ModuleDescriptor:

@@ -30,11 +30,11 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
-from . import arith, modules, residues, rings
+from . import arith, residues, rings
 from .covering import CoverWitness, LINES
 from .errors import (NotMaterializableError, ShapeMismatchError,
                      TooLargeError, TrivialGroupError, UnsupportedRingError)
-from .modules import Descriptor, NormalizedDescriptor
+from .modules import ModuleDescriptor
 from .records import record
 from .rings import FactoredIdeal, RingHandle
 
@@ -99,25 +99,21 @@ class FiniteModule:
         return self.encode(_scalar_action(self, elem, digits))
 
 
-def materialize(d: Descriptor, max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule:
+def materialize(d: ModuleDescriptor,
+                max_size: int = SIGMA_SIZE_BOUND) -> FiniteModule:
     """Realize a finite torsion descriptor as orders + action matrix.
 
     Summands materialize as listed (composite annihilators give a single
     cyclic block); normalized descriptors therefore yield one block per
     prime power.
     """
-    plain = modules._as_plain(d)
-    ring = plain.ring
+    ring = d.ring
     if not ring.is_concrete:
         raise UnsupportedRingError(f"cannot materialize modules over {ring}")
-    if plain.has_divisible_part or plain.free_rank > modules.ZERO or plain.tail_above:
+    if not d.is_finite_torsion:
         raise NotMaterializableError("only finite torsion descriptors materialize")
-    entries = (d.torsion_entries() if isinstance(d, NormalizedDescriptor)
-               else plain.torsion)
     flat: list[FactoredIdeal] = []
-    for ideal, mult in entries:
-        if not mult.is_finite:
-            raise NotMaterializableError("infinite multiplicity")
+    for ideal, mult in d.torsion:
         flat.extend([ideal] * mult.finite_value)
 
     total = 1
@@ -590,6 +586,9 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
                               max_size: int = COSET_SIZE_BOUND,
                               inclusion_maximal: bool = True):
     """Exact minimum number of proper-submodule cosets covering M - {puncture}."""
+    if not 0 <= puncture < mod.size:
+        raise ValueError(
+            f"puncture {puncture} is outside 0..{mod.size - 1}")
     if mod.size > max_size:
         raise TooLargeError(f"module size {mod.size} exceeds bound {max_size}")
     if mod.size == 1:

@@ -23,7 +23,7 @@ import re
 from typing import TYPE_CHECKING
 
 from . import fppoly, rings
-from .cardinal import Cardinal, ZERO, finite, parse_cardinal
+from .cardinal import Cardinal, ZERO, cardinal_sum, finite, parse_cardinal
 from .errors import SpecSemanticError, SpecSyntaxError, TooLargeError
 from .modules import ModuleDescriptor, make_descriptor
 from .rings import FactoredIdeal, RingHandle
@@ -166,9 +166,9 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
             mult = _multiplicity(cur)
             pruefer.append((_single_prime(ring, lit), mult))
         elif cur.try_lit("R"):
-            free = _card_sum(free, _multiplicity(cur))
+            free = cardinal_sum([free, _multiplicity(cur)])
         elif cur.try_lit("Q"):
-            field = _card_sum(field, _multiplicity(cur))
+            field = cardinal_sum([field, _multiplicity(cur)])
         elif cur.try_lit("primes("):
             bound = cur.int_()
             infinite = False
@@ -199,11 +199,6 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
         raise
     except Exception as exc:
         raise SpecSemanticError(str(exc)) from exc
-
-
-def _card_sum(a: Cardinal, b: Cardinal) -> Cardinal:
-    from .cardinal import cardinal_sum
-    return cardinal_sum([a, b])
 
 
 def _multiplicity(cur: _Cursor) -> Cardinal:

@@ -36,9 +36,6 @@ class ResidueField:
     def add(self, a: int, b: int) -> int:
         return fppoly.code(fppoly.add(self._decode(a), self._decode(b), self.p), self.p)
 
-    def neg(self, a: int) -> int:
-        return fppoly.code(fppoly.neg(self._decode(a), self.p), self.p)
-
     def mul(self, a: int, b: int) -> int:
         prod = fppoly.mul(self._decode(a), self._decode(b), self.p)
         if self.d > 1:

@@ -104,15 +104,14 @@ class MaximalIdealId:
 
 @record
 class FactoredIdeal:
-    """A nonzero ideal as a product of maximal-ideal powers, or the unit/zero ideal."""
+    """A nonzero ideal as a product of maximal-ideal powers, or the unit ideal."""
 
     factors: tuple = ()          # ((MaximalIdealId, exponent), ...) canonical order
     unit: bool = False
-    zero: bool = False
 
     def __post_init__(self):
-        if self.unit or self.zero:
-            if self.factors or (self.unit and self.zero):
+        if self.unit:
+            if self.factors:
                 raise ValueError("inconsistent factored ideal")
         else:
             if not self.factors:
@@ -150,8 +149,6 @@ class FactoredIdeal:
     def __str__(self) -> str:
         if self.unit:
             return "(1)"
-        if self.zero:
-            return "(0)"
         return "*".join(m.generator_str() if e == 1 else f"{m.generator_str()}^{e}"
                         for m, e in self.factors)
 
@@ -181,8 +178,6 @@ class _Concrete(RingHandle):
 
     def generator(self, ideal: FactoredIdeal):
         """A generating element of a factored ideal."""
-        if ideal.zero:
-            return self.zero
         out = self.one
         for m, e in ideal.factors:
             out = self.mul(out, self.pow(m.data, e))

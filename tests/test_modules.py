@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from covercalc import modules, oracle, parser, rings
+from covercalc import covering, modules, oracle, parser, rings
 from covercalc.cardinal import finite
 from covercalc.errors import NotApplicableError, SpecSemanticError
 
@@ -53,7 +53,7 @@ class TestNormalize:
             d = parse("Z: " + " + ".join(f"R/({n})" for n in ns))
             norm = modules.normalize(d)
             size = 1
-            for ideal, mult in norm.torsion_entries():
+            for ideal, mult in norm.torsion:
                 size *= ideal.quotient_size().finite_value ** mult.finite_value
             expected = 1
             for n in ns:
@@ -63,6 +63,68 @@ class TestNormalize:
     def test_zero_module_passes(self):
         norm = modules.normalize(parse("Z: 0"))
         assert norm.blocks == ()
+
+
+SPECS = [
+    "Z: R/(12) + R/(18) + R^2",
+    "Z: R/(30) + R/(6)^2",
+    "Z: R/(4)^aleph0 + R/(6)",
+    "Z: R/(6)^2 + Q + Pruefer(2)",
+    "Z: primes(5, infinite) + R/(10)",
+    "Z: R", "Z: Q", "Z: Pruefer(2)", "Z: 0",
+    "Zi: R/(2) + R/(1+i) + R/(3+3i)",
+    "Zi: R/(3+3i) + R",
+    "Fp[t] p=2: R/(t^3+t) + R/(t^2+t)",
+    "Fp[t] p=3: R/(t^2+2)^aleph0 + Q",
+    "local residue=5: R/(m) + R/(m^2)^2",
+    "dedekind {m1:3, m2:aleph0} min=3: R/(m1^2*m2) + R/(m1)",
+    "dedekind {m1:3, m2:5} min=3: R/(m1*m2)^2 + R",
+]
+
+
+def outcome(f, d):
+    """f(d), or the class of the error it raises."""
+    try:
+        return f(d)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestNormalFormIsADescriptor:
+    @pytest.mark.parametrize("text", SPECS)
+    def test_same_type_idempotent_same_blocks(self, text):
+        d = parse(text)
+        norm = modules.normalize(d)
+        assert isinstance(norm, modules.ModuleDescriptor)
+        assert modules.normalize(norm) == norm
+        assert d.blocks == norm.blocks
+        assert all(len(ideal.factors) == 1 for ideal, _ in norm.torsion)
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_answers_agree(self, text):
+        d = parse(text)
+        norm = modules.normalize(d)
+        for f in (lambda x: covering.sigma(x).token(), covering.classify,
+                  modules.nc_set, modules.q_witness):
+            assert outcome(f, d) == outcome(f, norm)
+        assert parse(parser.render_descriptor(norm)) == norm
+        assert modules.normalize(parse(parser.render_descriptor(d))) == norm
+
+    @pytest.mark.parametrize("text", [
+        "Z: R/(30) + R/(6)^2", "Zi: R/(2) + R/(1+i) + R/(3+3i)",
+        "Fp[t] p=2: R/(t^3+t) + R/(t^2+t)"])
+    def test_oracle_agrees_on_finite_specs(self, text):
+        m1 = oracle.materialize(parse(text))
+        m2 = oracle.materialize(modules.normalize(parse(text)))
+        assert m1.size == m2.size
+        assert oracle.min_submodule_cover(m1)[0] == oracle.min_submodule_cover(m2)[0]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("Z: R/(4)^2", True), ("Z: 0", True), ("Z: R", False), ("Z: Q", False),
+        ("Z: Pruefer(2)", False), ("Z: R/(2)^aleph0", False),
+        ("Z: primes(5, infinite)", False)])
+    def test_is_finite_torsion(self, text, expected):
+        assert parse(text).is_finite_torsion is expected
 
 
 class TestNCSet:

@@ -345,6 +345,12 @@ class TestPuncturedCosets:
         with pytest.raises(TrivialGroupError):
             oracle.min_coset_cover_punctured(mod, 0)
 
+    def test_puncture_outside_m_rejected(self):
+        mod = oracle.materialize(parse("Z: R/(2) + R/(2)"))
+        for puncture in (-1, mod.size, 9):
+            with pytest.raises(ValueError):
+                oracle.min_coset_cover_punctured(mod, puncture)
+
     def test_restriction_cross_validated_up_to_16(self):
         specs = ["Z: R/(4)", "Z: R/(6)", "Z: R/(8)", "Z: R/(12)", "Z: R/(16)",
                  "Z: R/(2) + R/(2)", "Z: R/(4) + R/(2)", "Z: R/(9)",

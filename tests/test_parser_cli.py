@@ -131,6 +131,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["answer"] == 3
 
+    @pytest.mark.parametrize("command", [["oracle", "phi"], ["verify", "--phi"]])
+    @pytest.mark.parametrize("index", ["-1", "4", "9"])
+    def test_puncture_index_outside_m_exits_65(self, capsys, command, index):
+        argv = command + ["Z: R/(2) + R/(2)", "--puncture", index, "--json"]
+        assert cli.main(argv) == 65
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.startswith(f"cover-calc: puncture index {index} ")
+
     def test_monoid(self, capsys):
         code = cli.main(["monoid", "N + C(0,4)", "--json"])
         out = json.loads(capsys.readouterr().out)
