@@ -7,7 +7,9 @@ one integer matrix on the digits (multiplication by i over Z[i], by t over
 F_p[t]), or None over Z.  translate and closure act on a whole mask at
 once, one coordinate at a time, as shifts of the int; invariant_core and
 apply_matrix work element by element.  min_cover is the exact-cover
-search.  BACKEND names the implementation; the benchmark records it.
+search, with orbital branching under instance symmetries; a node builds
+its group, a stabilizer in its parent's, only when it branches.  BACKEND
+names the implementation; the benchmark records it.
 """
 
 from __future__ import annotations
@@ -194,10 +196,13 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     orbit k and excludes orbits 1..k-1 entirely.  A cover through any
     member of orbit k maps to one through its representative, so nothing
     optimal is lost.  The child's group is the stabilizer of its
-    representative.  With no generators this is element branching with
-    sibling exclusion.  Returns the optimum, or raises _Unfinished with the
-    best size found once node_limit nodes have been visited.  With no
-    node_limit, a search past _NODE_BUDGET nodes raises TooLargeError.
+    representative in its parent's group.  A child builds it only once it
+    branches, as the bound prunes most children on entry, and each
+    (representative, parent group) pair is built once per search.  With
+    no generators this is element branching with sibling exclusion.
+    Returns the optimum, or raises _Unfinished with the best size found
+    once node_limit nodes have been visited.  With no node_limit, a search
+    past _NODE_BUDGET nodes raises TooLargeError.
     """
     if node_limit == 0:
         raise _Unfinished(upper)
@@ -218,8 +223,22 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
             holders[low] |= 1 << i
     best = upper
     nodes = 0
+    # (rep, id(parent group)) -> (parent group, its stabilizer of rep); the
+    # stored parent keeps its id from being reused
+    stabilizers = {}
 
-    def dfs(cov: int, depth: int, cands: list, allowed: int, gens):
+    def group(rep: int, parent: tuple) -> tuple:
+        if all(g[rep] == rep for g in parent):
+            return parent   # the orbit of rep is {rep}
+        key = (rep, id(parent))
+        hit = stabilizers.get(key)
+        if hit is None:
+            hit = stabilizers[key] = (parent, _stabilizer(rep, parent, n))
+        return hit[1]
+
+    def dfs(cov: int, depth: int, cands: list, allowed: int, chosen, parent):
+        # the node's group: parent's stabilizer of the candidate chosen
+        # last, or parent itself at the root (chosen None)
         nonlocal best, nodes
         nodes += 1
         if nodes > limit:
@@ -260,6 +279,7 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
             i = low.bit_length() - 1
             ranked.append((-gains[i], i))
         ranked.sort()
+        gens = parent if chosen is None else group(chosen, parent)
         if gens:
             # orbits in the order of their best member, which represents them
             children = []
@@ -274,19 +294,16 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
         for rep, orbit in children:
             if depth + 1 >= best:
                 break
-            sub = ()
-            if gens and depth + 2 < best:
-                sub = gens if orbit == 1 << rep else _stabilizer(rep, gens, n)
-            dfs(cov | cands[rep], depth + 1, cands, allowed, sub)
+            dfs(cov | cands[rep], depth + 1, cands, allowed, rep, gens)
             allowed &= ~orbit
             cands = cands.copy()
             for j in _bits(orbit):
                 cands[j] = 0
 
     try:
-        dfs(0, 0, list(candidates), (1 << n) - 1, gens)
+        dfs(0, 0, list(candidates), (1 << n) - 1, None, gens)
     finally:
-        del dfs     # the recursive closure is a reference cycle: break it
+        del dfs, group  # the recursive closures are a reference cycle: break it
     return best
 
 
@@ -317,7 +334,7 @@ def _stabilizer(rep: int, gens, n: int) -> tuple:
         for s in gens:
             y = s[x]
             if y not in transversal:
-                transversal[y] = tuple(s[j] for j in ux)
+                transversal[y] = tuple(map(s.__getitem__, ux))
                 order.append(y)
     inverses = {}
     found = {}
@@ -325,7 +342,7 @@ def _stabilizer(rep: int, gens, n: int) -> tuple:
         ux = transversal[x]
         for s in gens:
             y = s[x]
-            su = tuple(s[j] for j in ux)
+            su = tuple(map(s.__getitem__, ux))
             if su == transversal[y]:
                 continue
             inv = inverses.get(y)
@@ -334,7 +351,7 @@ def _stabilizer(rep: int, gens, n: int) -> tuple:
                 for j, v in enumerate(transversal[y]):
                     inv[v] = j
                 inverses[y] = inv
-            h = tuple(inv[v] for v in su)
+            h = tuple(map(inv.__getitem__, su))
             if h != identity:
                 found[h] = None
                 if len(found) >= _STABILIZER_GENS:
@@ -355,11 +372,13 @@ def _lex_witness(universe: int, candidates, k: int) -> tuple:
         if universe & ~(cov | suffix[start]):
             return False
         rem = universe & ~cov
-        left = k - len(path)
+        left, need = k - len(path), rem.bit_count()
         # counting bound: left more candidates cover at most left times the
-        # most any one of them still covers
-        most = max(map(int.bit_count, map(rem.__and__, candidates[start:])))
-        if left * most < rem.bit_count():
+        # most any one of them still covers.  The check above leaves some
+        # candidate meeting rem, so the most is at least 1 and the bound
+        # can prune only when left < |rem|.
+        if left < need and left * max(map(int.bit_count, map(
+                rem.__and__, candidates[start:]))) < need:
             return False
         for i in range(start, n - left + 1):
             if universe & ~(cov | suffix[i]):

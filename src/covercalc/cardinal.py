@@ -7,7 +7,7 @@ thresholds need; no distinction between uncountable cardinals is kept.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .records import record
 
@@ -67,7 +67,10 @@ class Cardinal:
         return f"Cardinal({self})"
 
 
+@lru_cache
 def finite(n: int) -> Cardinal:
+    """The finite cardinal n.  Records are immutable, so the recent values
+    are shared instances; a negative n still raises ValueError."""
     return Cardinal(_FINITE, n)
 
 

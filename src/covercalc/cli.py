@@ -56,12 +56,12 @@ def _build_parser() -> _Parser:
     spec_cmd("sigma", help="exact covering answer")
     c = spec_cmd("cover", help="covering answer with witness")
     c.add_argument("--check", action="store_true")
-    c.add_argument("--max-size", type=int)
+    c.add_argument("--max-size", type=_positive_int)
     spec_cmd("phi", help="punctured coset-cover count")
     c = spec_cmd("coset-cover", help="explicit punctured coset cover")
     c.add_argument("--puncture", default="0")
     c.add_argument("--check", action="store_true")
-    c.add_argument("--max-size", type=int)
+    c.add_argument("--max-size", type=_positive_int)
     c = sub.add_parser("monoid", help="classify a sum of cyclic monoids")
     c.add_argument("spec")
     c.add_argument("--json", action="store_true")
@@ -69,11 +69,11 @@ def _build_parser() -> _Parser:
     c.add_argument("mode", choices=["sigma", "phi"])
     c.add_argument("spec")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--max-size", type=int, default=0)
+    c.add_argument("--max-size", type=_positive_int)
     c.add_argument("--puncture", default="0")
     c.add_argument("--maximal-only", choices=["true", "false"], default="true")
     c = spec_cmd("verify", help="formula vs. oracle")
-    c.add_argument("--max-size", type=int)
+    c.add_argument("--max-size", type=_positive_int)
     c.add_argument("--phi", action="store_true")
     c.add_argument("--puncture", default="0")
     c = sub.add_parser("snf", help="Smith normal form")
@@ -274,7 +274,7 @@ def _cmd_monoid(args) -> dict:
 
 def _oracle_max_size(args) -> int:
     from . import oracle
-    if args.max_size:
+    if args.max_size is not None:
         return args.max_size
     if args.mode == "phi":
         return oracle.COSET_SIZE_BOUND

@@ -12,6 +12,8 @@ vectors on the coordinates: the kernels of a character chi and of its
 images chi.A, chi.A^2, ... meet in the largest submodule inside its
 kernel (_core).  Characters of order p give the maximal submodules; the
 cosets of the cores of all characters give the puncture-avoiding cosets.
+Each caller builds every kernel it needs in one walk over the weight
+prefixes (_kernel_table), so a core only looks kernels up.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -231,16 +233,23 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
-    top, memo = lcm(*mod.orders), {}
-    cores: set[int] = set()
+    top = lcm(*mod.orders)
+    lines = {}      # weights of one functional per line of M/pM -> p
     for p in primes:
         for a in itertools.product(*(range(p) if d % p == 0 else (0,)
                                      for d in mod.orders)):
-            if next(filter(None, a), 0) != 1:
-                continue    # one functional per line: first nonzero is 1
-            cores.add(_core(mod, [aj * (top // p) for aj in a], memo))
-    ordered = sorted(cores)
-    return ordered if mod.action is None else _inclusion_maximal(ordered)
+            if next(filter(None, a), 0) == 1:
+                lines[tuple(aj * (top // p) for aj in a)] = p
+    table = _kernel_table(mod.orders, top, lines)
+    if mod.action is None:
+        return sorted(set(table.values()))
+    # each image wA in a core's chain has order p too: zero, or a multiple
+    # of a line's functional, with the same kernel
+    table[(0,) * len(mod.orders)] = mod.full_mask
+    for w, p in lines.items():
+        for c in range(2, p):
+            table[tuple(c * wj % top for wj in w)] = table[w]
+    return _inclusion_maximal(sorted({_core(mod, w, table) for w in lines}))
 
 
 def _inclusion_maximal(items, mask=lambda item: item) -> list:
@@ -256,7 +265,7 @@ def _inclusion_maximal(items, mask=lambda item: item) -> list:
     return [item for item in items if mask(item) in keep]
 
 
-def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
+def _core(mod: FiniteModule, w: tuple, table: dict) -> int:
     """Mask of core(ker chi), the largest submodule inside ker chi.
 
     The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
@@ -269,54 +278,60 @@ def _core(mod: FiniteModule, w, memo: Optional[dict] = None) -> int:
     unchanged, so the chain ends; it also ends at K = {0}, the least
     submodule.
 
-    memo maps weight vectors to their kernels; callers that take the
-    cores of many characters of one module share one.
+    table maps each weight vector of the chain, reduced mod N, to its
+    kernel (see _kernel_table).
     """
-    orders, top = mod.orders, lcm(*mod.orders)
-    if memo is None:
-        memo = {}
-
-    def kernel(v):
-        if v not in memo:
-            memo[v] = _kernel(orders, top, v)
-        return memo[v]
-
-    w = tuple(w)
-    core = kernel(w)
+    core = table[w]
     if mod.action is None:
         return core
-    columns = tuple(zip(*mod.action))
+    top, columns = lcm(*mod.orders), tuple(zip(*mod.action))
     while core != 1:
         w = tuple(sum(map(mul, w, col)) % top for col in columns)
-        meet = core & kernel(w)
+        meet = core & table[w]
         if meet == core:
             break
         core = meet
     return core
 
 
-def _kernel(orders, top: int, w) -> int:
-    """Mask of the kernel of x -> sum_j w_j x_j mod top.
+def _kernel_table(orders, top: int, weights) -> dict:
+    """The kernel mask of x -> sum_j w_j x_j mod top for each weight
+    vector w, keyed by w.
 
-    Built over the mixed-radix index one coordinate at a time: classes
-    maps each value on the prefix coordinates to the mask of the prefix
-    elements taking it, and digit v of the next coordinate shifts each
-    class up by v prefix sizes.  The last coordinate builds class 0 only.
+    One depth-first walk over the weight prefixes builds them over the
+    mixed-radix index one coordinate at a time: the classes of a prefix map
+    each value on the prefix coordinates to the mask of the prefix elements
+    taking it, and digit v of the next coordinate shifts each class up by v
+    prefix sizes.  Weight vectors that share a prefix share its classes, and
+    the last coordinate builds class 0 only.
     """
     if not orders:
-        return 1
-    classes, size = {0: 1}, 1
-    for d, wj in zip(orders[:-1], w):
-        grown: dict = {}
-        for val, mask in classes.items():
-            for v in range(d):
-                key = (val + v * wj) % top
-                grown[key] = grown.get(key, 0) | mask << v * size
-        classes, size = grown, size * d
-    kernel = 0
-    for v in range(orders[-1]):
-        kernel |= classes.get(-v * w[-1] % top, 0) << v * size
-    return kernel
+        return dict.fromkeys(weights, 1)
+    table, last = {}, len(orders) - 1
+
+    def walk(j: int, classes: dict, size: int, group) -> None:
+        d, by_weight = orders[j], {}
+        for w in group:
+            by_weight.setdefault(w[j], []).append(w)
+        for wj, rest in by_weight.items():
+            if j == last:
+                kernel = 0
+                for v in range(d):
+                    kernel |= classes.get(-v * wj % top, 0) << v * size
+                table.update(dict.fromkeys(rest, kernel))
+                continue
+            grown: dict = {}
+            for val, mask in classes.items():
+                for v in range(d):
+                    key = (val + v * wj) % top
+                    grown[key] = grown.get(key, 0) | mask << v * size
+            walk(j + 1, grown, size * d, rest)
+
+    try:
+        walk(0, {0: 1}, 1, weights)
+    finally:
+        del walk    # the recursive closure is a reference cycle: break it
+    return table
 
 
 def all_subgroups(orders: Sequence[int]) -> list[int]:
@@ -425,12 +440,12 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
     reference.
     """
     if inclusion_maximal:
-        top, subs, memo = lcm(*mod.orders), {}, {}
-        for a in itertools.product(*(range(d) for d in mod.orders)):
-            if any(a):
-                subs[_core(mod, [aj * (top // d)
-                                 for aj, d in zip(a, mod.orders)],
-                           memo)] = None
+        top = lcm(*mod.orders)
+        chars = [tuple(aj * (top // d) for aj, d in zip(a, mod.orders))
+                 for a in itertools.product(*(range(d) for d in mod.orders))]
+        table = _kernel_table(mod.orders, top, chars)
+        # chars[0] is the zero character
+        subs = dict.fromkeys(_core(mod, w, table) for w in chars[1:])
     else:
         subs = [s.mask for s in enumerate_submodules(
             mod, maximal_only=False, max_size=mod.size)
@@ -547,13 +562,20 @@ def _is_automorphism(mod: FiniteModule, sigma) -> bool:
 
 
 def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
-    """The element permutation x -> sigma(x - puncture) + puncture."""
-    p = mod.decode(puncture)
-    out = []
-    for x in range(mod.size):
-        d = [a - b for a, b in zip(mod.decode(x), p)]
-        out.append(mod.encode([sum(s * v for s, v in zip(row, d)) + p[r]
-                               for r, row in enumerate(sigma)]))
+    """The element permutation x -> sigma(x - puncture) + puncture.
+
+    It is x -> sigma x + (puncture - sigma puncture), built one output
+    digit at a time over the mixed-radix enumeration of x: each input
+    digit t adds t times its column of sigma.
+    """
+    orders, p = mod.orders, mod.decode(puncture)
+    out, stride = [0] * mod.size, 1
+    for row, d, pr in zip(sigma, orders, p):
+        digits = [(pr - sum(map(mul, row, p))) % d]
+        for s, dc in zip(row, orders):
+            digits = [(v + t * s) % d for t in range(dc) for v in digits]
+        out = [x + v * stride for x, v in zip(out, digits)]
+        stride *= d
     return tuple(out)
 
 

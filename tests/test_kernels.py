@@ -302,6 +302,22 @@ def test_stabilizer_generators_fix_the_representative():
             assert sorted(h) == list(range(len(candidates)))
 
 
+def test_lex_pass_on_the_31_singletons_of_a_field():
+    # F_32 minus a point: the only proper submodule is {0}, so the cover is
+    # the 31 singletons, and at every lex node left == |rem|, where the
+    # counting bound cannot prune and is not evaluated
+    mod = oracle.materialize(parse("Fp[t] p=2: R/(t^5+t^2+1)"), max_size=32)
+    for puncture in (0, 7, 31):
+        size, witness = oracle.min_coset_cover_punctured(mod, puncture)
+        assert size == 31
+        assert [rep for _, _, rep in witness] == \
+            [x for x in range(32) if x != puncture]
+        universe = mod.full_mask & ~(1 << puncture)
+        candidates = [1 << x for x in range(32) if x != puncture]
+        assert _kernels._lex_witness(universe, candidates, 31) == \
+            tuple(range(31))
+
+
 def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
     # the recursive search closures are freed on every exit, the
     # _Unfinished one of the plain search included; this instance's plain
@@ -317,6 +333,10 @@ def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
         monkeypatch.setattr(_kernels, "_PLAIN_NODES", 3)
         _kernels.min_cover(universe, candidates,
                            symmetries=lambda: restarts.append(1) or gens)
+        # and so is the walk that tabulates the character kernels
+        mod = oracle.materialize(parse("Zi: R/(1+i)^2 + R/(3)"), max_size=36)
+        oracle.maximal_submodules(mod)
+        oracle.punctured_coset_candidates(mod, 1)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -225,21 +225,31 @@ class TestCharacterLevelSets:
     def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
         mod = oracle.materialize(parse(spec), max_size=256)
         top = math.lcm(*mod.orders)
-        memo = {}
-        for a in itertools.product(*(range(d) for d in mod.orders)):
-            w = [aj * (top // d) for aj, d in zip(a, mod.orders)]
-            kernel = sum(1 << x for x in range(mod.size)
-                         if sum(wj * v for wj, v in
-                                zip(w, mod.decode(x))) % top == 0)
+        chars = [tuple(aj * (top // d) for aj, d in zip(a, mod.orders))
+                 for a in itertools.product(*(range(d) for d in mod.orders))]
+        table = oracle._kernel_table(mod.orders, top, chars)
+        for w in chars:
+            kernel = elementwise_kernel(mod.orders, top, w)
             core = kernels.invariant_core(mod.orders, mod.action, kernel)
-            assert oracle._kernel(mod.orders, top, w) == kernel
-            assert oracle._core(mod, w) == core
-            assert oracle._core(mod, w, memo) == core
+            assert table[w] == kernel
+            assert oracle._core(mod, w, table) == core
             # its translates partition M
             cosets = {kernels.translate(mod.orders, core, x)
                       for x in range(mod.size)}
             assert sum(c.bit_count() for c in cosets) == mod.size
             assert functools.reduce(int.__or__, cosets) == mod.full_mask
+
+    @pytest.mark.parametrize("orders,top", [((4, 6), 12), ((2, 2, 4), 4),
+                                            ((3, 9), 9), ((5,), 5), ((), 1)])
+    def test_kernel_table_matches_elementwise_kernels(self, orders, top):
+        # every weight vector mod top, well defined or not, in a shuffled
+        # order and in subsets: a prefix's classes serve whatever follows
+        every = list(itertools.product(range(top), repeat=len(orders)))
+        want = {w: elementwise_kernel(orders, top, w) for w in every}
+        assert oracle._kernel_table(orders, top, every) == want
+        shuffled = every[::-1][::2] + every[1::3]
+        assert oracle._kernel_table(orders, top, shuffled) == \
+            {w: want[w] for w in shuffled}
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
         subgroups = functools.lru_cache(oracle.all_subgroups)
@@ -276,6 +286,13 @@ class TestCharacterLevelSets:
                     want, (spec, puncture)
                 checked += 1
         assert checked >= 800
+
+
+def elementwise_kernel(orders, top, w):
+    """Mask of {x : sum_j w_j x_j = 0 mod top}, element by element."""
+    return sum(1 << x for x in range(math.prod(orders))
+               if sum(wj * v for wj, v in
+                      zip(w, kernels.decode(orders, x))) % top == 0)
 
 
 def _bits(mask):
@@ -521,6 +538,28 @@ class TestCosetSymmetries:
                       if all(_image(m, tau) in masks for m in masks)}
             assert set(perms) <= images
 
+    @pytest.mark.parametrize("spec", ["Z: R/(3) + R/(3) + R/(9)",
+                                      "Z: R/(2) + R/(4) + R/(4)",
+                                      "Zi: R/(2+i) + R/(2+i)",
+                                      "Zi: R/(1+i)^2 + R/(1+i)^2",
+                                      "Fp[t] p=2: R/(t^2+t+1) + R/(t^2+t+1)",
+                                      "Fp[t] p=2: R/(t) + R/(t) + R/(t+1)^2"])
+    def test_fixing_permutation_matches_elementwise(self, spec):
+        mod = oracle.materialize(parse(spec), max_size=81)
+        sigmas = oracle.automorphisms(mod)
+        assert sigmas
+        for sigma in sigmas:
+            for puncture in range(mod.size):
+                p = mod.decode(puncture)
+                want = []
+                for x in range(mod.size):
+                    d = [a - b for a, b in zip(mod.decode(x), p)]
+                    want.append(mod.encode(
+                        [sum(s * v for s, v in zip(row, d)) + p[r]
+                         for r, row in enumerate(sigma)]))
+                assert oracle.fixing_permutation(mod, sigma, puncture) == \
+                    tuple(want), (sigma, puncture)
+
     @pytest.mark.parametrize("spec", ["Z: R/(2)^4", "Z: R/(3) + R/(9)",
                                       "Z: R/(2) + R/(4) + R/(4)",
                                       "Zi: R/(2+i) + R/(2+i)",
@@ -534,6 +573,23 @@ class TestCosetSymmetries:
         forced = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
                   for p in punctures]
         assert forced == plain
+
+    # nodes of the symmetric search, as first recorded: a cheaper
+    # stabilizer must leave the search tree as it is
+    @pytest.mark.parametrize("spec,puncture,nodes,answer",
+                             [("Z: R/(3)^2 + R/(9)", 0, 1292, 8),
+                              ("Z: R/(3)^2 + R/(9)", 80, 1165, 8),
+                              ("Z: R/(2)^6", 0, 5, 6),
+                              ("Z: R/(2)^6", 63, 5, 6)])
+    def test_symmetric_search_node_count_is_pinned(self, monkeypatch, spec,
+                                                   puncture, nodes, answer):
+        mod = oracle.materialize(parse(spec), max_size=81)
+        monkeypatch.setattr(kernels, "_NODE_BUDGET", nodes)
+        size, _ = oracle.min_coset_cover_punctured(mod, puncture, max_size=81)
+        assert size == answer
+        monkeypatch.setattr(kernels, "_NODE_BUDGET", nodes - 1)
+        with pytest.raises(TooLargeError, match=f"the bound is {nodes - 1}"):
+            oracle.min_coset_cover_punctured(mod, puncture, max_size=81)
 
 
 def _image(mask, tau):

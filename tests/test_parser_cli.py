@@ -166,6 +166,17 @@ class TestCli:
         assert cli.main(["s-set", "Z", "-3", "--json"]) == 64
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "sigma", "Z: R/(2)^2"], ["oracle", "phi", "Z: R/(6)"],
+        ["verify", "Z: R/(2)^2"], ["cover", "Z: R/(2)^2", "--check"],
+        ["coset-cover", "Z: R/(4)", "--check"]])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_max_size_below_one_is_a_usage_error(self, capsys, command, size):
+        assert cli.main(command + ["--max-size", size, "--json"]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(
+            "cover-calc: argument --max-size: expected an integer >= 1")
+
     def test_s_set_one_is_empty(self, capsys):
         for ring in ("Z", "Zi", "Fp[t] p=2"):
             code = cli.main(["s-set", ring, "1", "--json"])

@@ -87,3 +87,14 @@ def test_post_init_frozen_and_replace():
     assert replace(p, y=7) == Point(1, 7)
     with pytest.raises(ValueError):
         replace(p, x=-1)
+
+
+def test_finite_cardinals_are_shared_and_checked():
+    from covercalc import cardinal
+    assert cardinal.finite(7) is cardinal.finite(7)
+    assert cardinal.finite(0) == cardinal.ZERO
+    assert cardinal.parse_cardinal("12") is cardinal.finite(12)
+    assert cardinal.finite(3).successor() is cardinal.finite(4)
+    for _ in range(2):      # a failed call is not cached
+        with pytest.raises(ValueError, match="nonnegative"):
+            cardinal.finite(-1)
