@@ -17,7 +17,7 @@ _EXPORTS = {
                  "sigma_integer"),
     "cosets": ("CosetCoverWitness", "build_coset_cover", "phi_cyclic",
                "phi_conjecture_value", "phi_finite_abelian", "phi_prime",
-               "phi_vector_space", "verify_coset_cover"),
+               "verify_coset_cover"),
     "modules": ("ModuleDescriptor", "NCSet", "descriptor_from_presentation",
                 "make_descriptor", "nc_set", "normalize", "q_value",
                 "reduced_divisible_split"),
@@ -30,7 +30,7 @@ _EXPORTS = {
     "rings": ("FactoredIdeal", "MaximalIdealId", "RingHandle",
               "abstract_dedekind", "abstract_local", "factor_ideal",
               "field_ring", "gaussian_integers", "integers",
-              "layer_cardinality", "maximal_ideals_with_residue_at_most",
+              "maximal_ideals_with_residue_at_most",
               "min_residue_cardinality", "poly_over_prime_field",
               "residue_cardinality"),
     "snf": ("smith_normal_form",),

@@ -157,8 +157,7 @@ def _sigma_payload(d) -> dict:
         out["nc"] = None
         return out
     nc = modules.nc_set(d)
-    q = modules.q_value(d)
-    out["q"] = str(q) if q is not None else None
+    out["q"] = str(nc.q) if nc.q is not None else None
     out["nc"] = "all" if nc.all_maximal else [str(m) for m in nc.ideals]
     return out
 

@@ -2,8 +2,9 @@
 
 For a cyclic torsion module R/I over a finite-residue Dedekind kind, the
 least number of proper-submodule cosets covering R/I minus one point is
-the sum over the prime-power factors m^n of I of n*(|R/m| - 1): each
-graded layer m^(j-1)/m^j contributes its nonzero classes.  The same sum
+the sum over the prime-power factors m^n of I of n*(|R/m| - 1): each of
+the n graded layers m^(j-1)/m^j is a one-dimensional R/m-space and
+contributes its |R/m| - 1 nonzero classes.  The same sum
 is returned for direct sums of prime-power blocks, flagged as conjectural
 except where it is a theorem (cyclic inputs, and all modules over Z).
 
@@ -24,16 +25,13 @@ from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
 
 def phi_prime(ring: RingHandle, m: MaximalIdealId, n: int) -> int:
-    """Contribution of one prime-power factor m^n: sum of layer sizes minus n."""
+    """Contribution of one prime-power factor m^n: n*(|R/m| - 1)."""
     if n < 1:
         raise ValueError("exponent must be positive")
-    total = 0
-    for j in range(1, n + 1):
-        layer = rings.layer_cardinality(ring, m, j)
-        if not layer.is_finite:
-            raise InfiniteResidueError(f"residue of {m} is infinite")
-        total += layer.finite_value - 1
-    return total
+    residue = rings.residue_cardinality(ring, m)
+    if not residue.is_finite:
+        raise InfiniteResidueError(f"residue of {m} is infinite")
+    return n * (residue.finite_value - 1)
 
 
 def phi_cyclic(ring: RingHandle, ideal) -> int:
@@ -53,15 +51,6 @@ def phi_finite_abelian(orders) -> int:
     if all(o == 1 for o in orders):
         raise TrivialGroupError("the trivial group has no punctured cover")
     return sum((p - 1) * e for o in orders for p, e in arith.factorize(o))
-
-
-def phi_vector_space(q: int, n: int) -> int:
-    """Affine-hyperplane count n*(q-1) for F_q^n minus the origin."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if not arith.is_prime_power(q):
-        raise ValueError(f"{q} is not a prime power")
-    return n * (q - 1)
 
 
 def phi_conjecture_value(ring: RingHandle, blocks) -> tuple[int, bool]:

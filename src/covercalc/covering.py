@@ -11,6 +11,8 @@ The answer shapes:
     for a finite direct sum with a free summand over a ring with infinitely
     many maximal ideals, all of infinite residue.
 
+sigma and classify read q, and a lines witness its ideal, from one
+modules.nc_set call each.
 Finite thresholds come with an explicit witness: q+1 lines of the plane
 (R/m)^2 over the residue field at a minimizing ideal m, pulled back through
 reduction of two summand coordinates.  Countable thresholds are witnessed
@@ -88,15 +90,12 @@ def classify(d: ModuleDescriptor) -> Trichotomy:
         raise NotApplicableError("classify needs a non-field ring; use nu1")
     if d.has_divisible_part:
         raise HasDivisiblePartError("classify takes reduced descriptors; see sigma")
-    if d.is_zero:
-        return Trichotomy(CYCLIC)
     nc = modules.nc_set(d)
     if nc.is_empty:
         if d.reduced_summand_count().is_finite:
             return Trichotomy(CYCLIC)
         return Trichotomy(COUNTABLE_NOT_FINITE)
-    q, witness = modules.q_witness(d)
-    return Trichotomy(FINITE_THRESHOLD, q=q, witness_ideal=witness)
+    return Trichotomy(FINITE_THRESHOLD, q=nc.q, witness_ideal=nc.ideal)
 
 
 def nu1(field_card: Cardinal, dim_card: Cardinal) -> Cardinal:
@@ -119,19 +118,15 @@ def sigma(d: ModuleDescriptor) -> CoverAnswer:
             return no_cover()
         return threshold(nu1(d.ring.card, d.free_rank))
 
+    q = modules.nc_set(d).q
     if d.has_divisible_part:
-        red, _ = modules.reduced_divisible_split(d)
-        q = None if red.is_zero else modules.q_value(red)
         if q is not None and q.is_finite:
             return threshold(q.successor())
         return threshold(ALEPH0)
-
-    tri = classify(d)
-    if tri.kind == CYCLIC:
-        return no_cover()
-    if tri.kind == COUNTABLE_NOT_FINITE:
+    if q is None:
+        if d.reduced_summand_count().is_finite:
+            return no_cover()
         return threshold(ALEPH0)
-    q = tri.q
     if q.is_finite:
         return threshold(q.successor())
     if d.reduced_summand_count().is_infinite:
@@ -206,15 +201,14 @@ def build_cover_witness(d: ModuleDescriptor) -> CoverWitness:
 
 
 def _lines_witness(d: ModuleDescriptor, q: int) -> CoverWitness:
-    red, _ = modules.reduced_divisible_split(d) if d.ring.is_pid else (d, None)
     if d.ring.is_field:
         raise NonEnumerableResidueError(
             "vector-space covers are supported through nu1 only")
-    _, m = modules.q_witness(red)
+    m = modules.nc_set(d).ideal
     if m is None:
         raise NonEnumerableResidueError(
             "no declared maximal ideal attains the minimum residue")
-    pair = _summand_pair(red, m)
+    pair = _summand_pair(d, m)
     if d.ring.is_concrete:
         F = residues.residue_field(d.ring, m)
         pts = [(1, 0)] + [(lam, 1) for lam in F.elements()]
@@ -231,14 +225,14 @@ def _point_str(F, lam: int, mu: int) -> str:
     return f"({F.elt_str(lam)}:{F.elt_str(mu)})"
 
 
-def _summand_pair(red: ModuleDescriptor, m: MaximalIdealId) -> tuple[int, int]:
-    """Two least flat indices of summands localizing nonzero at m.
+def _summand_pair(d: ModuleDescriptor, m: MaximalIdealId) -> tuple[int, int]:
+    """Two least flat indices of reduced summands localizing nonzero at m.
 
     Flat order: torsion entries (multiplicities expanded) then free copies.
     """
     found = []
     idx = 0
-    for ideal, mult in red.torsion:
+    for ideal, mult in d.torsion:
         # an infinite multiplicity occupies two slots in the flat indexing
         copies = mult.finite_value if mult.is_finite else 2
         if ideal.exponent_of(m) > 0:
@@ -247,7 +241,7 @@ def _summand_pair(red: ModuleDescriptor, m: MaximalIdealId) -> tuple[int, int]:
         if len(found) >= 2:
             return (found[0], found[1])
         idx += copies
-    free = red.free_rank.finite_value if red.free_rank.is_finite else 2
+    free = d.free_rank.finite_value if d.free_rank.is_finite else 2
     for c in range(free):
         found.append(idx + c)
         if len(found) >= 2:

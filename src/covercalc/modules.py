@@ -11,6 +11,11 @@ Normalization splits every torsion annihilator into its prime-power
 parts (the summand-wise Chinese remainder decomposition) and returns a
 descriptor of the same module; the blocks property groups those parts by
 maximal ideal in canonical order, on any descriptor.
+
+nc_set reads a descriptor once for everything the covering answers need
+from it: the NC set (the maximal ideals at which two summands survive),
+q, the least residue size |R/m| over it, and the canonically least ideal
+attaining q.
 """
 
 from __future__ import annotations
@@ -136,10 +141,14 @@ def normalize(d: ModuleDescriptor) -> ModuleDescriptor:
 
 @record
 class NCSet:
-    """Maximal ideals where at least two summands localize nonzero."""
+    """Maximal ideals where at least two summands localize nonzero, with
+    q, the least residue size over them, and the canonically least ideal
+    attaining q (None when no such ideal can be named)."""
 
     all_maximal: bool
     ideals: tuple = ()
+    q: Optional[Cardinal] = None
+    ideal: Optional[MaximalIdealId] = None
 
     @property
     def is_empty(self) -> bool:
@@ -161,7 +170,8 @@ def nc_set(d: ModuleDescriptor) -> NCSet:
     if d.ring.is_field:
         raise NotApplicableError("fields have no maximal ideals here")
     if d.free_rank >= finite(2):
-        return NCSet(all_maximal=True)
+        return NCSet(True, q=rings.min_residue_cardinality(d.ring),
+                     ideal=d.ring.least_maximal_ideal())
     counts: dict[MaximalIdealId, int] = {}
     for ideal, mult in d.torsion:
         per_copy = 2 if mult >= finite(2) else 1
@@ -173,31 +183,17 @@ def nc_set(d: ModuleDescriptor) -> NCSet:
         tail_bonus = 1 if (d.tail_above and m.residue_card > finite(d.tail_above)) else 0
         if c + free_bonus + tail_bonus >= 2:
             members.add(m)
-    return NCSet(all_maximal=False,
-                 ideals=tuple(sorted(members, key=lambda m: m.sort_key())))
+    if not members:
+        return NCSet(False)
+    ideals = tuple(sorted(members, key=lambda m: m.sort_key()))
+    residues = [rings.residue_cardinality(d.ring, m) for m in ideals]
+    q = min(residues)
+    return NCSet(False, ideals, q, ideals[residues.index(q)])
 
 
 def q_value(d: ModuleDescriptor) -> Optional[Cardinal]:
     """min |R/m| over the NC set; None when the NC set is empty."""
-    nc = nc_set(d)
-    if nc.is_empty:
-        return None
-    if nc.all_maximal:
-        return rings.min_residue_cardinality(d.ring)
-    return min(rings.residue_cardinality(d.ring, m) for m in nc.ideals)
-
-
-def q_witness(d: ModuleDescriptor) -> tuple[Optional[Cardinal], Optional[MaximalIdealId]]:
-    """(q, canonically least maximal ideal attaining it); ideal may be None."""
-    nc = nc_set(d)
-    if nc.is_empty:
-        return None, None
-    if nc.all_maximal:
-        return rings.min_residue_cardinality(d.ring), d.ring.least_maximal_ideal()
-    q = q_value(d)
-    best = [m for m in nc.ideals
-            if rings.residue_cardinality(d.ring, m) == q]
-    return q, min(best, key=lambda m: m.sort_key())
+    return nc_set(d).q
 
 
 def reduced_divisible_split(d: ModuleDescriptor) -> tuple[ModuleDescriptor, ModuleDescriptor]:

@@ -41,7 +41,7 @@ from .records import record
 from .rings import FactoredIdeal, RingHandle
 
 SIGMA_SIZE_BOUND = 4096
-ALL_SUBGROUPS_BOUND = 64
+ALL_SUBGROUPS_BOUND = 32
 COSET_SIZE_BOUND = 32
 # maximal_submodules scans every element once per projective functional;
 # (Z/2)^12 is 4095 * 4096 elements, (Z/2)^13 four times that
@@ -412,11 +412,6 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
         candidates = [s.mask for s in enumerate_submodules(mod, maximal_only=False,
                                                            max_size=max_size)
                       if s.mask != mod.full_mask]
-    union = 0
-    for c in candidates:
-        union |= c
-    if union != mod.full_mask:
-        return None, []   # some generator escapes every proper submodule
     # every candidate holds 0, so covering M - {0} is covering M, and the
     # root's counting bound over it, (|M|-1)/(|M|/p-1), exceeds p
     size, idxs = kernels.min_cover(
@@ -626,15 +621,10 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
 
 
 def verify_cover_witness(mod: FiniteModule, witness) -> bool:
-    """Elementwise check of a lines cover or a punctured coset cover.
-
-    Lines: every part must be a proper submodule and the union all of M.
-    Coset witnesses: no coset contains the puncture and the union is
-    exactly M minus the puncture.
+    """Elementwise check of a lines cover: every line must be a proper
+    submodule and their union all of M.  Coset covers are checked by
+    cosets.verify_coset_cover.
     """
-    from .cosets import CosetCoverWitness, check_coset_cover_on
-    if isinstance(witness, CosetCoverWitness):
-        return check_coset_cover_on(mod, witness)
     if not isinstance(witness, CoverWitness) or witness.kind != LINES:
         raise ShapeMismatchError("expected a lines cover witness")
     if not witness.line_points:

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 
 from . import fppoly, rings
 from .cardinal import Cardinal, ZERO, cardinal_sum, finite, parse_cardinal
-from .errors import SpecSemanticError, SpecSyntaxError, TooLargeError
+from .errors import (CoverCalcError, SpecSemanticError, SpecSyntaxError,
+                     TooLargeError)
 from .modules import ModuleDescriptor, make_descriptor
 from .rings import FactoredIdeal, RingHandle
 
@@ -157,7 +158,7 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
             try:
                 ideal = lit if isinstance(lit, FactoredIdeal) else \
                     rings.factor_ideal(ring, lit)
-            except Exception as exc:
+            except (ValueError, CoverCalcError) as exc:
                 raise SpecSemanticError(str(exc)) from exc
             torsion.append((ideal, mult))
         elif cur.try_lit("Pruefer("):
@@ -180,7 +181,7 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
                 ids = rings.maximal_ideals_with_residue_at_most(ring, bound)
             except TooLargeError:
                 raise
-            except Exception as exc:
+            except (ValueError, CoverCalcError) as exc:
                 raise SpecSemanticError(str(exc)) from exc
             for m in ids:
                 torsion.append((FactoredIdeal.from_factors({m: 1}), finite(1)))
@@ -197,7 +198,7 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
                                      tail_above=tail)
     except SpecSemanticError:
         raise
-    except Exception as exc:
+    except (ValueError, CoverCalcError) as exc:
         raise SpecSemanticError(str(exc)) from exc
 
 
@@ -211,7 +212,7 @@ def _single_prime(ring: RingHandle, lit) -> rings.MaximalIdealId:
     try:
         ideal = lit if isinstance(lit, FactoredIdeal) else \
             rings.factor_ideal(ring, lit)
-    except Exception as exc:
+    except (ValueError, CoverCalcError) as exc:
         raise SpecSemanticError(str(exc)) from exc
     if len(ideal.factors) != 1 or ideal.factors[0][1] != 1:
         raise SpecSemanticError("Pruefer summands need a maximal ideal")
@@ -298,6 +299,9 @@ def _poly_literal(cur: _Cursor, p: int) -> tuple:
             e = cur.int_()
             if e < 0:
                 raise cur.error("exponents in t must be nonnegative")
+            if e > rings.MAX_POLY_DEGREE:
+                raise cur.error("polynomial literals must have degree at most "
+                                f"{rings.MAX_POLY_DEGREE}")
         coeffs[e] = coeffs.get(e, 0) + sign * coeff
         first = False
     out = [0] * (max(coeffs) + 1 if coeffs else 0)

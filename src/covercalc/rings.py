@@ -45,6 +45,9 @@ LOCAL = "local"
 DEDEKIND = "dedekind"
 
 _MAX_FACTOR_INPUT = 2 ** 63
+# the highest degree of an F_p[t] literal: over F_2, p^degree stays below
+# 2^63, the cap on integer literals
+MAX_POLY_DEGREE = 62
 
 
 class RingHandle:
@@ -407,6 +410,9 @@ class PolyRing(_Concrete):
             raise ZeroIdealError("the zero ideal has no factorization")
         if fppoly.deg(f) == 0:
             return FactoredIdeal.unit_ideal()
+        if fppoly.deg(f) > MAX_POLY_DEGREE:
+            raise UnsupportedLiteralError(
+                f"polynomial literals must have degree at most {MAX_POLY_DEGREE}")
         _, factors = fppoly.factor(f, self.p)
         return FactoredIdeal.from_factors(
             {maximal_ideal_poly(self.p, g): e for g, e in factors.items()})
@@ -625,18 +631,6 @@ def factor_ideal(ring: RingHandle, generator: IdealLiteral) -> FactoredIdeal:
 
 def residue_cardinality(ring: RingHandle, m: MaximalIdealId) -> Cardinal:
     """|R/m|; abstract kinds answer from their declared data."""
-    return ring.residue_cardinality(m)
-
-
-def layer_cardinality(ring: RingHandle, m: MaximalIdealId, j: int) -> Cardinal:
-    """|m^(j-1)/m^j|.
-
-    Equal to |R/m| for every j: over the Dedekind kinds supported here,
-    each quotient m^(j-1)/m^j is a one-dimensional R/m-vector space, and
-    the abstract kinds inherit the same rule by convention.
-    """
-    if j < 1:
-        raise ValueError("layer index must be >= 1")
     return ring.residue_cardinality(m)
 
 

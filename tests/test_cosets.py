@@ -95,25 +95,9 @@ class TestPhiFiniteAbelian:
 
 
 class TestPhiVectorSpace:
-    def test_examples(self):
-        assert cosets.phi_vector_space(2, 3) == 3
-        assert cosets.phi_vector_space(4, 2) == 6
-        for q in (2, 3, 4, 5, 7, 8, 9):
-            assert cosets.phi_vector_space(q, 1) == q - 1
-
-    def test_prime_field_consistency(self):
-        for p in (2, 3, 5):
-            for n in (1, 2, 3):
-                assert cosets.phi_vector_space(p, n) == \
-                    cosets.phi_finite_abelian([p] * n)
-
     def test_f2_cubed_bruteforce(self):
         mod = oracle.materialize(parse("Z: R/(2)^3"))
         assert oracle.min_coset_cover_punctured(mod, 0)[0] == 3
-
-    def test_not_prime_power(self):
-        with pytest.raises(ValueError):
-            cosets.phi_vector_space(6, 2)
 
 
 class TestConjectureValue:

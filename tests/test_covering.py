@@ -265,6 +265,26 @@ class TestWitness:
         assert len(w.line_strs) == 4
 
 
+@pytest.mark.parametrize("text", [
+    "Z: R/(12) + R/(18)", "Z: R/(6)", "Z: 0", "Z: R^2", "Z: R/(2)^aleph0",
+    "Z: Q + R/(3)^2", "Z: Pruefer(2) + R", "Zi: R/(3)^2 + R/(1+i)",
+    "local residue=aleph0: R^2", "dedekind {m1:4, m2:aleph0} min=2: R^2",
+])
+def test_sigma_builds_the_nc_set_once(monkeypatch, text):
+    d = parse(text)
+    expected = covering.sigma(d)
+    calls = []
+    nc_set = modules.nc_set
+
+    def counting(x):
+        calls.append(x)
+        return nc_set(x)
+
+    monkeypatch.setattr(modules, "nc_set", counting)
+    assert covering.sigma(d) == expected
+    assert calls == [d]
+
+
 class TestEquivalences:
     def test_threshold_matches_quotient_criterion(self):
         # sigma finite exactly when some residue n-1 ideal has two summands

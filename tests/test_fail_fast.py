@@ -138,3 +138,55 @@ def test_oracle_phi_past_its_node_budget_exits_1(capsys, spec, max_size,
     assert code == 1 and elapsed < budget
     err = capsys.readouterr().err
     assert "the bound is 300000" in err and "Traceback" not in err
+
+
+# degree 63 and up is refused, as Z and Z[i] refuse literals of size
+# 2^63: t^20001 used to factor for minutes, t^10000000000 to raise
+# MemoryError
+@pytest.mark.parametrize("argv", [
+    ["sigma", "Fp[t] p=2: R/(t^20001)"],
+    ["sigma", "Fp[t] p=2: R/(t^10000000000)"],
+    ["sigma", "Fp[t] p=2: R/(t^63+1)"],
+    ["phi", "Fp[t] p=3: R/(t^64 + 1)"],
+    ["snf", "Fp[t] p=2", "[[t^64]]"],
+    ["coset-cover", "Fp[t] p=2: R/(t^2)", "--puncture", "t^100000000000"],
+])
+def test_polynomial_literal_guard_exits_65(capsys, argv):
+    code, elapsed = run_within_budget(argv + ["--json"])
+    assert code == 65 and elapsed < BUDGET_S
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cover-calc: ")
+    assert "degree at most 62" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec, answer", [
+    ("Fp[t] p=2: R/(t^62+t+1)", "no-cover"),
+    ("Fp[t] p=3: R/(t^40) + R/(t)", "threshold(4)"),
+])
+def test_polynomial_literals_below_the_guard_answer(capsys, spec, answer):
+    code, elapsed = run_within_budget(["sigma", spec, "--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert json.loads(capsys.readouterr().out)["answer"] == answer
+
+
+def test_poly_ring_factor_refuses_the_same_degrees():
+    from covercalc import rings
+    from covercalc.errors import UnsupportedLiteralError
+    for p in (2, 3):
+        with pytest.raises(UnsupportedLiteralError, match="degree at most 62"):
+            rings.factor_ideal(rings.poly_over_prime_field(p),
+                               (1,) + (0,) * 62 + (1,))
+
+
+# (Z/2)^6 has 2,825 submodules; their lex-least minimum cover used to take
+# about 200 s, so the unbounded lattice stops at size 32
+def test_oracle_sigma_over_all_submodules_past_32_exits_1(capsys):
+    code, elapsed = run_within_budget(
+        ["oracle", "sigma", "Z: R/(2)^6", "--maximal-only", "false", "--json"])
+    assert code == 1 and elapsed < BUDGET_S
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cover-calc: ") and "32" in captured.err
+    assert "Traceback" not in captured.err

