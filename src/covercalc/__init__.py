@@ -19,8 +19,7 @@ _EXPORTS = {
                "phi_conjecture_value", "phi_finite_abelian", "phi_prime",
                "verify_coset_cover"),
     "modules": ("ModuleDescriptor", "NCSet", "descriptor_from_presentation",
-                "make_descriptor", "nc_set", "normalize", "q_value",
-                "reduced_divisible_split"),
+                "make_descriptor", "nc_set", "normalize", "q_value"),
     "monoids": ("MonoidAnswer", "MonoidDescriptor", "classify_monoid",
                 "verify_monoid_partition"),
     "oracle": ("FiniteModule", "SubmoduleSet", "enumerate_submodules",

@@ -217,8 +217,9 @@ def _cmd_phi(args) -> dict:
 
 
 def _cyclic_ideal(ring, d):
-    from . import covering, rings
-    if covering.classify(d).kind != covering.CYCLIC or d.is_zero:
+    from . import modules, rings
+    if not (d.is_finite_torsion and not d.is_zero
+            and modules.nc_set(d).is_empty):
         raise SpecSemanticError(
             "coset-cover needs a cyclic torsion module (coprime annihilators)")
     factors = {}

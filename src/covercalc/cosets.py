@@ -36,8 +36,7 @@ def phi_prime(ring: RingHandle, m: MaximalIdealId, n: int) -> int:
 
 def phi_cyclic(ring: RingHandle, ideal) -> int:
     """Minimum punctured coset cover size of R/I, I factored or a literal."""
-    if not isinstance(ideal, FactoredIdeal):
-        ideal = rings.factor_ideal(ring, ideal)
+    ideal = rings.factor_ideal(ring, ideal)
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
     return sum(phi_prime(ring, m, e) for m, e in ideal.factors)
@@ -96,8 +95,7 @@ def build_coset_cover(ring: RingHandle, ideal, puncture) -> CosetCoverWitness:
     """
     if not ring.is_concrete:
         raise NotMaterializableError(f"cannot build concrete cosets over {ring}")
-    if not isinstance(ideal, FactoredIdeal):
-        ideal = rings.factor_ideal(ring, ideal)
+    ideal = rings.factor_ideal(ring, ideal)
     if ideal.unit:
         raise TrivialGroupError("R/R is the trivial module")
     h = ring.generator(ideal)

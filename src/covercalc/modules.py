@@ -25,7 +25,7 @@ from typing import Optional
 from . import rings
 from .cardinal import ALEPH0, Cardinal, ZERO, cardinal_sum, finite
 from .errors import NotApplicableError, SpecSemanticError
-from .records import record, replace
+from .records import record
 from .rings import FactoredIdeal, MaximalIdealId, RingHandle
 
 
@@ -83,8 +83,8 @@ def make_descriptor(ring: RingHandle,
     """Validate, merge, and canonically order the parts of a descriptor."""
     merged: dict[FactoredIdeal, Cardinal] = {}
     for ideal, mult in torsion:
-        if not isinstance(ideal, FactoredIdeal):
-            ideal = rings.factor_ideal(ring, ideal)
+        # factors a literal; checks that a factored ideal belongs to the ring
+        ideal = rings.factor_ideal(ring, ideal)
         if ideal.unit:
             raise SpecSemanticError(
                 "torsion annihilators must be proper nonzero ideals")
@@ -194,15 +194,6 @@ def nc_set(d: ModuleDescriptor) -> NCSet:
 def q_value(d: ModuleDescriptor) -> Optional[Cardinal]:
     """min |R/m| over the NC set; None when the NC set is empty."""
     return nc_set(d).q
-
-
-def reduced_divisible_split(d: ModuleDescriptor) -> tuple[ModuleDescriptor, ModuleDescriptor]:
-    """(reduced part: free + torsion, divisible part: field copies + Pruefer)."""
-    if not d.ring.is_pid:
-        raise NotApplicableError(f"no divisible/reduced split over {d.ring}")
-    red = replace(d, field_copies=ZERO, pruefer=())
-    div = replace(d, free_rank=ZERO, torsion=(), tail_above=0)
-    return red, div
 
 
 def descriptor_from_presentation(ring: RingHandle, A, ncols_free: int = 0) -> ModuleDescriptor:

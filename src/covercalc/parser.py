@@ -8,8 +8,13 @@ with every finite field or residue cardinal a prime power.
 Descriptors:  "<ring>: <summand> (+ <summand>)*" with summands
     R/(lit)  R  Q  Pruefer(lit)  primes(N[, infinite])  0
 optionally suffixed ^k for k a positive integer or aleph0.  Element
-literals are integers over Z, a+bi forms over Zi, polynomials in t over
-Fp[t], and label products like m1^2*m2 over the abstract kinds.
+literals are integers over Z, label products like m1^2*m2 over the
+abstract kinds, and over Zi and Fp[t] one signed sum of terms c, c*var
+and var^e (_terms), with var i (which takes no exponent) or t.
+
+Errors: syntax errors carry a position.  parse_spec has one boundary
+around its summands: a library error there becomes SpecSemanticError,
+except TooLargeError, which keeps its own exit code.
 
 Monoid lists: "N + C(2,3) + C(0,4)".
 
@@ -136,10 +141,20 @@ def _ring_literal(cur: _Cursor) -> RingHandle:
 
 
 def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
-    """Parse '<ring>: <summands>' into a validated descriptor."""
+    """Parse '<ring>: <summands>' into a validated descriptor.  Errors
+    other than the library's are defects and propagate."""
     cur = _Cursor(text)
     ring = _ring(cur)
     cur.expect(":")
+    try:
+        return ring, _summands(cur, ring)
+    except (SpecSyntaxError, SpecSemanticError, TooLargeError):
+        raise
+    except (ValueError, CoverCalcError) as exc:
+        raise SpecSemanticError(str(exc)) from exc
+
+
+def _summands(cur: _Cursor, ring: RingHandle) -> ModuleDescriptor:
     free = ZERO
     field = ZERO
     torsion = []
@@ -148,24 +163,22 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
     if cur.try_lit("0"):
         if not cur.done():
             raise cur.error("trailing input after zero module")
-        return ring, make_descriptor(ring)
+        return make_descriptor(ring)
     while True:
         cur.skip_ws()
         if cur.try_lit("R/("):
             lit = _element_literal(cur, ring)
             cur.expect(")")
             mult = _multiplicity(cur)
-            try:
-                ideal = lit if isinstance(lit, FactoredIdeal) else \
-                    rings.factor_ideal(ring, lit)
-            except (ValueError, CoverCalcError) as exc:
-                raise SpecSemanticError(str(exc)) from exc
-            torsion.append((ideal, mult))
+            torsion.append((rings.factor_ideal(ring, lit), mult))
         elif cur.try_lit("Pruefer("):
             lit = _element_literal(cur, ring)
             cur.expect(")")
             mult = _multiplicity(cur)
-            pruefer.append((_single_prime(ring, lit), mult))
+            ideal = rings.factor_ideal(ring, lit)
+            if len(ideal.factors) != 1 or ideal.factors[0][1] != 1:
+                raise SpecSemanticError("Pruefer summands need a maximal ideal")
+            pruefer.append((ideal.factors[0][0], mult))
         elif cur.try_lit("R"):
             free = cardinal_sum([free, _multiplicity(cur)])
         elif cur.try_lit("Q"):
@@ -177,13 +190,7 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
                 cur.expect("infinite")
                 infinite = True
             cur.expect(")")
-            try:
-                ids = rings.maximal_ideals_with_residue_at_most(ring, bound)
-            except TooLargeError:
-                raise
-            except (ValueError, CoverCalcError) as exc:
-                raise SpecSemanticError(str(exc)) from exc
-            for m in ids:
+            for m in rings.maximal_ideals_with_residue_at_most(ring, bound):
                 torsion.append((FactoredIdeal.from_factors({m: 1}), finite(1)))
             if infinite:
                 tail = max(tail, bound) if tail else bound
@@ -192,14 +199,9 @@ def parse_spec(text: str) -> tuple[RingHandle, ModuleDescriptor]:
         if cur.done():
             break
         cur.expect("+")
-    try:
-        return ring, make_descriptor(ring, free_rank=free, torsion=torsion,
-                                     field_copies=field, pruefer=pruefer,
-                                     tail_above=tail)
-    except SpecSemanticError:
-        raise
-    except (ValueError, CoverCalcError) as exc:
-        raise SpecSemanticError(str(exc)) from exc
+    return make_descriptor(ring, free_rank=free, torsion=torsion,
+                           field_copies=field, pruefer=pruefer,
+                           tail_above=tail)
 
 
 def _multiplicity(cur: _Cursor) -> Cardinal:
@@ -208,20 +210,10 @@ def _multiplicity(cur: _Cursor) -> Cardinal:
     return finite(1)
 
 
-def _single_prime(ring: RingHandle, lit) -> rings.MaximalIdealId:
-    try:
-        ideal = lit if isinstance(lit, FactoredIdeal) else \
-            rings.factor_ideal(ring, lit)
-    except (ValueError, CoverCalcError) as exc:
-        raise SpecSemanticError(str(exc)) from exc
-    if len(ideal.factors) != 1 or ideal.factors[0][1] != 1:
-        raise SpecSemanticError("Pruefer summands need a maximal ideal")
-    return ideal.factors[0][0]
-
-
 def _element_literal(cur: _Cursor, ring: RingHandle):
     if ring.kind == rings.GAUSSIAN:
-        return _gauss_literal(cur)
+        terms = _terms(cur, "i", 1, "a Gaussian integer")
+        return (terms.get(0, 0), terms.get(1, 0))
     if ring.is_concrete:
         return _entry(cur, ring)
     return _abstract_literal(cur, ring)
@@ -231,83 +223,45 @@ def _entry(cur: _Cursor, ring: RingHandle):
     """A polynomial in t over F_p[t], an integer otherwise: the element
     literals of Z and F_p[t], and the entries of a matrix."""
     if ring.kind == rings.POLY:
-        return _poly_literal(cur, ring.p)
+        terms = _terms(cur, "t", rings.MAX_POLY_DEGREE, "a polynomial in t")
+        return fppoly.trim([terms.get(e, 0) for e in range(max(terms) + 1)],
+                           ring.p)
     return cur.int_()
 
 
-def _gauss_literal(cur: _Cursor) -> tuple[int, int]:
-    a, b = 0, 0
+def _terms(cur: _Cursor, var: str, top: int, what: str) -> dict[int, int]:
+    """A signed sum of terms c, c*var and var^e as {exponent: summed
+    coefficient}.  An exponent 0 <= e <= top follows var only when top > 1,
+    so over Z[i] (top 1) no '^' is read after i."""
+    terms: dict[int, int] = {}
     first = True
     while True:
-        cur.skip_ws()
-        sign = 1
-        if cur.try_lit("+"):
-            sign = 1
-        elif cur.try_lit("-"):
+        if cur.try_lit("-"):
             sign = -1
-        elif not first:
-            break
-        cur.skip_ws()
-        m = _INT.match(cur.text, cur.pos)
-        if m:
-            cur.pos = m.end()
-            coeff = sign * int(m.group(0))
-            if cur.try_lit("i"):
-                b += coeff
-            else:
-                a += coeff
-        elif cur.try_lit("i"):
-            b += sign
-        elif first:
-            raise cur.error("expected a Gaussian integer")
+        elif cur.try_lit("+") or first:
+            sign = 1
         else:
-            raise cur.error("expected a term after sign")
-        first = False
-    return (a, b)
-
-
-def _poly_literal(cur: _Cursor, p: int) -> tuple:
-    coeffs: dict[int, int] = {}
-    first = True
-    while True:
+            return terms
         cur.skip_ws()
-        sign = 1
-        if cur.try_lit("+"):
-            sign = 1
-        elif cur.try_lit("-"):
-            sign = -1
-        elif not first:
-            break
-        cur.skip_ws()
-        coeff = 1
         m = _INT.match(cur.text, cur.pos)
         if m:
             cur.pos = m.end()
             coeff = int(m.group(0))
-            if not cur.try_lit("t"):
-                coeffs[0] = coeffs.get(0, 0) + sign * coeff
-                first = False
-                continue
-        elif cur.try_lit("t"):
-            pass
-        elif first:
-            raise cur.error("expected a polynomial in t")
+            e = 1 if cur.try_lit(var) else 0
+        elif cur.try_lit(var):
+            coeff, e = 1, 1
         else:
-            raise cur.error("expected a term after sign")
-        e = 1
-        if cur.try_lit("^"):
+            raise cur.error(f"expected {what}" if first
+                            else "expected a term after sign")
+        if e and top > 1 and cur.try_lit("^"):
             e = cur.int_()
             if e < 0:
-                raise cur.error("exponents in t must be nonnegative")
-            if e > rings.MAX_POLY_DEGREE:
-                raise cur.error("polynomial literals must have degree at most "
-                                f"{rings.MAX_POLY_DEGREE}")
-        coeffs[e] = coeffs.get(e, 0) + sign * coeff
+                raise cur.error(f"exponents in {var} must be nonnegative")
+            if e > top:
+                raise cur.error(
+                    f"polynomial literals must have degree at most {top}")
+        terms[e] = terms.get(e, 0) + sign * coeff
         first = False
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for e, c in coeffs.items():
-        out[e] = c
-    return fppoly.trim(out, p)
 
 
 def _abstract_literal(cur: _Cursor, ring: RingHandle) -> FactoredIdeal:

@@ -186,6 +186,11 @@ class _Concrete(RingHandle):
             out = self.mul(out, self.pow(m.data, e))
         return out
 
+    def _maximal(self, pi) -> MaximalIdealId:
+        """The maximal ideal (pi) of a prime element already proven and in
+        canonical form: positive, a canonical associate, or monic."""
+        return MaximalIdealId(self, pi, finite(self.residue_size(pi)))
+
     def residue_cardinality(self, m: MaximalIdealId) -> Cardinal:
         if m.ring is not self:
             raise UnknownIdealError(f"{m} is not an ideal of {self}")
@@ -239,6 +244,10 @@ class Integers(_Concrete):
         return -1 if x < 0 else 1
 
     @staticmethod
+    def residue_size(p):
+        return p
+
+    @staticmethod
     def nonzero_residues(pi):
         """Canonical nonzero residues of R/(pi) for a prime element pi."""
         return list(range(1, pi))
@@ -249,17 +258,17 @@ class Integers(_Concrete):
         if abs(n) >= _MAX_FACTOR_INPUT:
             raise UnsupportedLiteralError("integer literals must be below 2^63 in size")
         return FactoredIdeal.from_factors(
-            {maximal_ideal_z(p): e for p, e in arith.factorize(abs(n))})
+            {self._maximal(p): e for p, e in arith.factorize(abs(n))})
 
     @staticmethod
     def ideal_key(p):
         return (p,)
 
     def _maximal_ideals(self, n: int) -> list:
-        return [maximal_ideal_z(p) for p in arith.primes_up_to(n)]
+        return [self._maximal(p) for p in arith.primes_up_to(n)]
 
     def least_maximal_ideal(self) -> MaximalIdealId:
-        return maximal_ideal_z(2)
+        return self._maximal(2)
 
     @staticmethod
     def residue_field_modulus(m: MaximalIdealId) -> tuple:
@@ -283,6 +292,7 @@ class GaussianIntegers(_Concrete):
     mul = staticmethod(gaussian.mul)
     render = staticmethod(gaussian.gauss_str)
     ideal_key = staticmethod(gaussian.sort_key)
+    residue_size = staticmethod(gaussian.norm)
 
     def __str__(self) -> str:
         return "Zi"
@@ -316,13 +326,13 @@ class GaussianIntegers(_Concrete):
         if not factors:
             return FactoredIdeal.unit_ideal()
         return FactoredIdeal.from_factors(
-            {maximal_ideal_zi(pi): e for pi, e in factors.items()})
+            {self._maximal(pi): e for pi, e in factors.items()})
 
     def _maximal_ideals(self, n: int) -> list:
-        return [maximal_ideal_zi(z) for z in gaussian.primes_with_norm_at_most(n)]
+        return [self._maximal(z) for z in gaussian.primes_with_norm_at_most(n)]
 
     def least_maximal_ideal(self) -> MaximalIdealId:
-        return maximal_ideal_zi((1, 1))
+        return self._maximal((1, 1))
 
     @staticmethod
     def residue_field_modulus(m: MaximalIdealId) -> tuple:
@@ -381,6 +391,9 @@ class PolyRing(_Concrete):
     def norm(self, x):
         return fppoly.deg(x) + 1
 
+    def residue_size(self, f):
+        return self.p ** fppoly.deg(f)
+
     def divmod(self, a, b):
         return fppoly.divmod_poly(a, b, self.p)
 
@@ -415,7 +428,7 @@ class PolyRing(_Concrete):
                 f"polynomial literals must have degree at most {MAX_POLY_DEGREE}")
         _, factors = fppoly.factor(f, self.p)
         return FactoredIdeal.from_factors(
-            {maximal_ideal_poly(self.p, g): e for g, e in factors.items()})
+            {self._maximal(g): e for g, e in factors.items()})
 
     def ideal_key(self, f):
         return (len(f), fppoly.code(f, self.p))
@@ -424,11 +437,10 @@ class PolyRing(_Concrete):
         top = 0
         while self.p ** (top + 1) <= n:
             top += 1
-        return [maximal_ideal_poly(self.p, f)
-                for f in fppoly.irreducibles(self.p, top)]
+        return [self._maximal(f) for f in fppoly.irreducibles(self.p, top)]
 
     def least_maximal_ideal(self) -> MaximalIdealId:
-        return maximal_ideal_poly(self.p, (0, 1))
+        return self._maximal((0, 1))
 
     def residue_field_modulus(self, m: MaximalIdealId) -> tuple:
         return self.p, m.data
@@ -590,25 +602,24 @@ def abstract_dedekind(primes: Sequence[tuple[str, Cardinal]],
 def maximal_ideal_z(p: int) -> MaximalIdealId:
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return MaximalIdealId(_INTEGERS, p, finite(p))
+    return _INTEGERS._maximal(p)
 
 
 def maximal_ideal_zi(z: gaussian.Gauss) -> MaximalIdealId:
     zc = gaussian.canonical_associate(tuple(z))
-    n = gaussian.norm(zc)
     a, b = zc
     ok = (zc == (1, 1)) or (b == 0 and arith.is_prime(a) and a % 4 == 3) or \
-         (arith.is_prime(n) and b != 0)
+         (arith.is_prime(gaussian.norm(zc)) and b != 0)
     if not ok:
         raise ValueError(f"{gaussian.gauss_str(zc)} is not a Gaussian prime")
-    return MaximalIdealId(_GAUSSIAN_INTEGERS, zc, finite(n))
+    return _GAUSSIAN_INTEGERS._maximal(zc)
 
 
 def maximal_ideal_poly(p: int, coeffs) -> MaximalIdealId:
     f = fppoly.monic(fppoly.trim(coeffs, p), p)
     if not fppoly.is_irreducible(f, p):
         raise ValueError(f"{fppoly.poly_str(f)} is not irreducible over F_{p}")
-    return MaximalIdealId(poly_over_prime_field(p), f, finite(p ** fppoly.deg(f)))
+    return poly_over_prime_field(p)._maximal(f)
 
 
 def maximal_ideal_abstract(label: str, residue: Cardinal) -> MaximalIdealId:

@@ -259,21 +259,6 @@ class TestQValue:
                     assert q2 >= q
 
 
-class TestSplit:
-    def test_mixed(self):
-        red, div = modules.reduced_divisible_split(parse("Z: Q^3 + R/(4)"))
-        assert red == parse("Z: R/(4)")
-        assert div == parse("Z: Q^3")
-
-    def test_pruefer(self):
-        red, div = modules.reduced_divisible_split(parse("Z: Pruefer(2)"))
-        assert red.is_zero and div == parse("Z: Pruefer(2)")
-
-    def test_reduced_only(self):
-        red, div = modules.reduced_divisible_split(parse("Z: R/(6)"))
-        assert red == parse("Z: R/(6)") and div.is_zero
-
-
 class TestDescriptorValidation:
     def test_unit_torsion_rejected(self):
         with pytest.raises(SpecSemanticError):

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from covercalc import cli, parser, rings
-from covercalc.errors import SpecSemanticError, SpecSyntaxError
+from covercalc.errors import (SpecSemanticError, SpecSyntaxError,
+                              TooLargeError, UnknownIdealError)
 
 ROUNDTRIP = [
     "Z: R/(12) + R/(18) + R^2",
@@ -86,6 +87,34 @@ class TestErrors:
             parser.parse_spec("Z: Pruefer(3)")
 
 
+class TestErrorBoundary:
+    """parse_spec maps the library's errors once, around all the summands:
+    TooLargeError keeps exit 1, other library errors exit 65, and any other
+    exception is a defect that propagates."""
+
+    @pytest.mark.parametrize("spec", ["Z: R/(12)", "Z: Pruefer(3)"])
+    @pytest.mark.parametrize("error, code", [
+        (TooLargeError("past the bound"), 1),
+        (UnknownIdealError("not an ideal of Z"), 65)])
+    def test_library_errors_while_factoring(self, capsys, monkeypatch, spec,
+                                            error, code):
+        def failing(ring, generator):
+            raise error
+
+        monkeypatch.setattr(rings, "factor_ideal", failing)
+        assert cli.main(["sigma", spec, "--json"]) == code
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"cover-calc: {error}\n"
+
+    def test_a_type_error_propagates(self, monkeypatch):
+        def failing(ring, generator):
+            raise TypeError("defect")
+
+        monkeypatch.setattr(rings, "factor_ideal", failing)
+        with pytest.raises(TypeError, match="defect"):
+            cli.main(["sigma", "Z: R/(12)", "--json"])
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "covercalc.cli", *args],
                           capture_output=True, text=True)
@@ -129,6 +158,16 @@ class TestCli:
             {"submodule_generators": ["2"], "representative": "0"},
             {"submodule_generators": ["0"], "representative": "3"}]
         assert out["witness_checked"] is True
+
+    @pytest.mark.parametrize("spec", ["Z: R", "F q=4: R^2", "Z: Q + R/(4)",
+                                      "Z: 0", "Z: R/(4) + R/(4)"])
+    def test_coset_cover_needs_a_finite_cyclic_torsion_module(self, capsys,
+                                                              spec):
+        assert cli.main(["coset-cover", spec, "--json"]) == 65
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "cover-calc: coset-cover needs a cyclic torsion module "
+            "(coprime annihilators)\n")
 
     def test_oracle_sigma(self, capsys):
         code = cli.main(["oracle", "sigma", "Z: R/(3)^2", "--json"])

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercalc import cardinal, fppoly, gaussian, parser, residues, rings
+from covercalc import (arith, cardinal, fppoly, gaussian, parser, residues,
+                       rings)
 from covercalc.cardinal import ALEPH0, UNCOUNTABLE, finite
 from covercalc.errors import (NotApplicableError, NotEnumerableError,
                               UnknownIdealError, UnsupportedLiteralError,
@@ -238,6 +239,25 @@ ALL_KINDS = [
     rings.abstract_dedekind([("m1", finite(3)), ("m2", ALEPH0)], finite(3)),
     rings.abstract_dedekind([("a", finite(4))], finite(2), False),
 ]
+
+
+class TestProvenPrimesAreNotProvenAgain:
+    """The sieve, the irreducible listing and factoring prove their primes;
+    building the maximal ideals from them proves nothing again."""
+
+    def test_parsing_makes_no_second_primality_proof(self, monkeypatch):
+        calls = []
+        for module, name in ((arith, "is_prime"), (fppoly, "is_irreducible")):
+            def counting(*args, _original=getattr(module, name), _name=name):
+                calls.append((_name, args))
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        _, d = parser.parse_spec("Z: primes(1000)")
+        assert len(d.torsion) == 168
+        _, d = parser.parse_spec("Fp[t] p=2: R/(t^5+t^2+1)^2")
+        assert d.torsion[0][0].factors[0][0].residue_card == finite(32)
+        assert calls == []
 
 
 class TestRingKinds:
