@@ -150,13 +150,10 @@ def _spec_report(args, command: str):
 
 def _sigma_payload(d) -> dict:
     from . import covering, modules
-    ans = covering.sigma(d)
-    out = {"answer": ans.token()}
     if d.ring.is_field:
-        out["q"] = None
-        out["nc"] = None
-        return out
+        return {"answer": covering.sigma(d).token(), "q": None, "nc": None}
     nc = modules.nc_set(d)
+    out = {"answer": covering.sigma(d, nc).token()}
     out["q"] = str(nc.q) if nc.q is not None else None
     out["nc"] = "all" if nc.all_maximal else [str(m) for m in nc.ideals]
     return out

@@ -11,8 +11,8 @@ The answer shapes:
     for a finite direct sum with a free summand over a ring with infinitely
     many maximal ideals, all of infinite residue.
 
-sigma and classify read q, and a lines witness its ideal, from one
-modules.nc_set call each.
+sigma and classify read q from one modules.nc_set call each, and
+build_cover_witness reads q and its lines' ideal from one.
 Finite thresholds come with an explicit witness: q+1 lines of the plane
 (R/m)^2 over the residue field at a minimizing ideal m, pulled back through
 reduction of two summand coordinates.  Countable thresholds are witnessed
@@ -111,14 +111,16 @@ def nu1(field_card: Cardinal, dim_card: Cardinal) -> Cardinal:
     return field_card.successor()
 
 
-def sigma(d: ModuleDescriptor) -> CoverAnswer:
-    """Exact covering answer for any descriptor shape."""
+def sigma(d: ModuleDescriptor,
+          nc: Optional[modules.NCSet] = None) -> CoverAnswer:
+    """Exact covering answer for any descriptor shape.  A caller that has
+    modules.nc_set(d) already passes it as nc (fields have none)."""
     if d.ring.is_field:
         if d.free_rank < finite(2):
             return no_cover()
         return threshold(nu1(d.ring.card, d.free_rank))
 
-    q = modules.nc_set(d).q
+    q = (modules.nc_set(d) if nc is None else nc).q
     if d.has_divisible_part:
         if q is not None and q.is_finite:
             return threshold(q.successor())
@@ -189,22 +191,24 @@ def build_cover_witness(d: ModuleDescriptor) -> CoverWitness:
     chain description.  Raises when no cover exists or when no concrete
     maximal ideal attaining q can be named.
     """
-    ans = sigma(d)
+    nc = None if d.ring.is_field else modules.nc_set(d)
+    ans = sigma(d, nc)
     if ans.kind == NO_COVER:
         raise NotCoverableError("no cover by proper submodules exists")
     if ans.kind == UPPER_BOUND_ONLY:
         raise NonEnumerableResidueError(
             "only a symbolic upper bound is known; no finite witness")
     if ans.value.is_finite:
-        return _lines_witness(d, ans.value.finite_value - 1)
+        return _lines_witness(d, nc, ans.value.finite_value - 1)
     return _chain_witness(d)
 
 
-def _lines_witness(d: ModuleDescriptor, q: int) -> CoverWitness:
+def _lines_witness(d: ModuleDescriptor, nc: Optional[modules.NCSet],
+                   q: int) -> CoverWitness:
     if d.ring.is_field:
         raise NonEnumerableResidueError(
             "vector-space covers are supported through nu1 only")
-    m = modules.nc_set(d).ideal
+    m = nc.ideal
     if m is None:
         raise NonEnumerableResidueError(
             "no declared maximal ideal attains the minimum residue")

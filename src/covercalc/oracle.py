@@ -27,6 +27,7 @@ the test suite.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -48,6 +49,12 @@ COSET_SIZE_BOUND = 32
 SIGMA_WORK_BOUND = 1 << 25
 HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
 HARD_COORD_CAP = 16
+# A process keeps this many checked cyclic blocks R/(pi^e), keyed by
+# (ring, ideal), and the addition and multiplication tables of this many
+# residue fields R/m, keyed by (ring, m).  A sweep meets a few hundred
+# summands over a few dozen maximal ideals.
+BLOCK_CACHE_SIZE = 256
+RESIDUE_TABLE_CACHE_SIZE = 64
 
 
 @record
@@ -128,28 +135,40 @@ def materialize(d: ModuleDescriptor,
     blocks: list = []   # per summand: its action block, None over Z
     infos: list[SummandInfo] = []
     for ideal in flat:
-        start = len(orders)
-        o, act, basis, one = ring.cyclic_block(ideal)
-        orders.extend(o)
-        blocks.append(act)
-        infos.append(SummandInfo(start, len(o), ideal, tuple(basis), one))
+        block = _cyclic_block(ring, ideal)
+        info = block.summands[0]
+        infos.append(SummandInfo(len(orders), info.ncoords, ideal, info.basis,
+                                 info.one))
+        orders.extend(block.orders)
+        blocks.append(block.action)
     if len(orders) > HARD_COORD_CAP:
         raise TooLargeError(f"more than {HARD_COORD_CAP} cyclic coordinates")
     action = None
     if orders and blocks[0] is not None:
-        k = len(orders)
-        mat = [[0] * k for _ in range(k)]
+        # block diagonal: each row is zero outside its own block
+        rows = []
         pos = 0
         for act in blocks:
-            b = len(act)
-            for i in range(b):
-                for j in range(b):
-                    mat[pos + i][pos + j] = act[i][j] % orders[pos + i]
-            pos += b
-        action = tuple(tuple(row) for row in mat)
-    mod = FiniteModule(tuple(orders), action, ring, tuple(infos))
-    _check_annihilators(mod)
-    return mod
+            left, right = (0,) * pos, (0,) * (len(orders) - pos - len(act))
+            rows.extend(left + row + right for row in act)
+            pos += len(act)
+        action = tuple(rows)
+    return FiniteModule(tuple(orders), action, ring, tuple(infos))
+
+
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _cyclic_block(ring: RingHandle, ideal: FactoredIdeal) -> FiniteModule:
+    """R/ideal as a module of its own, its action reduced, checked once per
+    process for each (ring, ideal).  The action of a direct sum is block
+    diagonal, so a block whose annihilator kills it does so in every sum."""
+    o, act, basis, one = ring.cyclic_block(ideal)
+    orders = tuple(o)
+    if act is not None:
+        act = tuple(tuple(a % d for a in row) for row, d in zip(act, orders))
+    block = FiniteModule(orders, act, ring, (
+        SummandInfo(0, len(orders), ideal, tuple(basis), tuple(one)),))
+    _check_annihilators(block)
+    return block
 
 
 def _check_annihilators(mod: FiniteModule) -> None:
@@ -638,8 +657,7 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     q, points = F.q, witness.line_points
     if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
         return False
-    add = [[F.add(a, b) for b in range(q)] for a in range(q)]
-    mul = [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    add, mul = _residue_tables(mod.ring, witness.ideal)
     # every element reduced once to its images in summands i and j, built
     # over the mixed-radix index one coordinate at a time
     images = []
@@ -668,3 +686,13 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
         union |= line_mask
     return union == mod.full_mask
 
+
+@lru_cache(maxsize=RESIDUE_TABLE_CACHE_SIZE)
+def _residue_tables(ring: RingHandle, m) -> tuple:
+    """The addition and multiplication tables of R/m, q x q tuples of
+    codes, built once per process for each (ring, m).  Callers build R/m
+    first, so a witness of the wrong length is refused before any table."""
+    F = residues.residue_field(ring, m)
+    q = F.q
+    return (tuple(tuple(F.add(a, b) for b in range(q)) for a in range(q)),
+            tuple(tuple(F.mul(a, b) for b in range(q)) for a in range(q)))

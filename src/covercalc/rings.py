@@ -28,6 +28,7 @@ around the maximal-ideal machinery entirely.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from . import arith, fppoly, gaussian
@@ -48,6 +49,9 @@ _MAX_FACTOR_INPUT = 2 ** 63
 # the highest degree of an F_p[t] literal: over F_2, p^degree stays below
 # 2^63, the cap on integer literals
 MAX_POLY_DEGREE = 62
+# factor_ideal keeps the factorizations of this many element literals of
+# the concrete rings; a sweep of sigma or phi items names a few hundred
+FACTOR_CACHE_SIZE = 512
 
 
 class RingHandle:
@@ -631,13 +635,25 @@ def factor_ideal(ring: RingHandle, generator: IdealLiteral) -> FactoredIdeal:
 
     Z takes ints, Z[i] takes (a, b) pairs or ints, F_p[t] takes coefficient
     sequences (c0, c1, ...).  Abstract kinds only pass through FactoredIdeal
-    values whose primes they declare.
+    values whose primes they declare.  The concrete rings factor each
+    literal once per process (_factor_literal); the result is immutable.
     """
     if isinstance(generator, FactoredIdeal):
         for m, _ in generator.factors:
             ring.residue_cardinality(m)  # raises UnknownIdealError if foreign
         return generator
-    return ring.factor(generator)
+    if not ring.is_concrete:
+        return ring.factor(generator)
+    if isinstance(generator, list):
+        generator = tuple(generator)
+    return _factor_literal(ring, generator)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE, typed=True)
+def _factor_literal(ring: _Concrete, literal) -> FactoredIdeal:
+    """ring.factor(literal), once per process for each (ring, literal);
+    a literal that raises is not kept and raises again."""
+    return ring.factor(literal)
 
 
 def residue_cardinality(ring: RingHandle, m: MaximalIdealId) -> Cardinal:

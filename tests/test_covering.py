@@ -273,6 +273,13 @@ class TestWitness:
 def test_sigma_builds_the_nc_set_once(monkeypatch, text):
     d = parse(text)
     expected = covering.sigma(d)
+    calls = _count_nc_sets(monkeypatch)
+    assert covering.sigma(d) == expected
+    assert calls == [d]
+
+
+def _count_nc_sets(monkeypatch) -> list:
+    """The descriptors of every modules.nc_set call from here on."""
     calls = []
     nc_set = modules.nc_set
 
@@ -281,8 +288,29 @@ def test_sigma_builds_the_nc_set_once(monkeypatch, text):
         return nc_set(x)
 
     monkeypatch.setattr(modules, "nc_set", counting)
-    assert covering.sigma(d) == expected
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "Z: R/(12) + R/(18)", "Zi: R/(3)^2 + R/(1+i)", "Z: R/(9) + R^1",
+    "Z: Q + R/(4) + R/(4)", "Z: R/(2)^aleph0", "Z: Pruefer(2) + R",
+    "local residue=5: R/(m) + R/(m)", "dedekind {m1:4, m2:aleph0} min=4: R^2",
+])
+def test_build_cover_witness_builds_the_nc_set_once(monkeypatch, text):
+    d = parse(text)
+    expected = covering.build_cover_witness(d)
+    calls = _count_nc_sets(monkeypatch)
+    assert covering.build_cover_witness(d) == expected
     assert calls == [d]
+
+
+def test_cover_command_builds_the_nc_set_twice(monkeypatch, capsys):
+    from covercalc import cli
+    calls = _count_nc_sets(monkeypatch)
+    assert cli.main(["cover", "Z: R/(12) + R/(18)", "--check", "--json"]) == 0
+    assert '"witness_checked": true' in capsys.readouterr().out
+    # once for the answer and its NC set, once for the witness
+    assert len(calls) == 2
 
 
 class TestEquivalences:

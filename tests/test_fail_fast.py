@@ -190,3 +190,22 @@ def test_oracle_sigma_over_all_submodules_past_32_exits_1(capsys):
     assert captured.out == ""
     assert captured.err.startswith("cover-calc: ") and "32" in captured.err
     assert "Traceback" not in captured.err
+
+
+# the lex-least witness pass has a node budget as the search has:
+# (Z/2)^5 over all its submodules closes at the root of the optimality
+# proof, then takes about 22,000 lex nodes
+def test_lex_pass_past_its_node_budget_exits_1(capsys, monkeypatch):
+    from covercalc import _kernels
+    argv = ["oracle", "sigma", "Z: R/(2)^5", "--maximal-only", "false",
+            "--json"]
+    code, elapsed = run_within_budget(argv)
+    assert code == 0 and json.loads(capsys.readouterr().out)["answer"] == 3
+    monkeypatch.setattr(_kernels, "_LEX_NODE_BUDGET", 1000)
+    code, elapsed = run_within_budget(argv)
+    assert code == 1 and elapsed < BUDGET_S
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lex-least witness pass ran out of nodes" in captured.err
+    assert "the bound is 1000" in captured.err
+    assert "Traceback" not in captured.err
