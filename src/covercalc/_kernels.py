@@ -129,9 +129,8 @@ _PLAIN_NODES = 500
 _STABILIZER_GENS = 12
 # A search past this many nodes raises TooLargeError.  The heaviest
 # instance the oracles answer takes about 155,000: (Z/7)^2 minus a point.
-_NODE_BUDGET = 300_000
 # The lex-least witness pass counts its own nodes against the same bound.
-_LEX_NODE_BUDGET = _NODE_BUDGET
+_NODE_BUDGET = 300_000
 
 
 def min_cover(universe: int, candidates, symmetries=None) -> tuple:
@@ -145,9 +144,9 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
     i), each induced by a permutation of the elements that maps the universe
     onto itself.  It is called only when the plain search needs more than
     _PLAIN_NODES nodes; the symmetries prune the proof of optimality but
-    never change the size or the witness.  The optimality proof raises
-    TooLargeError past _NODE_BUDGET nodes, and the lex-least witness pass
-    past _LEX_NODE_BUDGET.
+    never change the size or the witness.  The optimality proof and the
+    lex-least witness pass each raise TooLargeError past _NODE_BUDGET
+    nodes.
     """
     if universe == 0:
         return 0, ()
@@ -364,7 +363,7 @@ def _stabilizer(rep: int, gens, n: int) -> tuple:
 
 def _lex_witness(universe: int, candidates, k: int) -> tuple:
     """The lexicographically least index tuple of k candidates covering the
-    universe; past _LEX_NODE_BUDGET nodes it raises TooLargeError."""
+    universe; past _NODE_BUDGET nodes it raises TooLargeError."""
     n = len(candidates)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -375,9 +374,9 @@ def _lex_witness(universe: int, candidates, k: int) -> tuple:
     def dfs(cov: int, start: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > _LEX_NODE_BUDGET:
+        if nodes > _NODE_BUDGET:
             raise TooLargeError("the lex-least witness pass ran out of "
-                                f"nodes: the bound is {_LEX_NODE_BUDGET}")
+                                f"nodes: the bound is {_NODE_BUDGET}")
         if len(path) == k:
             return not (universe & ~cov)
         if universe & ~(cov | suffix[start]):

@@ -149,11 +149,13 @@ def _spec_report(args, command: str):
 
 
 def _sigma_payload(d) -> dict:
-    from . import covering, modules
-    if d.ring.is_field:
-        return {"answer": covering.sigma(d).token(), "q": None, "nc": None}
-    nc = modules.nc_set(d)
-    out = {"answer": covering.sigma(d, nc).token()}
+    from . import covering
+    nc = covering._nc_set(d)
+    out = {"answer": covering._sigma(d, nc).token()}
+    if nc is None:
+        out["q"] = None
+        out["nc"] = None
+        return out
     out["q"] = str(nc.q) if nc.q is not None else None
     out["nc"] = "all" if nc.all_maximal else [str(m) for m in nc.ideals]
     return out

@@ -111,16 +111,24 @@ def nu1(field_card: Cardinal, dim_card: Cardinal) -> Cardinal:
     return field_card.successor()
 
 
-def sigma(d: ModuleDescriptor,
-          nc: Optional[modules.NCSet] = None) -> CoverAnswer:
-    """Exact covering answer for any descriptor shape.  A caller that has
-    modules.nc_set(d) already passes it as nc (fields have none)."""
+def sigma(d: ModuleDescriptor) -> CoverAnswer:
+    """Exact covering answer for any descriptor shape."""
+    return _sigma(d, _nc_set(d))
+
+
+def _nc_set(d: ModuleDescriptor) -> Optional[modules.NCSet]:
+    """modules.nc_set(d), or None over a field, which has none."""
+    return None if d.ring.is_field else modules.nc_set(d)
+
+
+def _sigma(d: ModuleDescriptor, nc: Optional[modules.NCSet]) -> CoverAnswer:
+    """sigma(d), given _nc_set(d)."""
     if d.ring.is_field:
         if d.free_rank < finite(2):
             return no_cover()
         return threshold(nu1(d.ring.card, d.free_rank))
 
-    q = (modules.nc_set(d) if nc is None else nc).q
+    q = nc.q
     if d.has_divisible_part:
         if q is not None and q.is_finite:
             return threshold(q.successor())
@@ -191,8 +199,8 @@ def build_cover_witness(d: ModuleDescriptor) -> CoverWitness:
     chain description.  Raises when no cover exists or when no concrete
     maximal ideal attaining q can be named.
     """
-    nc = None if d.ring.is_field else modules.nc_set(d)
-    ans = sigma(d, nc)
+    nc = _nc_set(d)
+    ans = _sigma(d, nc)
     if ans.kind == NO_COVER:
         raise NotCoverableError("no cover by proper submodules exists")
     if ans.kind == UPPER_BOUND_ONLY:

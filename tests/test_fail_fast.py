@@ -201,7 +201,7 @@ def test_lex_pass_past_its_node_budget_exits_1(capsys, monkeypatch):
             "--json"]
     code, elapsed = run_within_budget(argv)
     assert code == 0 and json.loads(capsys.readouterr().out)["answer"] == 3
-    monkeypatch.setattr(_kernels, "_LEX_NODE_BUDGET", 1000)
+    monkeypatch.setattr(_kernels, "_NODE_BUDGET", 1000)
     code, elapsed = run_within_budget(argv)
     assert code == 1 and elapsed < BUDGET_S
     captured = capsys.readouterr()
