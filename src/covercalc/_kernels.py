@@ -128,7 +128,7 @@ _PLAIN_NODES = 500
 # Each child group keeps at most this many stabilizer generators.
 _STABILIZER_GENS = 12
 # A search past this many nodes raises TooLargeError.  The heaviest
-# instance the oracles answer takes about 155,000: (Z/7)^2 minus a point.
+# instance the oracles answer takes about 143,000: (Z/7)^2 minus a point.
 # The lex-least witness pass counts its own nodes against the same bound.
 _NODE_BUDGET = 300_000
 
@@ -192,16 +192,23 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     """Prove the minimum cover size by orbital branching.
 
     A node branches on the uncovered element with the fewest allowed
-    candidates.  Its group (a group of instance symmetries that fixes every
-    chosen candidate and maps the excluded set onto itself) splits those
-    candidates into orbits; child k includes the best representative of
-    orbit k and excludes orbits 1..k-1 entirely.  A cover through any
-    member of orbit k maps to one through its representative, so nothing
-    optimal is lost.  The child's group is the stabilizer of its
-    representative in its parent's group.  A child builds it only once it
-    branches, as the bound prunes most children on entry, and each
-    (representative, parent group) pair is built once per search.  With
-    no generators this is element branching with sibling exclusion.
+    candidates.  The scan that finds it also packs, in element order, the
+    uncovered elements whose allowed holders meet none of those packed
+    before: no candidate holds two of them, so the node needs one more
+    candidate per packed element, and it is pruned once that many reach
+    the best size found.  Otherwise the counting bound (uncovered elements
+    over the most any allowed candidate covers) may prune it.  The node's
+    group (a group of instance symmetries that fixes every chosen
+    candidate and maps the excluded set onto itself) splits the
+    branching element's candidates into orbits; child k includes the best
+    representative of orbit k and excludes orbits 1..k-1 entirely.  A
+    cover through any member of orbit k maps to one through its
+    representative, so nothing optimal is lost.  The child's group is the
+    stabilizer of its representative in its parent's group.  A child
+    builds it only once it branches, as the bounds prune most children on
+    entry, and each (representative, parent group) pair is built once per
+    search.  With no generators this is element branching with sibling
+    exclusion.
     Returns the optimum, or raises _Unfinished with the best size found
     once node_limit nodes have been visited.  With no node_limit, a search
     past _NODE_BUDGET nodes raises TooLargeError.
@@ -255,14 +262,10 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
             return
         if depth + 1 >= best:
             return
-        gains = [(c & rem).bit_count() for c in cands]
-        maxcov = max(gains)
-        if maxcov == 0:
-            return
-        need = -(-rem.bit_count() // maxcov)
-        if depth + need >= best:
-            return
         opts, fewest = 0, n + 1
+        # the packing: elements whose allowed holders are disjoint from
+        # those of the elements packed before them, one candidate each
+        held, packed = 0, depth
         m = rem
         while m:
             low = m & -m
@@ -273,6 +276,15 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
                 opts, fewest = o, k
                 if k == 0:
                     return
+            if not o & held:
+                held |= o
+                packed += 1
+                if packed >= best:
+                    return
+        gains = [(c & rem).bit_count() for c in cands]
+        need = -(-rem.bit_count() // max(gains))
+        if depth + need >= best:
+            return
         ranked = []
         m = opts
         while m:

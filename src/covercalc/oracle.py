@@ -10,26 +10,34 @@ exact minimum covers) runs in the kernels of covercalc._kernels.
 Both searches take their candidates from characters of M, read as weight
 vectors on the coordinates: the kernels of a character chi and of its
 images chi.A, chi.A^2, ... meet in the largest submodule inside its
-kernel (_core).  Characters of order p give the maximal submodules; the
-cosets of the cores of all characters give the puncture-avoiding cosets.
-Each caller builds every kernel it needs in one walk over the weight
-prefixes (_kernel_table), so a core only looks kernels up.
+kernel, its core, which is the annihilator of the cyclic submodule R.chi
+of the dual (_cores).  Characters of order p give the maximal
+submodules; cosets of the cores of all characters give the
+puncture-avoiding cosets.  Each caller builds every kernel it needs in
+one walk over the weight prefixes (_kernel_table), so a core only looks
+kernels up.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
 submodules (every proper submodule of a finite module extends to a
 maximal one), and punctured coset covers restrict to inclusion-maximal
 puncture-avoiding cosets (every avoiding coset extends to a maximal one).
-Both restrictions are cross-validated against unrestricted searches in
-the test suite.
+An avoiding coset y+K is inclusion-maximal exactly when K has a unique
+minimal over-submodule K' (M when K is maximal) and y-p lies in K'
+outside K: two distinct minimal ones would meet in K and put the
+puncture p in y+K.  The over-submodules of a core are the annihilators
+of the submodules of R.chi, which are cyclic as R is a principal ideal
+domain, so each is a core again or M, and K' is the meet of the cores
+above K.  Both restrictions are cross-validated against unrestricted
+searches in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import mul
+from operator import and_, mul
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
@@ -262,55 +270,63 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     table = _kernel_table(mod.orders, top, lines)
     if mod.action is None:
         return sorted(set(table.values()))
-    # each image wA in a core's chain has order p too: zero, or a multiple
+    # each image wA met from a line has order p too: zero, or a multiple
     # of a line's functional, with the same kernel
     table[(0,) * len(mod.orders)] = mod.full_mask
     for w, p in lines.items():
         for c in range(2, p):
             table[tuple(c * wj % top for wj in w)] = table[w]
-    return _inclusion_maximal(sorted({_core(mod, w, table) for w in lines}))
+    cores = _cores(mod, lines, table)
+    return _inclusion_maximal({cores[w] for w in lines})
 
 
-def _inclusion_maximal(items, mask=lambda item: item) -> list:
-    """The items whose (distinct) masks lie in no other item's, in order.
+def _inclusion_maximal(masks) -> list[int]:
+    """The distinct masks that lie in no other one, sorted.
 
     Masks are met largest first: one inside another lies inside a maximal
     one, so each is checked against the maxima found so far only."""
     maxima: list[int] = []
-    for m in sorted(map(mask, items), key=int.bit_count, reverse=True):
+    for m in sorted(masks, key=int.bit_count, reverse=True):
         if not any((m | o) == o for o in maxima):
             maxima.append(m)
-    keep = set(maxima)
-    return [item for item in items if mask(item) in keep]
+    return sorted(maxima)
 
 
-def _core(mod: FiniteModule, w: tuple, table: dict) -> int:
-    """Mask of core(ker chi), the largest submodule inside ker chi.
+def _cores(mod: FiniteModule, weights, table: dict) -> dict:
+    """Mask of core(ker chi), the largest submodule inside ker chi, for
+    each character chi in weights and each image met on the way.
 
     The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
     w_j d_j = 0 mod N so that it is well defined; chi.A has the weights
-    w A mod N.  The core is the meet of the kernels of the chain chi,
-    chi.A, chi.A^2, ..., taken one image at a time.  Once chi.A^k leaves
-    the meet K unchanged, K is the core: every x in K has
-    (chi.A^j)(Ax) = (chi.A^(j+1))(x) = 0 for each j < k, as chi.A^(j+1)
-    has been met, so K is a submodule.  A repeated image leaves K
-    unchanged, so the chain ends; it also ends at K = {0}, the least
-    submodule.
+    w A mod N.  The core is the meet of the kernels of chi, chi.A,
+    chi.A^2, ..., so core(chi) = ker chi & core(chi.A), and each core is
+    taken once along the graph chi -> chi.A.  Every walk in that graph
+    ends in a cycle, whose characters share one core: the meet of their
+    kernels.
 
-    table maps each weight vector of the chain, reduced mod N, to its
-    kernel (see _kernel_table).
+    table maps every weight vector met, reduced mod N, to its kernel (see
+    _kernel_table).
     """
-    core = table[w]
     if mod.action is None:
-        return core
+        return {w: table[w] for w in weights}
     top, columns = lcm(*mod.orders), tuple(zip(*mod.action))
-    while core != 1:
-        w = tuple(sum(map(mul, w, col)) % top for col in columns)
-        meet = core & table[w]
-        if meet == core:
-            break
-        core = meet
-    return core
+    cores: dict = {}
+    for w in weights:
+        walk: dict = {}     # the characters met from w, in order
+        while w not in cores and w not in walk:
+            walk[w] = None
+            w = tuple(sum(map(mul, w, col)) % top for col in columns)
+        path = list(walk)
+        if w not in cores:  # w closes a cycle
+            cycle = path[path.index(w):]
+            del path[-len(cycle):]
+            cores.update(dict.fromkeys(cycle, reduce(and_, map(table.get,
+                                                                cycle))))
+        core = cores[w]
+        for v in reversed(path):
+            core &= table[v]
+            cores[v] = core
+    return cores
 
 
 def _kernel_table(orders, top: int, weights) -> dict:
@@ -406,12 +422,14 @@ def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
     bound = max_size or (SIGMA_SIZE_BOUND if maximal_only else ALL_SUBGROUPS_BOUND)
     if mod.size > bound:
         raise TooLargeError(f"module size {mod.size} exceeds bound {bound}")
+    return [_wrap(mod, m) for m in _submodule_masks(mod, maximal_only)]
+
+
+def _submodule_masks(mod: FiniteModule, maximal_only: bool) -> list[int]:
     if maximal_only:
-        masks = maximal_submodules(mod)
-    else:
-        masks = [m for m in all_subgroups(mod.orders)
-                 if kernels.invariant_core(mod.orders, mod.action, m) == m]
-    return [_wrap(mod, m) for m in masks]
+        return maximal_submodules(mod)
+    return [m for m in all_subgroups(mod.orders)
+            if kernels.invariant_core(mod.orders, mod.action, m) == m]
 
 
 def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
@@ -425,16 +443,13 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
         raise TooLargeError(f"module size {mod.size} exceeds bound {max_size}")
     if mod.size == 1:
         return None, []
-    if maximal_only:
-        candidates = maximal_submodules(mod)
-    else:
-        candidates = [s.mask for s in enumerate_submodules(mod, maximal_only=False,
-                                                           max_size=max_size)
-                      if s.mask != mod.full_mask]
+    full = mod.full_mask
+    # distinct masks: each witness part is wrapped once
+    candidates = [m for m in _submodule_masks(mod, maximal_only) if m != full]
     # every candidate holds 0, so covering M - {0} is covering M, and the
     # root's counting bound over it, (|M|-1)/(|M|/p-1), exceeds p
     size, idxs = kernels.min_cover(
-        mod.full_mask & ~1, candidates,
+        full & ~1, candidates,
         symmetries=lambda: coset_symmetries(mod, 0, candidates))
     return size, [_wrap(mod, candidates[i]) for i in idxs]
 
@@ -444,40 +459,51 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
     """Puncture-avoiding cosets of proper submodules as (coset, submodule, rep),
     rep the least element of the coset.
 
-    With inclusion_maximal, only the inclusion-maximal ones: for each
-    nonzero character chi (one per core) every coset of K = core(ker chi)
-    but the puncture's, then the maximal ones among those.  That loses
-    none: y+S avoids the puncture p exactly when some chi vanishing on S
-    has chi(y) != chi(p); the submodule S lies in ker chi, so in K, and
-    y+S lies in y+K, which avoids p as chi is constant on it.  Without
-    it, every proper submodule from all_subgroups is translated, as the
-    reference.
+    With inclusion_maximal, only the inclusion-maximal ones, and no other
+    coset is built.  None is lost by taking cores: y+S avoids the
+    puncture p exactly when some chi vanishing on S has chi(y) != chi(p);
+    the submodule S lies in ker chi, so in K = core(ker chi), and y+S lies
+    in y+K, which avoids p as chi is constant on it.  Such a y+K is
+    maximal exactly when every proper submodule above K holds y-p: when K
+    has a unique minimal over-submodule K' and y-p lies in K' outside K
+    (two distinct minimal ones meet in K).  Every submodule above a core
+    is a core or M (see the module docstring), so K' is the meet of the
+    cores above K, and K' = K when there is no unique one.  The cosets of
+    K inside p+K', but p+K, are the maximal ones.  Without
+    inclusion_maximal, every coset avoiding p of every proper submodule
+    from all_subgroups, as the reference.
     """
+    full = mod.full_mask
     if inclusion_maximal:
         top = lcm(*mod.orders)
         chars = [tuple(aj * (top // d) for aj, d in zip(a, mod.orders))
                  for a in itertools.product(*(range(d) for d in mod.orders))]
         table = _kernel_table(mod.orders, top, chars)
         # chars[0] is the zero character
-        subs = dict.fromkeys(_core(mod, w, table) for w in chars[1:])
+        cores = _cores(mod, chars[1:], table)
+        subs = sorted({cores[w] for w in chars[1:]}, key=int.bit_count,
+                      reverse=True)
+        pairs = []
+        for i, sub in enumerate(subs):
+            # every core above sub is larger, so it comes earlier
+            over = full
+            for o in subs[:i]:
+                if not sub & ~o:
+                    over &= o
+            if over != sub:
+                pairs.append((sub, over))
     else:
-        subs = [s.mask for s in enumerate_submodules(
-            mod, maximal_only=False, max_size=mod.size)
-            if s.mask != mod.full_mask]
+        pairs = [(m, full) for m in _submodule_masks(mod, False) if m != full]
     cands = []
-    for sub in subs:
-        assigned = 0
-        while assigned != mod.full_mask:
-            # the least element not yet assigned is the least of its coset
-            x = (~assigned & (assigned + 1)).bit_length() - 1
+    for sub, over in pairs:
+        # the cosets of sub inside puncture + over, but puncture + sub
+        rest = kernels.translate(mod.orders, over & ~sub, puncture)
+        while rest:
+            x = (rest & -rest).bit_length() - 1   # the least of its coset
             coset = kernels.translate(mod.orders, sub, x)
-            assigned |= coset
-            if not (coset >> puncture) & 1:
-                cands.append((coset, sub, x))
+            rest &= ~coset
+            cands.append((coset, sub, x))
     cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
-    if inclusion_maximal:
-        # distinct cosets: a coset determines its submodule
-        cands = _inclusion_maximal(cands, mask=lambda t: t[0])
     return cands
 
 
@@ -635,7 +661,9 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
     size, idxs = kernels.min_cover(
         universe, masks,
         symmetries=lambda: coset_symmetries(mod, puncture, masks))
-    witness = [(cands[i][0], _wrap(mod, cands[i][1]), cands[i][2]) for i in idxs]
+    # several parts may be cosets of one submodule: wrap each once
+    wrapped = {sub: _wrap(mod, sub) for sub in {cands[i][1] for i in idxs}}
+    witness = [(cands[i][0], wrapped[cands[i][1]], cands[i][2]) for i in idxs]
     return size, witness
 
 

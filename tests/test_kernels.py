@@ -377,3 +377,29 @@ def test_lex_witness_counting_bound_matches_bruteforce():
     for universe, candidates in planted_partitions(5, 40):
         assert _kernels.min_cover(universe, candidates) \
             == brute_min_cover(universe, candidates)
+
+
+def test_packing_bound_matches_bruteforce():
+    # with the root's counting bound below greedy's size, the root node
+    # closes only when the elements it packs, one candidate each, reach
+    # that size: then the proof takes one node
+    rng = random.Random(7)
+    closed_by_packing = 0
+    for _ in range(200):
+        nbits = rng.randint(4, 12)
+        universe = (1 << nbits) - 1
+        candidates = [rng.getrandbits(nbits) for _ in range(rng.randint(3, 9))]
+        want = brute_min_cover(universe, candidates)
+        assert _kernels.min_cover(universe, candidates) == want
+        if want[0] is None:
+            continue
+        greedy = _kernels._greedy_size(universe, candidates)
+        if -(-nbits // max(map(int.bit_count, candidates))) >= greedy:
+            continue
+        try:
+            size = _kernels._search(universe, candidates, greedy, (), 1)
+        except _kernels._Unfinished:
+            continue
+        assert size == want[0]
+        closed_by_packing += 1
+    assert closed_by_packing >= 5
