@@ -174,6 +174,9 @@ def factor(f: Poly, p: int) -> tuple[int, dict[Poly, int]]:
     """
     if not f:
         raise ZeroDivisionError("cannot factor the zero polynomial")
+    if deg(f) <= 1:
+        # a unit has no factors, and a linear polynomial is irreducible
+        return f[-1], {monic(f, p): 1} if deg(f) else {}
     factors: dict[Poly, int] = {}
     for part, mult in _square_free(monic(f, p), p):
         for d, group in _distinct_degree(part, p):

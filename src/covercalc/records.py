@@ -74,11 +74,6 @@ def record(cls):
     return cls
 
 
-def replace(obj, **changes):
-    """A copy of the record with some fields changed (checked again)."""
-    return type(obj)(**{**obj.__dict__, **changes})
-
-
 def _call_error(name, fields) -> TypeError:
     return TypeError(f"{name}() takes the fields {', '.join(fields)}: "
                      f"missing, unknown or repeated arguments")

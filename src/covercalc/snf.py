@@ -113,16 +113,3 @@ def _col_sub(ring, D, V, j, k, q):
         row[j] = ring.sub(row[j], ring.mul(q, row[k]))
     for row in V:
         row[j] = ring.sub(row[j], ring.mul(q, row[k]))
-
-
-def matmul(ring: RingHandle, A, B):
-    """Exact matrix product over Z or F_p[t] (for checking U*A*V = D)."""
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[ring.zero for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = ring.zero
-            for l in range(inner):
-                acc = ring.add(acc, ring.mul(ring.coerce(A[i][l]), ring.coerce(B[l][j])))
-            out[i][j] = acc
-    return out

@@ -45,3 +45,30 @@ def test_large_prime(p):
     _check((1, 0, 1), p)
     unit, factors = fppoly.factor((0, p - 1, 0, 1), p)
     assert list(factors) == [(0, 1), (1, 1), (p - 1, 1)]
+
+
+def _general_factor(f, p):
+    """factor's square-free, distinct-degree and equal-degree path, which it
+    skips for degree <= 1."""
+    factors = {}
+    for part, mult in fppoly._square_free(fppoly.monic(f, p), p):
+        for d, group in fppoly._distinct_degree(part, p):
+            for g in fppoly._equal_degree(group, d, p):
+                factors[g] = factors.get(g, 0) + mult
+    return f[-1], factors
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_degree_at_most_one_matches_the_general_path(p):
+    # every polynomial of degree <= 1 for the small primes; over 1000003,
+    # the extreme coefficients and a seeded sample of the others
+    if p < 10:
+        coefficients = range(p)
+    else:
+        coefficients = [0, 1, 2, p - 2, p - 1,
+                        *random.Random(p).sample(range(3, p - 2), 60)]
+    units = [c for c in coefficients if c]
+    polys = [(u,) for u in units]
+    polys += [(a, u) for a in coefficients for u in units]
+    for f in polys:
+        assert fppoly.factor(f, p) == _general_factor(f, p), f

