@@ -7,15 +7,15 @@ multiplication by i over Z[i], by t over F_p[t], and None over Z.  Subsets
 are int bitmasks over the element indexing, and the heavy work (closures,
 exact minimum covers) runs in the kernels of covercalc._kernels.
 
-Both searches take their candidates from characters of M, read as weight
-vectors on the coordinates: the kernels of a character chi and of its
-images chi.A, chi.A^2, ... meet in the largest submodule inside its
-kernel, its core, which is the annihilator of the cyclic submodule R.chi
-of the dual (_cores).  Characters of order p give the maximal
-submodules; cosets of the cores of all characters give the
-puncture-avoiding cosets.  Each caller builds every kernel it needs in
-one walk over the weight prefixes (_kernel_table), so a core only looks
-kernels up.
+Both searches take their candidates from characters of M, indexed by
+their digits in the mixed radix of the dual: the kernels of a character
+chi and of its images chi.A, chi.A^2, ... meet in the largest submodule
+inside its kernel, its core, which is the annihilator of the cyclic
+submodule R.chi of the dual (_cores).  Characters of order p give the
+maximal submodules; cosets of the cores of all characters give the
+puncture-avoiding cosets.  Each caller builds the kernels and images of
+every character it needs in one pass over the coordinates (_characters),
+so a core only looks them up by index.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Optional, Sequence
 
 from . import _kernels as kernels
@@ -52,8 +52,8 @@ from .rings import FactoredIdeal, RingHandle
 SIGMA_SIZE_BOUND = 4096
 ALL_SUBGROUPS_BOUND = 32
 COSET_SIZE_BOUND = 32
-# maximal_submodules scans every element once per projective functional;
-# (Z/2)^12 is 4095 * 4096 elements, (Z/2)^13 four times that
+# maximal_submodules builds a kernel of |M| bits per line of M/pM, its work
+# counted in elements: (Z/2)^12 is 4095 * 4096, (Z/2)^13 four times that
 SIGMA_WORK_BOUND = 1 << 25
 HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
 HARD_COORD_CAP = 16
@@ -243,12 +243,11 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     K and M, so taking cores of all index-p subgroups and keeping the
     inclusion-maximal ones is exhaustive.  (For residue fields larger
     than F_p the maximal submodules themselves have non-prime index.)
-    The index-p subgroups are the kernels of the projective functionals
-    on M/pM, read as characters of order p.  Without an action every
-    such kernel is maximal, so only an action calls for the inclusion
-    filter.
+    The index-p subgroups are the kernels of the order-p characters, whose
+    digit j is a multiple of d_j/p, or 0 when p does not divide d_j; without
+    an action each is maximal, and only an action calls for the filter.
 
-    The work, functionals times elements, is known up front: above
+    The work, one kernel of |M| bits per line, is known up front: above
     SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
     """
     n = mod.size
@@ -260,113 +259,118 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
-    top = lcm(*mod.orders)
-    lines = {}      # weights of one functional per line of M/pM -> p
+    found = set()
     for p in primes:
-        for a in itertools.product(*(range(p) if d % p == 0 else (0,)
-                                     for d in mod.orders)):
-            if next(filter(None, a), 0) == 1:
-                lines[tuple(aj * (top // p) for aj in a)] = p
-    table = _kernel_table(mod.orders, top, lines)
+        kern, img = _characters(mod, [d // gcd(d, p) for d in mod.orders])
+        found.update(filter(None, _cores(kern, img, range(1, len(kern)))[1:]))
     if mod.action is None:
-        return sorted(set(table.values()))
-    # each image wA met from a line has order p too: zero, or a multiple
-    # of a line's functional, with the same kernel
-    table[(0,) * len(mod.orders)] = mod.full_mask
-    for w, p in lines.items():
-        for c in range(2, p):
-            table[tuple(c * wj % top for wj in w)] = table[w]
-    cores = _cores(mod, lines, table)
-    return _inclusion_maximal({cores[w] for w in lines})
-
-
-def _inclusion_maximal(masks) -> list[int]:
-    """The distinct masks that lie in no other one, sorted.
-
-    Masks are met largest first: one inside another lies inside a maximal
-    one, so each is checked against the maxima found so far only."""
+        return sorted(found)
+    # the cores in no other one, met largest first: one inside another
+    # lies inside a maximal one, so only the maxima found so far are checked
     maxima: list[int] = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
+    for m in sorted(found, key=int.bit_count, reverse=True):
         if not any((m | o) == o for o in maxima):
             maxima.append(m)
     return sorted(maxima)
 
 
-def _cores(mod: FiniteModule, weights, table: dict) -> dict:
-    """Mask of core(ker chi), the largest submodule inside ker chi, for
-    each character chi in weights and each image met on the way.
+def _characters(mod: FiniteModule, steps) -> tuple:
+    """(kernels, images) of the characters whose digit j is a multiple of
+    steps[j], a divisor of d_j.  Character c, chi_c(x) = sum_j c_j x_j/d_j
+    mod 1, has the index digits c_j/steps[j] in the mixed radix r_j =
+    d_j/steps[j]; images[c] is the index of chi_c.A, whose digit b is
+    sum_j c_j A_jb d_b/d_j mod d_b, and images is None without an action.
 
-    The character is chi(x) = sum_j w_j x_j mod N, N = lcm(orders), with
-    w_j d_j = 0 mod N so that it is well defined; chi.A has the weights
-    w A mod N.  The core is the meet of the kernels of chi, chi.A,
-    chi.A^2, ..., so core(chi) = ker chi & core(chi.A), and each core is
-    taken once along the graph chi -> chi.A.  Every walk in that graph
-    ends in a cycle, whose characters share one core: the meet of their
-    kernels.
-
-    table maps every weight vector met, reduced mod N, to its kernel (see
-    _kernel_table).
+    The value classes of a character map each v to the mask of the x with
+    chi(x) = v/N, N = lcm(orders).  Those of c + m.e_j, c below coordinate
+    j, are the classes of c met with those of x_j mod r_j.  The last
+    coordinate builds class 0 only, and only for top digits m dividing r_j:
+    the others generate the cyclic subgroup, so share the kernel, of one of
+    those, looked up by index (left 0 without an action).
     """
-    if mod.action is None:
-        return {w: table[w] for w in weights}
-    top, columns = lcm(*mod.orders), tuple(zip(*mod.action))
-    cores: dict = {}
-    for w in weights:
-        walk: dict = {}     # the characters met from w, in order
-        while w not in cores and w not in walk:
-            walk[w] = None
-            w = tuple(sum(map(mul, w, col)) % top for col in columns)
-        path = list(walk)
-        if w not in cores:  # w closes a cycle
-            cycle = path[path.index(w):]
-            del path[-len(cycle):]
-            cores.update(dict.fromkeys(cycle, reduce(and_, map(table.get,
-                                                                cycle))))
-        core = cores[w]
+    orders, full, act = mod.orders, mod.full_mask, mod.action
+    top = lcm(*orders)
+    radices = [d // s for d, s in zip(orders, steps)]
+    levels = [j for j, r in enumerate(radices) if r > 1]
+    classes, kern = [{0: full}], []
+    for j in levels:
+        stride, r, by_q = prod(orders[:j]), radices[j], {}
+        below = classes[:]
+        for m in range(1, r):
+            g = gcd(m, r)
+            q = r // g
+            # m.x_j.N/r mod N depends on x_j mod q only
+            if q not in by_q:     # the elements by x_j mod q
+                block = ((1 << stride) - 1) * (full // ((1 << stride * q) - 1))
+                by_q[q] = [block << t * stride for t in range(q)]
+            res, step, w = by_q[q], top // q, m * top // r
+            if j != levels[-1]:
+                for cls in below:
+                    met = {}
+                    for u, mu in cls.items():
+                        for t, mv in enumerate(res):
+                            key = (u + t * w) % top
+                            met[key] = met.get(key, 0) | mu & mv
+                    classes.append(met)
+            elif m == g:
+                # class u meets class 0 where x_j = -u/step mod q
+                kern += [reduce(or_, [mu & res[-u // step % q]
+                                      for u, mu in cls.items()
+                                      if u % step == 0])
+                         for cls in classes]
+            elif act is None:
+                kern += [0] * len(classes)
+            else:
+                # u.chi, u a unit mod N with u.m/g = 1 mod q, has the
+                # kernel of chi, and top digit g
+                u = next(u for u in itertools.count(pow(m // g, -1, q), q)
+                         if gcd(u, top) == 1)
+                scaled = [0]    # the index of u.c, by c
+                for i in levels[:-1]:
+                    size, r_i = len(scaled), radices[i]
+                    scaled = [x + u * t % r_i * size for t in range(r_i)
+                              for x in scaled]
+                kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
+    kern[:0] = [cls[0] for cls in classes]
+    if act is None:
+        return kern, None
+    img, size = [0] * len(kern), 1
+    for b in levels:
+        d, digits = orders[b], [0]
+        for j in levels:
+            coef = steps[j] * act[j][b] * d // orders[j]
+            digits = [(v + t * coef) % d for t in range(radices[j])
+                      for v in digits]
+        img = [x + v // steps[b] * size for x, v in zip(img, digits)]
+        size *= radices[b]
+    return kern, img
+
+
+def _cores(kern: list, img, starts) -> list:
+    """core[c], the largest submodule inside ker chi_c, for each index c
+    in starts and each one met from them (0 for the others).
+
+    core(chi) is the meet of the kernels of chi, chi.A, chi.A^2, ..., so
+    core(chi) = ker chi & core(chi.A), taken once along the graph c ->
+    img[c].  Every walk in it ends in a cycle, whose characters share one
+    core: the meet of their kernels.  Without an action, cores are kernels.
+    """
+    if img is None:
+        return kern
+    core = [0] * len(kern)      # 0 until known: every core holds 0
+    for c in starts:
+        path = []
+        while not core[c]:
+            core[c] = -1        # on this walk
+            path.append(c)
+            c = img[c]
+        if core[c] < 0:         # the walk closed a cycle at c: its meet,
+            core[c] = reduce(and_, [kern[v] for v in path[path.index(c):]])
+        meet = core[c]          # which the pass back keeps on the cycle
         for v in reversed(path):
-            core &= table[v]
-            cores[v] = core
-    return cores
-
-
-def _kernel_table(orders, top: int, weights) -> dict:
-    """The kernel mask of x -> sum_j w_j x_j mod top for each weight
-    vector w, keyed by w.
-
-    One depth-first walk over the weight prefixes builds them over the
-    mixed-radix index one coordinate at a time: the classes of a prefix map
-    each value on the prefix coordinates to the mask of the prefix elements
-    taking it, and digit v of the next coordinate shifts each class up by v
-    prefix sizes.  Weight vectors that share a prefix share its classes, and
-    the last coordinate builds class 0 only.
-    """
-    if not orders:
-        return dict.fromkeys(weights, 1)
-    table, last = {}, len(orders) - 1
-
-    def walk(j: int, classes: dict, size: int, group) -> None:
-        d, by_weight = orders[j], {}
-        for w in group:
-            by_weight.setdefault(w[j], []).append(w)
-        for wj, rest in by_weight.items():
-            if j == last:
-                kernel = 0
-                for v in range(d):
-                    kernel |= classes.get(-v * wj % top, 0) << v * size
-                table.update(dict.fromkeys(rest, kernel))
-                continue
-            grown: dict = {}
-            for val, mask in classes.items():
-                for v in range(d):
-                    key = (val + v * wj) % top
-                    grown[key] = grown.get(key, 0) | mask << v * size
-            walk(j + 1, grown, size * d, rest)
-
-    try:
-        walk(0, {0: 1}, 1, weights)
-    finally:
-        del walk    # the recursive closure is a reference cycle: break it
-    return table
+            meet &= kern[v]
+            core[v] = meet
+    return core
 
 
 def all_subgroups(orders: Sequence[int]) -> list[int]:
@@ -475,13 +479,9 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int,
     """
     full = mod.full_mask
     if inclusion_maximal:
-        top = lcm(*mod.orders)
-        chars = [tuple(aj * (top // d) for aj, d in zip(a, mod.orders))
-                 for a in itertools.product(*(range(d) for d in mod.orders))]
-        table = _kernel_table(mod.orders, top, chars)
-        # chars[0] is the zero character
-        cores = _cores(mod, chars[1:], table)
-        subs = sorted({cores[w] for w in chars[1:]}, key=int.bit_count,
+        kern, img = _characters(mod, [1] * len(mod.orders))
+        cores = _cores(kern, img, range(1, len(kern)))
+        subs = sorted(set(filter(None, cores[1:])), key=int.bit_count,
                       reverse=True)
         pairs = []
         for i, sub in enumerate(subs):

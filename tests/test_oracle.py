@@ -11,13 +11,14 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 
 import pytest
 
 from covercalc import _kernels as kernels
-from covercalc import (covering, fppoly, gaussian, modules, oracle, parser,
-                       residues, rings)
+from covercalc import (arith, cosets, covering, fppoly, gaussian, modules,
+                       oracle, parser, residues, rings)
 from covercalc.cardinal import finite
 from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
@@ -83,6 +84,23 @@ def block_modules(bound, over=None):
 
         rec(0, 1, [])
     return out
+
+
+# block_modules builds prime-power blocks only.  These sums have a cyclic
+# coordinate of composite order, or a summand with a composite annihilator.
+COMPOSITE_SPECS = (
+    "Z: R/(6) + R/(4)", "Z: R/(30)", "Z: R/(12) + R/(2)", "Z: R/(6) + R/(2)",
+    "Z: R/(20)", "Z: R/(10) + R/(2)", "Zi: R/(3+3i)", "Zi: R/(1+3i) + R/(2)",
+    "Zi: R/(2+4i)", "Zi: R/(3+i) + R/(1+i)", "Zi: R/(1+3i)",
+    "Fp[t] p=2: R/(t^3+t) + R/(t+1)", "Fp[t] p=2: R/(t^4+t)",
+    "Fp[t] p=3: R/(t^3-t)", "Fp[t] p=3: R/(t^2-1) + R/(t)")
+
+
+def composite_modules(bound):
+    """(spec, module) for each of COMPOSITE_SPECS of size <= bound."""
+    mods = [(spec, oracle.materialize(parse(spec)))
+            for spec in COMPOSITE_SPECS]
+    return [(spec, mod) for spec, mod in mods if mod.size <= bound]
 
 
 def inclusion_maximal(masks):
@@ -223,45 +241,24 @@ class TestCharacterLevelSets:
     @pytest.mark.parametrize("spec", ["Z: R/(4) + R/(6)", "Zi: R/(1+i)^3",
                                       "Zi: R/(2+i) + R/(3)",
                                       "Fp[t] p=2: R/(t^2+t+1) + R/(t)^2",
-                                      "Fp[t] p=3: R/(t^2+1) + R/(t)"])
+                                      "Fp[t] p=3: R/(t^2+1) + R/(t)",
+                                      "Z: R/(12)", "Z: R/(10) + R/(2)"])
     def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
-        mod = oracle.materialize(parse(spec), max_size=256)
-        top = math.lcm(*mod.orders)
-        chars = [tuple(aj * (top // d) for aj, d in zip(a, mod.orders))
-                 for a in itertools.product(*(range(d) for d in mod.orders))]
-        table = oracle._kernel_table(mod.orders, top, chars)
-        # memoized along chi -> chi.A: whichever character a walk starts
-        # from, each core is the same
-        cores = oracle._cores(mod, chars, table)
-        assert cores == oracle._cores(mod, chars[::-1], table)
-        assert cores.keys() == set(chars)
-        for w in chars:
-            kernel = elementwise_kernel(mod.orders, top, w)
-            core = kernels.invariant_core(mod.orders, mod.action, kernel)
-            assert table[w] == kernel
-            assert cores[w] == core
-            # its translates partition M
-            cosets = {kernels.translate(mod.orders, core, x)
-                      for x in range(mod.size)}
-            assert sum(c.bit_count() for c in cosets) == mod.size
-            assert functools.reduce(int.__or__, cosets) == mod.full_mask
+        # class 0 of a character's values is its kernel, and the walk over
+        # its images meets it down to its core
+        check_characters(oracle.materialize(parse(spec), max_size=256))
 
     @pytest.mark.parametrize("orders,top", [((4, 6), 12), ((2, 2, 4), 4),
                                             ((3, 9), 9), ((5,), 5), ((), 1)])
     def test_kernel_table_matches_elementwise_kernels(self, orders, top):
-        # every weight vector mod top, well defined or not, in a shuffled
-        # order and in subsets: a prefix's classes serve whatever follows
-        every = list(itertools.product(range(top), repeat=len(orders)))
-        want = {w: elementwise_kernel(orders, top, w) for w in every}
-        assert oracle._kernel_table(orders, top, every) == want
-        shuffled = every[::-1][::2] + every[1::3]
-        assert oracle._kernel_table(orders, top, shuffled) == \
-            {w: want[w] for w in shuffled}
+        # plain groups without an action, the trivial one too
+        assert math.lcm(*orders) == top
+        check_characters(oracle.FiniteModule(orders))
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
         subgroups = functools.lru_cache(oracle.all_subgroups)
         checked = 0
-        for spec, mod in block_modules(64):
+        for spec, mod in block_modules(64) + composite_modules(64):
             # invariant under the action matrix: its element permutation
             # maps the subgroup into itself
             images = [[kernels.apply_matrix(mod.orders, mod.action, x)
@@ -273,7 +270,7 @@ class TestCharacterLevelSets:
             assert oracle.maximal_submodules(mod) == \
                 sorted(inclusion_maximal(proper)), spec
             checked += 1
-        assert checked >= 500
+        assert checked >= 565
 
     def test_punctured_candidates_match_all_subgroups_up_to_32(
             self, monkeypatch):
@@ -281,9 +278,11 @@ class TestCharacterLevelSets:
         monkeypatch.setattr(oracle, "all_subgroups",
                             functools.lru_cache(oracle.all_subgroups))
         checked = 0
-        for spec, mod in block_modules(32):
-            # every puncture up to 16 elements, three above
-            for puncture in (range(mod.size) if mod.size <= 16
+        for spec, mod in block_modules(32) + composite_modules(32):
+            # every puncture up to 16 elements or of a composite order,
+            # three above
+            for puncture in (range(mod.size)
+                             if mod.size <= 16 or spec in COMPOSITE_SPECS
                              else {0, 1, mod.size - 1}):
                 every = oracle.punctured_coset_candidates(
                     mod, puncture, inclusion_maximal=False)
@@ -292,7 +291,60 @@ class TestCharacterLevelSets:
                 assert oracle.punctured_coset_candidates(mod, puncture) == \
                     want, (spec, puncture)
                 checked += 1
-        assert checked >= 1700
+        assert checked >= 2000
+
+
+def check_characters(mod):
+    """Every kernel and image of oracle._characters, at the order-p steps
+    for each p dividing |M| and at step 1, and every core, against the
+    elementwise kernels, weights and invariant cores."""
+    orders, top = mod.orders, math.lcm(*mod.orders)
+    # the order-p characters for each p dividing |M|, and all of them
+    every_p = [[d // math.gcd(d, p) for d in orders]
+               for p in arith.prime_factors(mod.size)]
+    for steps in every_p + [[1] * len(orders)]:
+        radices = [d // s for d, s in zip(orders, steps)]
+        # the weights w_j = c_j N/d_j of each character, by index
+        chars = [tuple(a * s * (top // d) for a, s, d in
+                       zip(kernels.decode(radices, c), steps, orders))
+                 for c in range(math.prod(radices))]
+        kern, img = oracle._characters(mod, steps)
+        assert len(kern) == len(chars)
+        want = [elementwise_kernel(orders, top, w) for w in chars]
+        for c, w in enumerate(chars):
+            if kern[c] == 0:
+                # unbuilt without an action: its top digit does not
+                # divide its radix
+                digits = kernels.decode(radices, c)
+                top_digit = max(j for j, a in enumerate(digits) if a)
+                assert mod.action is None
+                assert radices[top_digit] % digits[top_digit]
+            else:
+                assert kern[c] == want[c], (steps, w)
+        # one character per cyclic subgroup keeps every kernel
+        assert set(kern) - {0} == set(want)
+        if mod.action is None:
+            assert img is None
+            assert oracle._cores(kern, img, range(len(kern))) == kern
+            continue
+        # chi.A has the weights w A mod N
+        columns = list(zip(*mod.action))
+        assert [chars[i] for i in img] == [
+            tuple(sum(map(operator.mul, w, col)) % top for col in columns)
+            for w in chars]
+        # memoized along c -> img[c]: whichever character a walk
+        # starts from, each core is the same
+        cores = oracle._cores(kern, img, range(len(kern)))
+        assert cores == oracle._cores(kern, img,
+                                      reversed(range(len(kern))))
+        for c, kernel in enumerate(want):
+            core = kernels.invariant_core(orders, mod.action, kernel)
+            assert cores[c] == core, (steps, chars[c])
+            # its translates partition M
+            translates = {kernels.translate(orders, core, x)
+                          for x in range(mod.size)}
+            assert sum(m.bit_count() for m in translates) == mod.size
+            assert functools.reduce(int.__or__, translates) == mod.full_mask
 
 
 def elementwise_kernel(orders, top, w):
@@ -307,6 +359,41 @@ def _bits(mask):
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+def test_oracle_answers_without_the_closed_form_modules(monkeypatch):
+    """The oracle stays independent of the closed-form machinery: with every
+    function of covering, cosets and residues raising, it materializes and
+    answers both searches as before."""
+    specs = ["Z: R/(2)^3", "Z: R/(6) + R/(2)", "Zi: R/(1+i)^2 + R/(1+i)",
+             "Zi: R/(2+i)^2", "Fp[t] p=2: R/(t^2+t+1) + R/(t)^2",
+             "Fp[t] p=2: R/(t^3+t) + R/(t+1)", "Fp[t] p=3: R/(t)^3"]
+    descriptors = [parse(spec) for spec in specs]
+
+    def answers():
+        out = []
+        for d in descriptors:
+            mod = oracle.materialize(d)
+            out.append((mod, oracle.min_submodule_cover(mod),
+                        [oracle.min_coset_cover_punctured(mod, p)
+                         for p in (0, mod.size - 1)]))
+        return out
+
+    def refuse(name):
+        def closed_form(*args, **kwargs):
+            raise AssertionError(f"the oracle called {name}")
+        return closed_form
+
+    for module in (covering, cosets, residues):
+        for name, obj in vars(module).items():
+            if (callable(obj) and not isinstance(obj, type)
+                    and getattr(obj, "__module__", None) == module.__name__):
+                monkeypatch.setattr(module, name, refuse(name))
+    alone = answers()
+    monkeypatch.undo()
+    for cache in (rings._factor_literal, oracle._cyclic_block):
+        cache.cache_clear()
+    assert alone == answers()
 
 
 class TestMinCover:
