@@ -10,6 +10,10 @@ apply_matrix work element by element.  min_cover is the exact-cover
 search, with orbital branching under instance symmetries; a node builds
 its group, a stabilizer in its parent's, only when it branches.  BACKEND
 names the implementation; the benchmark records it.
+
+No caller in covercalc uses invariant_core now that the oracle takes
+every submodule from character cores; it stays because the benchmark's
+tracer wraps it by name, and a traced run would fail on its absence.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ submodule R.chi of the dual (_cores).  Characters of order p give the
 maximal submodules; cosets of the cores of all characters give the
 puncture-avoiding cosets.  Each caller builds the kernels and images of
 every character it needs in one pass over the coordinates (_characters),
-so a core only looks them up by index.
+so a core only looks them up by index.  Every submodule is the meet of
+the cores of the characters vanishing on it, so the meets of the cores
+give the whole lattice too.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -28,8 +30,9 @@ outside K: two distinct minimal ones would meet in K and put the
 puncture p in y+K.  The over-submodules of a core are the annihilators
 of the submodules of R.chi, which are cyclic as R is a principal ideal
 domain, so each is a core again or M, and K' is the meet of the cores
-above K.  Both restrictions are cross-validated against unrestricted
-searches in the test suite.
+above K.  Both restrictions, and the lattice of meets, are
+cross-validated against unrestricted references kept apart in
+tests/reference.py, which list every subgroup from generator matrices.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import itertools
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import and_, mul, or_
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernels as kernels
 from . import arith, residues, rings
@@ -261,17 +264,25 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
                             f"the bound is {SIGMA_WORK_BOUND}")
     found = set()
     for p in primes:
-        kern, img = _characters(mod, [d // gcd(d, p) for d in mod.orders])
-        found.update(filter(None, _cores(kern, img, range(1, len(kern)))[1:]))
+        found |= _distinct_cores(mod, [d // gcd(d, p) for d in mod.orders])
     if mod.action is None:
         return sorted(found)
-    # the cores in no other one, met largest first: one inside another
-    # lies inside a maximal one, so only the maxima found so far are checked
-    maxima: list[int] = []
-    for m in sorted(found, key=int.bit_count, reverse=True):
+    # a core of prime index is maximal; the others are kept when in no
+    # other core, met largest first: one inside another lies inside a
+    # maximal one, so only the maxima found so far are checked
+    maxima = [m for m in found if n // m.bit_count() in primes]
+    for m in sorted(found.difference(maxima), key=int.bit_count,
+                    reverse=True):
         if not any((m | o) == o for o in maxima):
             maxima.append(m)
     return sorted(maxima)
+
+
+def _distinct_cores(mod: FiniteModule, steps) -> set:
+    """The cores of the nontrivial characters whose digit j is a multiple
+    of steps[j], each once."""
+    kern, img = _characters(mod, steps)
+    return set(filter(None, _cores(kern, img, range(1, len(kern)))[1:]))
 
 
 def _characters(mod: FiniteModule, steps) -> tuple:
@@ -322,14 +333,16 @@ def _characters(mod: FiniteModule, steps) -> tuple:
                 kern += [0] * len(classes)
             else:
                 # u.chi, u a unit mod N with u.m/g = 1 mod q, has the
-                # kernel of chi, and top digit g
-                u = next(u for u in itertools.count(pow(m // g, -1, q), q)
-                         if gcd(u, top) == 1)
+                # kernel of chi, and top digit g; with no level below, u.c
+                # is c = 0 whatever u is
                 scaled = [0]    # the index of u.c, by c
-                for i in levels[:-1]:
-                    size, r_i = len(scaled), radices[i]
-                    scaled = [x + u * t % r_i * size for t in range(r_i)
-                              for x in scaled]
+                if len(levels) > 1:
+                    u = next(u for u in itertools.count(pow(m // g, -1, q), q)
+                             if gcd(u, top) == 1)
+                    for i in levels[:-1]:
+                        size, r_i = len(scaled), radices[i]
+                        scaled = [x + u * t % r_i * size for t in range(r_i)
+                                  for x in scaled]
                 kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
     kern[:0] = [cls[0] for cls in classes]
     if act is None:
@@ -373,53 +386,6 @@ def _cores(kern: list, img, starts) -> list:
     return core
 
 
-def all_subgroups(orders: Sequence[int]) -> list[int]:
-    """All subgroups of the abelian group with the given cyclic orders.
-
-    Enumerates canonical upper-triangular generator matrices H with
-    h_jj | d_j and reduced off-diagonals, pruned by the requirement that
-    the spanned lattice contain diag(d); masks are deduplicated.
-    """
-    k = len(orders)
-    if k == 0:
-        return [1]
-    found: set[int] = set()
-    col_divisors = [_divisors(d) for d in orders]
-
-    def feasible_prefix(cols, j) -> bool:
-        # solve H x = d_j e_j over Z using columns 0..j (upper triangular)
-        x = [0] * (j + 1)
-        target = [0] * (j + 1)
-        target[j] = orders[j]
-        for i in range(j, -1, -1):
-            acc = target[i] - sum(cols[l][i] * x[l] for l in range(i + 1, j + 1))
-            if acc % cols[i][i]:
-                return False
-            x[i] = acc // cols[i][i]
-        return True
-
-    def extend(cols):
-        j = len(cols)
-        if j == k:
-            gens = [kernels.encode(orders, col) for col in cols]
-            found.add(kernels.closure(orders, None, gens))
-            return
-        for hjj in col_divisors[j]:
-            for off in itertools.product(*(range(cols[i][i]) for i in range(j))):
-                col = [off[i] for i in range(j)] + [hjj] + [0] * (k - j - 1)
-                cols.append(col)
-                if feasible_prefix(cols, j):
-                    extend(cols)
-                cols.pop()
-
-    extend([])
-    return sorted(found)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
                          max_size: Optional[int] = None) -> list[SubmoduleSet]:
     """Action-invariant subgroups: all of them, or the maximal ones only."""
@@ -430,10 +396,14 @@ def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
 
 
 def _submodule_masks(mod: FiniteModule, maximal_only: bool) -> list[int]:
+    """The maximal submodules, or every submodule: each is the meet of the
+    cores of the characters vanishing on it (M the meet of none)."""
     if maximal_only:
         return maximal_submodules(mod)
-    return [m for m in all_subgroups(mod.orders)
-            if kernels.invariant_core(mod.orders, mod.action, m) == m]
+    lattice = {mod.full_mask}
+    for core in _distinct_cores(mod, [1] * len(mod.orders)):
+        lattice |= {core & s for s in lattice}
+    return sorted(lattice)
 
 
 def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
@@ -458,42 +428,34 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
     return size, [_wrap(mod, candidates[i]) for i in idxs]
 
 
-def punctured_coset_candidates(mod: FiniteModule, puncture: int,
-                               inclusion_maximal: bool = True):
-    """Puncture-avoiding cosets of proper submodules as (coset, submodule, rep),
-    rep the least element of the coset.
+def punctured_coset_candidates(mod: FiniteModule, puncture: int):
+    """The inclusion-maximal puncture-avoiding cosets of proper submodules
+    as (coset, submodule, rep), rep the least element of the coset; no
+    other coset is built.
 
-    With inclusion_maximal, only the inclusion-maximal ones, and no other
-    coset is built.  None is lost by taking cores: y+S avoids the
-    puncture p exactly when some chi vanishing on S has chi(y) != chi(p);
-    the submodule S lies in ker chi, so in K = core(ker chi), and y+S lies
-    in y+K, which avoids p as chi is constant on it.  Such a y+K is
-    maximal exactly when every proper submodule above K holds y-p: when K
-    has a unique minimal over-submodule K' and y-p lies in K' outside K
-    (two distinct minimal ones meet in K).  Every submodule above a core
-    is a core or M (see the module docstring), so K' is the meet of the
-    cores above K, and K' = K when there is no unique one.  The cosets of
-    K inside p+K', but p+K, are the maximal ones.  Without
-    inclusion_maximal, every coset avoiding p of every proper submodule
-    from all_subgroups, as the reference.
+    None is lost by taking cores: y+S avoids the puncture p exactly when
+    some chi vanishing on S has chi(y) != chi(p); the submodule S lies in
+    ker chi, so in K = core(ker chi), and y+S lies in y+K, which avoids p
+    as chi is constant on it.  Such a y+K is maximal exactly when every
+    proper submodule above K holds y-p: when K has a unique minimal
+    over-submodule K' and y-p lies in K' outside K (two distinct minimal
+    ones meet in K).  Every submodule above a core is a core or M (see
+    the module docstring), so K' is the meet of the cores above K, and
+    K' = K when there is no unique one.  The cosets of K inside p+K', but
+    p+K, are the maximal ones.
     """
     full = mod.full_mask
-    if inclusion_maximal:
-        kern, img = _characters(mod, [1] * len(mod.orders))
-        cores = _cores(kern, img, range(1, len(kern)))
-        subs = sorted(set(filter(None, cores[1:])), key=int.bit_count,
-                      reverse=True)
-        pairs = []
-        for i, sub in enumerate(subs):
-            # every core above sub is larger, so it comes earlier
-            over = full
-            for o in subs[:i]:
-                if not sub & ~o:
-                    over &= o
-            if over != sub:
-                pairs.append((sub, over))
-    else:
-        pairs = [(m, full) for m in _submodule_masks(mod, False) if m != full]
+    subs = sorted(_distinct_cores(mod, [1] * len(mod.orders)),
+                  key=int.bit_count, reverse=True)
+    pairs = []
+    for i, sub in enumerate(subs):
+        # every core above sub is larger, so it comes earlier
+        over = full
+        for o in subs[:i]:
+            if not sub & ~o:
+                over &= o
+        if over != sub:
+            pairs.append((sub, over))
     cands = []
     for sub, over in pairs:
         # the cosets of sub inside puncture + over, but puncture + sub
@@ -645,8 +607,7 @@ def coset_symmetries(mod: FiniteModule, puncture: int, masks) -> list[tuple]:
 
 
 def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
-                              max_size: int = COSET_SIZE_BOUND,
-                              inclusion_maximal: bool = True):
+                              max_size: int = COSET_SIZE_BOUND):
     """Exact minimum number of proper-submodule cosets covering M - {puncture}."""
     if not 0 <= puncture < mod.size:
         raise ValueError(
@@ -655,7 +616,7 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
         raise TooLargeError(f"module size {mod.size} exceeds bound {max_size}")
     if mod.size == 1:
         raise TrivialGroupError("the trivial module has no punctured cover")
-    cands = punctured_coset_candidates(mod, puncture, inclusion_maximal)
+    cands = punctured_coset_candidates(mod, puncture)
     universe = mod.full_mask & ~(1 << puncture)
     masks = [c[0] for c in cands]
     size, idxs = kernels.min_cover(

@@ -1,4 +1,16 @@
-"""Helpers that only the tests use, kept out of the covercalc package."""
+"""Helpers that only the tests use, kept out of the covercalc package.
+
+The unrestricted oracle references live here, apart from the code they
+check: every subgroup from generator matrices, and every submodule and
+puncture-avoiding coset from those.  They take from covercalc only the
+mask kernels of covercalc._kernels, never the character cores behind the
+oracle's own candidate lists.
+"""
+
+import functools
+import itertools
+
+from covercalc import _kernels as kernels
 
 
 def replace(obj, **changes):
@@ -18,3 +30,81 @@ def matmul(ring, A, B):
                 acc = ring.add(acc, ring.mul(ring.coerce(A[i][l]), ring.coerce(B[l][j])))
             out[i][j] = acc
     return out
+
+
+@functools.cache
+def all_subgroups(orders):
+    """All subgroups of the abelian group with the given cyclic orders,
+    ascending (memoized: a sweep meets each tuple of orders many times).
+
+    Enumerates canonical upper-triangular generator matrices H with
+    h_jj | d_j and reduced off-diagonals, pruned by the requirement that
+    the spanned lattice contain diag(d); masks are deduplicated.
+    """
+    k = len(orders)
+    if k == 0:
+        return (1,)
+    found = set()
+    col_divisors = [_divisors(d) for d in orders]
+
+    def feasible_prefix(cols, j):
+        # solve H x = d_j e_j over Z using columns 0..j (upper triangular)
+        x = [0] * (j + 1)
+        target = [0] * (j + 1)
+        target[j] = orders[j]
+        for i in range(j, -1, -1):
+            acc = target[i] - sum(cols[l][i] * x[l] for l in range(i + 1, j + 1))
+            if acc % cols[i][i]:
+                return False
+            x[i] = acc // cols[i][i]
+        return True
+
+    def extend(cols):
+        j = len(cols)
+        if j == k:
+            gens = [kernels.encode(orders, col) for col in cols]
+            found.add(kernels.closure(orders, None, gens))
+            return
+        for hjj in col_divisors[j]:
+            for off in itertools.product(*(range(cols[i][i]) for i in range(j))):
+                col = [off[i] for i in range(j)] + [hjj] + [0] * (k - j - 1)
+                cols.append(col)
+                if feasible_prefix(cols, j):
+                    extend(cols)
+                cols.pop()
+
+    extend([])
+    return tuple(sorted(found))
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def submodule_lattice(mod):
+    """Every submodule of a materialized module, ascending: the subgroups
+    that the action matrix maps into themselves, element by element."""
+    if mod.action is None:
+        return list(all_subgroups(mod.orders))
+    image = [kernels.apply_matrix(mod.orders, mod.action, x)
+             for x in range(mod.size)]
+    return [m for m in all_subgroups(mod.orders)
+            if all(m >> image[x] & 1 for x in range(mod.size) if m >> x & 1)]
+
+
+def every_avoiding_coset(mod, puncture):
+    """Every coset of every proper submodule that avoids the puncture, as
+    (coset, submodule, least element), in the order of the oracle's
+    candidates."""
+    full, cands = mod.full_mask, []
+    for sub in submodule_lattice(mod):
+        if sub == full:
+            continue
+        rest = full & ~kernels.translate(mod.orders, sub, puncture)
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            coset = kernels.translate(mod.orders, sub, x)
+            rest &= ~coset
+            cands.append((coset, sub, x))
+    cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
+    return cands

@@ -134,3 +134,22 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{name}:{line} {bound_name}"
                    for bound_name, line in bound.items() if bound_name not in used]
     assert unused == []
+
+
+def test_the_test_reference_takes_only_the_kernels_from_covercalc():
+    # a reference built from the oracle's own characters or cores would
+    # check the oracle against itself
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "reference.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), "reference.py")
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # from covercalc import x takes the module covercalc.x
+            modules.update([f"covercalc.{alias.name}" for alias in node.names]
+                           if node.module == "covercalc" else [node.module])
+    assert {m for m in modules if m.split(".")[0] == "covercalc"} == \
+        {"covercalc._kernels"}

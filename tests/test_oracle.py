@@ -1,10 +1,10 @@
 """The brute-force engine: materialization, enumeration, exact covers.
 
 Independent cross-checks: subgroup enumeration is compared against a
-join-closure method that knows nothing about generator matrices, the
-maximal-submodule restriction is compared against covers over all proper
-submodules, and the punctured coset search against its unrestricted
-variant.
+join-closure method that knows nothing about generator matrices, and the
+maximal submodules, the full lattice and the punctured coset candidates
+against the unrestricted references of tests/reference.py, which list
+every subgroup from generator matrices.
 """
 
 import functools
@@ -23,7 +23,7 @@ from covercalc.cardinal import finite
 from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
 from covercalc.rings import FactoredIdeal
-from reference import replace
+from reference import every_avoiding_coset, replace, submodule_lattice
 
 Z = rings.integers()
 
@@ -242,7 +242,8 @@ class TestCharacterLevelSets:
                                       "Zi: R/(2+i) + R/(3)",
                                       "Fp[t] p=2: R/(t^2+t+1) + R/(t)^2",
                                       "Fp[t] p=3: R/(t^2+1) + R/(t)",
-                                      "Z: R/(12)", "Z: R/(10) + R/(2)"])
+                                      "Z: R/(12)", "Z: R/(10) + R/(2)",
+                                      "Zi: R/(2+i)", "Fp[t] p=7: R/(t+3)"])
     def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
         # class 0 of a character's values is its kernel, and the walk over
         # its images meets it down to its core
@@ -256,27 +257,20 @@ class TestCharacterLevelSets:
         check_characters(oracle.FiniteModule(orders))
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
-        subgroups = functools.lru_cache(oracle.all_subgroups)
+        # the maximal submodules, and the meet closure of the cores of all
+        # characters, against every submodule
         checked = 0
         for spec, mod in block_modules(64) + composite_modules(64):
-            # invariant under the action matrix: its element permutation
-            # maps the subgroup into itself
-            images = [[kernels.apply_matrix(mod.orders, mod.action, x)
-                       for x in range(mod.size)]] if mod.action else []
-            proper = [m for m in subgroups(mod.orders)
-                      if m != mod.full_mask
-                      and all(m >> image[x] & 1 for image in images
-                              for x in _bits(m))]
+            lattice = submodule_lattice(mod)
+            proper = [m for m in lattice if m != mod.full_mask]
             assert oracle.maximal_submodules(mod) == \
                 sorted(inclusion_maximal(proper)), spec
+            assert [s.mask for s in oracle.enumerate_submodules(
+                mod, maximal_only=False, max_size=64)] == lattice, spec
             checked += 1
         assert checked >= 565
 
-    def test_punctured_candidates_match_all_subgroups_up_to_32(
-            self, monkeypatch):
-        # the reference lists every subgroup once per puncture: memoize
-        monkeypatch.setattr(oracle, "all_subgroups",
-                            functools.lru_cache(oracle.all_subgroups))
+    def test_punctured_candidates_match_all_subgroups_up_to_32(self):
         checked = 0
         for spec, mod in block_modules(32) + composite_modules(32):
             # every puncture up to 16 elements or of a composite order,
@@ -284,8 +278,7 @@ class TestCharacterLevelSets:
             for puncture in (range(mod.size)
                              if mod.size <= 16 or spec in COMPOSITE_SPECS
                              else {0, 1, mod.size - 1}):
-                every = oracle.punctured_coset_candidates(
-                    mod, puncture, inclusion_maximal=False)
+                every = every_avoiding_coset(mod, puncture)
                 maximal = inclusion_maximal([c[0] for c in every])
                 want = [c for c in every if c[0] in maximal]
                 assert oracle.punctured_coset_candidates(mod, puncture) == \
@@ -426,8 +419,9 @@ class TestMinCover:
                    "Zi: R/(2+i) + R/(2+i)"]
         for spec in samples:
             mod = oracle.materialize(parse(spec), max_size=64)
-            a = oracle.min_submodule_cover(mod, maximal_only=True, max_size=64)[0]
-            b = oracle.min_submodule_cover(mod, maximal_only=False, max_size=64)[0]
+            a = oracle.min_submodule_cover(mod, max_size=64)[0]
+            proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+            b = kernels.min_cover(mod.full_mask, proper)[0]
             assert a == b, spec
 
     def test_deterministic_witness(self):
@@ -470,10 +464,10 @@ class TestPuncturedCosets:
         for spec in specs:
             mod = oracle.materialize(parse(spec), max_size=16)
             for puncture in {0, mod.size - 1}:
-                a = oracle.min_coset_cover_punctured(mod, puncture,
-                                                     inclusion_maximal=True)[0]
-                b = oracle.min_coset_cover_punctured(mod, puncture,
-                                                     inclusion_maximal=False)[0]
+                a = oracle.min_coset_cover_punctured(mod, puncture)[0]
+                every = [c[0] for c in every_avoiding_coset(mod, puncture)]
+                b = kernels.min_cover(mod.full_mask & ~(1 << puncture),
+                                      every)[0]
                 assert a == b, (spec, puncture)
 
     def test_every_puncture_same_count(self):
