@@ -7,8 +7,10 @@ one integer matrix on the digits (multiplication by i over Z[i], by t over
 F_p[t]), or None over Z.  translate and closure act on a whole mask at
 once, one coordinate at a time, as shifts of the int; invariant_core and
 apply_matrix work element by element.  min_cover is the exact-cover
-search, with orbital branching under instance symmetries; a node builds
-its group, a stabilizer in its parent's, only when it branches.  BACKEND
+search: a plain search, then, if that has not closed, orbital branching
+under instance symmetries, which resumes from what the plain search
+finished at its root; a node builds its group, a stabilizer in its
+parent's, only when it branches.  BACKEND
 names the implementation; the benchmark records it.
 
 No caller in covercalc uses invariant_core now that the oracle takes
@@ -25,6 +27,10 @@ from operator import itemgetter, mul
 from .errors import TooLargeError
 
 BACKEND = "pure"
+# A process keeps the shifts of this many (orders, g) pairs.  One oracle
+# item translates by the same elements again and again: in a phi item 58 %
+# of the calls repeat an earlier one, in a sigma item 66 %.
+STEPS_CACHE_SIZE = 256
 
 
 def encode(orders, digits) -> int:
@@ -55,7 +61,8 @@ def _periods(orders) -> tuple:
     return tuple(out)
 
 
-def _steps(orders, g: int) -> list:
+@lru_cache(maxsize=STEPS_CACHE_SIZE)
+def _steps(orders, g: int) -> tuple:
     """The shifts that add g, as (low, up, down) per coordinate where g has
     a nonzero digit r: low holds the elements whose digit is below d - r;
     they move up by r strides and the others wrap down by d - r strides."""
@@ -65,7 +72,7 @@ def _steps(orders, g: int) -> list:
         if r:
             steps.append(((rep << (d - r) * stride) - rep,
                           r * stride, (d - r) * stride))
-    return steps
+    return tuple(steps)
 
 
 def _shift(mask: int, steps) -> int:
@@ -127,13 +134,14 @@ def _bits(mask: int):
 
 
 # The search first runs without symmetries.  Instances that have not closed
-# after this many nodes fetch their symmetries and restart from the root.
-# Fetching and restarting costs about 0.5 ms.  Over the 899 phi golden
-# (module, puncture) pairs, 40, 56, 84 and 115 fetch at 500, 200, 100 and
-# 50 nodes; below 200 the new fetches are on items that the plain search
-# closes in about a millisecond, and they get slower.  No sigma golden
-# fetches at 200.
-_PLAIN_NODES = 200
+# after this many nodes fetch their symmetries and resume (see min_cover).
+# Over the 899 phi golden (module, puncture) pairs, 382, 115, 84, 56 and 40
+# searches fetch at 1, 50, 100, 200 and 500 nodes, and 0, 41, 36, 32 and
+# 20 of them resume with some root candidates left out.  At 1 the
+# fetches cost more than the symmetries save; below 100 they fall on
+# F_2[t] pairs that the plain search closes in about a millisecond, and
+# those get slower.  One sigma golden fetches at 100.
+_PLAIN_NODES = 100
 # Each child group keeps at most this many stabilizer generators.
 _STABILIZER_GENS = 12
 # A search past this many nodes raises TooLargeError.  The heaviest
@@ -152,10 +160,13 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
     permutations of the candidate indices (tuples, perm[i] is the image of
     i), each induced by a permutation of the elements that maps the universe
     onto itself.  It is called only when the plain search needs more than
-    _PLAIN_NODES nodes; the symmetries prune the proof of optimality but
-    never change the size or the witness.  The optimality proof and the
-    lex-least witness pass each raise TooLargeError past _NODE_BUDGET
-    nodes.
+    _PLAIN_NODES nodes.  The symmetric search then resumes from the plain
+    search's best size, without the orbits of the root candidates whose
+    subtrees the plain search finished: no cover smaller than that best
+    holds such a candidate, nor, mapped by a symmetry, any of its orbit.
+    The symmetries prune the proof of optimality but never change the size
+    or the witness.  The optimality proof and the lex-least witness pass
+    each raise TooLargeError past _NODE_BUDGET nodes.
     """
     if universe == 0:
         return 0, ()
@@ -172,7 +183,13 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
         try:
             best = _search(universe, candidates, best, (), _PLAIN_NODES)
         except _Unfinished as stop:
-            best = _search(universe, candidates, stop.best, tuple(symmetries()))
+            gens = tuple(symmetries())
+            excluded = 0
+            for i in _bits(stop.finished):
+                if not (excluded >> i) & 1:
+                    excluded |= _orbit(i, gens)
+            best = _search(universe, candidates, stop.best, gens,
+                           excluded=excluded)
     return best, _lex_witness(universe, candidates, best)
 
 
@@ -192,12 +209,17 @@ def _greedy_size(universe: int, candidates) -> int:
 
 
 class _Unfinished(Exception):
-    def __init__(self, best: int):
-        super().__init__(best)
+    """The best size a stopped search found, and the mask of the root
+    candidates whose subtrees it finished."""
+
+    def __init__(self, best: int, finished: int):
+        super().__init__(best, finished)
         self.best = best
+        self.finished = finished
 
 
-def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int:
+def _search(universe: int, candidates, upper: int, gens, node_limit=None,
+            excluded=0) -> int:
     """Prove the minimum cover size by orbital branching.
 
     A node branches on the uncovered element with the fewest allowed
@@ -217,13 +239,16 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     builds it only once it branches, as the bounds prune most children on
     entry, and each (representative, parent group) pair is built once per
     search.  With no generators this is element branching with sibling
-    exclusion.
-    Returns the optimum, or raises _Unfinished with the best size found
-    once node_limit nodes have been visited.  With no node_limit, a search
-    past _NODE_BUDGET nodes raises TooLargeError.
+    exclusion.  The root excludes the candidates in the excluded mask,
+    which the root group must map onto itself.
+    Returns the smaller of upper and the least size of a cover without the
+    excluded candidates.  Once node_limit nodes have been visited it raises
+    _Unfinished with the best size found and the root candidates whose
+    subtrees are done.  With no node_limit, a search past _NODE_BUDGET
+    nodes raises TooLargeError.
     """
     if node_limit == 0:
-        raise _Unfinished(upper)
+        raise _Unfinished(upper, 0)
     # the root's counting bound, before the holders are built: it alone
     # proves every instance whose greedy size meets it
     maxcov = max((c & universe).bit_count() for c in candidates)
@@ -241,6 +266,7 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
             holders[low] |= 1 << i
     best = upper
     nodes = 0
+    finished = 0    # root candidates whose subtrees are done
     # (rep, id(parent group)) -> (parent group, its stabilizer of rep); the
     # stored parent keeps its id from being reused
     stabilizers = {}
@@ -257,11 +283,11 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
     def dfs(cov: int, depth: int, cands: list, allowed: int, chosen, parent):
         # the node's group: parent's stabilizer of the candidate chosen
         # last, or parent itself at the root (chosen None)
-        nonlocal best, nodes
+        nonlocal best, nodes, finished
         nodes += 1
         if nodes > limit:
             if node_limit is not None:
-                raise _Unfinished(best)
+                raise _Unfinished(best, finished)
             raise TooLargeError("the cover search ran out of nodes: "
                                 f"the bound is {_NODE_BUDGET}")
         rem = universe & ~cov
@@ -319,12 +345,17 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None) -> int
                 break
             dfs(cov | cands[rep], depth + 1, cands, allowed, rep, gens)
             allowed &= ~orbit
+            if chosen is None:
+                finished |= orbit
             cands = cands.copy()
             for j in _bits(orbit):
                 cands[j] = 0
 
+    cands = list(candidates)
+    for j in _bits(excluded):
+        cands[j] = 0
     try:
-        dfs(0, 0, list(candidates), (1 << n) - 1, None, gens)
+        dfs(0, 0, cands, ((1 << n) - 1) & ~excluded, None, gens)
     finally:
         del dfs, group  # the recursive closures are a reference cycle: break it
     return best

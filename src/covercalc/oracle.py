@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import and_, mul, or_
+from operator import and_, itemgetter, mul, or_
 from typing import Optional
 
 from . import _kernels as kernels
@@ -550,17 +550,26 @@ def _unit_of_largest_order(m: int) -> int:
 
 def _is_automorphism(mod: FiniteModule, sigma) -> bool:
     """Well defined on the orders and commuting with the action matrix.
-    (Swaps, unit scalings and shears are invertible by construction.)"""
+    (Swaps, unit scalings and shears are invertible by construction.)
+
+    Only the entries where sigma differs from the identity are read, as
+    E = sigma - I: the identity's entries are well defined, and
+    sigma.A - A.sigma = E.A - A.E, which vanishes outside the rows and
+    columns of E's nonzero entries."""
     orders, k, mat = mod.orders, len(mod.orders), mod.action
-    for r in range(k):
-        for c in range(k):
-            if (sigma[r][c] * orders[c]) % orders[r]:
-                return False
-            if mat is not None and (
-                    sum(sigma[r][t] * mat[t][c] - mat[r][t] * sigma[t][c]
-                        for t in range(k)) % orders[r]):
-                return False
-    return True
+    moved = [(r, t, sigma[r][t] - (r == t)) for r in range(k) for t in range(k)
+             if sigma[r][t] != (r == t)]
+    if any((sigma[r][t] * orders[t]) % orders[r] for r, t, _ in moved):
+        return False
+    if mat is None:
+        return True
+    diff = {}
+    for r, t, e in moved:
+        for c in range(k):      # E.A gains e * A[t] in row r
+            diff[r, c] = diff.get((r, c), 0) + e * mat[t][c]
+        for q in range(k):      # A.E gains A[q][r] * e in column t
+            diff[q, t] = diff.get((q, t), 0) - mat[q][r] * e
+    return not any(v % orders[r] for (r, _), v in diff.items())
 
 
 def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
@@ -568,15 +577,20 @@ def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
 
     It is x -> sigma x + (puncture - sigma puncture), built one output
     digit at a time over the mixed-radix enumeration of x: each input
-    digit t adds t times its column of sigma.
+    digit t adds t times its column of sigma.  A row of the identity
+    keeps its digit, so only the other rows move x, each by its new digit
+    less the old one, times its stride.
     """
-    orders, p = mod.orders, mod.decode(puncture)
-    out, stride = [0] * mod.size, 1
-    for row, d, pr in zip(sigma, orders, p):
-        digits = [(pr - sum(map(mul, row, p))) % d]
-        for s, dc in zip(row, orders):
-            digits = [(v + t * s) % d for t in range(dc) for v in digits]
-        out = [x + v * stride for x, v in zip(out, digits)]
+    orders, p, size = mod.orders, mod.decode(puncture), mod.size
+    out, stride = list(range(size)), 1
+    for r, (row, d, pr) in enumerate(zip(sigma, orders, p)):
+        if any(s != (c == r) for c, s in enumerate(row)):
+            digits = [(pr - sum(map(mul, row, p))) % d]
+            for s, dc in zip(row, orders):
+                digits = [(v + t * s) % d for t in range(dc) for v in digits]
+            old = ([t for t in range(d) for _ in range(stride)]
+                   * (size // (stride * d)))
+            out = [x + (v - t) * stride for x, v, t in zip(out, digits, old)]
         stride *= d
     return tuple(out)
 
@@ -587,21 +601,20 @@ def coset_symmetries(mod: FiniteModule, puncture: int, masks) -> list[tuple]:
 
     Each maps the puncture-avoiding cosets of proper submodules onto
     themselves; a matrix that moves some candidate off the list is
-    dropped, and so is one that moves no candidate.
+    dropped, and so is one that moves no candidate.  A mask's image is the
+    sum of the bits of its elements' images, which one itemgetter per mask
+    picks from the table of image bits; its last index, past the elements,
+    picks a 0, so a singleton's getter returns a tuple too.
     """
     index = {m: i for i, m in enumerate(masks)}
+    getters = [itemgetter(*kernels._bits(m), mod.size) for m in masks]
+    identity = list(range(len(masks)))
     out = []
     for sigma in automorphisms(mod):
-        tau = fixing_permutation(mod, sigma, puncture)
-        perm = []
-        for m in masks:
-            image = 0
-            while m:
-                lsb = m & -m
-                image |= 1 << tau[lsb.bit_length() - 1]
-                m ^= lsb
-            perm.append(index.get(image))
-        if None not in perm and perm != list(range(len(masks))):
+        bits = [1 << y for y in fixing_permutation(mod, sigma, puncture)]
+        bits.append(0)
+        perm = [index.get(sum(get(bits))) for get in getters]
+        if None not in perm and perm != identity:
             out.append(tuple(perm))
     return out
 

@@ -4,11 +4,11 @@ whatever ran before it."""
 
 import pytest
 
-from covercalc import oracle, rings
+from covercalc import _kernels, oracle, rings
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
     for cache in (rings._factor_literal, oracle._cyclic_block,
-                  oracle._residue_tables):
+                  oracle._residue_tables, _kernels._steps):
         cache.cache_clear()

@@ -108,3 +108,71 @@ def every_avoiding_coset(mod, puncture):
             cands.append((coset, sub, x))
     cands.sort(key=lambda t: (-t[0].bit_count(), t[0], t[1]))
     return cands
+
+
+def count_resumes(monkeypatch):
+    """Patch the search to record each symmetric search that resumes with
+    an excluded root set, as (universe, candidates, upper, excluded);
+    returns the list it appends them to."""
+    real, resumed = kernels._search, []
+
+    def search(universe, candidates, upper, *args, excluded=0, **kwargs):
+        if excluded:
+            resumed.append((universe, candidates, upper, excluded))
+        return real(universe, candidates, upper, *args, excluded=excluded,
+                    **kwargs)
+
+    monkeypatch.setattr(kernels, "_search", search)
+    return resumed
+
+
+def excluded_candidates_are_in_no_smaller_cover(universe, candidates, upper,
+                                                excluded):
+    """No cover with fewer than upper candidates holds an excluded one: a
+    cover through candidate j is j and a cover of the rest, which the
+    plain search sizes."""
+    return all(1 + kernels.min_cover(universe & ~c, candidates)[0] >= upper
+               for j, c in enumerate(candidates) if (excluded >> j) & 1)
+
+
+def is_automorphism_dense(mod, sigma):
+    """Every entry of sigma well defined on the orders, and every entry of
+    sigma.A - A.sigma zero modulo its row's order."""
+    orders, k, mat = mod.orders, len(mod.orders), mod.action
+    for r in range(k):
+        for c in range(k):
+            if (sigma[r][c] * orders[c]) % orders[r]:
+                return False
+            if mat is not None and (
+                    sum(sigma[r][t] * mat[t][c] - mat[r][t] * sigma[t][c]
+                        for t in range(k)) % orders[r]):
+                return False
+    return True
+
+
+def coset_symmetries(mod, puncture, masks, sigmas):
+    """The matrices, conjugated to fix the puncture, as permutations of the
+    mask indices: each element mapped by decoding, multiplying and
+    encoding, each mask bit by bit.  A matrix that moves a mask off the
+    list, or moves none, is dropped."""
+    orders, p = mod.orders, kernels.decode(mod.orders, puncture)
+    index = {m: i for i, m in enumerate(masks)}
+    out = []
+    for sigma in sigmas:
+        tau = []
+        for x in range(mod.size):
+            d = [a - b for a, b in zip(kernels.decode(orders, x), p)]
+            tau.append(kernels.encode(orders, [
+                sum(s * v for s, v in zip(row, d)) + p[r]
+                for r, row in enumerate(sigma)]))
+        perm = []
+        for m in masks:
+            image = 0
+            while m:
+                lsb = m & -m
+                image |= 1 << tau[lsb.bit_length() - 1]
+                m ^= lsb
+            perm.append(index.get(image))
+        if None not in perm and perm != list(range(len(masks))):
+            out.append(tuple(perm))
+    return out

@@ -1,17 +1,18 @@
 """What a process keeps between calls: literal factorizations, checked
-cyclic blocks and residue-field tables.
+cyclic blocks, residue-field tables and translation shifts.
 
 Each is a bounded functools.lru_cache holding immutable values, so a hit
 returns what a fresh computation would, and an input that raises is never
 kept.
 """
 
+import random
 import sys
 import threading
 
 import pytest
 
-from covercalc import covering, oracle, parser, rings
+from covercalc import _kernels, covering, oracle, parser, rings
 from covercalc.errors import SpecSemanticError, UnsupportedLiteralError
 
 Z = rings.integers()
@@ -101,6 +102,28 @@ def test_cache_bounds_are_the_module_constants():
             == oracle.BLOCK_CACHE_SIZE)
     assert (oracle._residue_tables.cache_parameters()["maxsize"]
             == oracle.RESIDUE_TABLE_CACHE_SIZE)
+    assert (_kernels._steps.cache_parameters()["maxsize"]
+            == _kernels.STEPS_CACHE_SIZE)
+
+
+def test_cached_steps_are_the_uncached_ones():
+    # random orders and elements, more of them than the cache holds, each
+    # asked twice: a hit returns what a fresh computation would, as a tuple
+    rng = random.Random(3)
+    keys = []
+    while len(set(keys)) <= _kernels.STEPS_CACHE_SIZE:
+        orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        size = 1
+        for d in orders:
+            size *= d
+        keys.append((orders, rng.randrange(size)))
+    for orders, g in keys + keys[::-1]:
+        steps = _kernels._steps(orders, g)
+        assert steps == _kernels._steps.__wrapped__(orders, g)
+        assert _is_frozen(steps)
+    info = _kernels._steps.cache_info()
+    assert info.hits > 0
+    assert info.currsize == _kernels.STEPS_CACHE_SIZE
 
 
 def _is_frozen(value) -> bool:

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from reference import (count_resumes,
+                       excluded_candidates_are_in_no_smaller_cover)
 from test_oracle import block_modules, parse
 
 from covercalc import _kernels, oracle
@@ -223,11 +225,15 @@ def rotation_instances(seed, count):
     return out
 
 
-@pytest.mark.parametrize("plain_nodes", [0, 3])
+@pytest.mark.parametrize("plain_nodes", [0, 1, 3, _kernels._PLAIN_NODES])
 def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
-    # plain_nodes 0 searches with the symmetries from the root; 3 restarts
-    # after a few plain nodes with whatever upper bound they found
+    # plain_nodes 0 searches with the symmetries from the root; the others
+    # resume after that many plain nodes with the best size found and
+    # without the orbits of the root candidates already searched.  No
+    # cover smaller than that best may hold a candidate left out; at 3,
+    # one instance resumes before its best is the optimum.
     monkeypatch.setattr(_kernels, "_PLAIN_NODES", plain_nodes)
+    resumed = count_resumes(monkeypatch)
     overshoots = 0
     for universe, candidates, gens in rotation_instances(11, 60):
         calls = []
@@ -239,6 +245,10 @@ def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
         overshoots += _kernels._greedy_size(universe, candidates) > got[0]
     # instances where greedy is already optimal cannot catch over-pruning
     assert overshoots >= 5
+    # no root candidate is done after the root node alone
+    assert (len(resumed) > 0) == (plain_nodes > 1), len(resumed)
+    assert all(excluded_candidates_are_in_no_smaller_cover(*args)
+               for args in resumed)
 
 
 def test_symmetries_are_fetched_only_past_the_plain_node_count():

@@ -23,13 +23,24 @@ from covercalc.cardinal import finite
 from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
 from covercalc.rings import FactoredIdeal
-from reference import every_avoiding_coset, replace, submodule_lattice
+import reference
+from reference import (count_resumes, every_avoiding_coset,
+                       excluded_candidates_are_in_no_smaller_cover, replace,
+                       submodule_lattice)
 
 Z = rings.integers()
 
 
 def parse(text):
     return parser.parse_spec(text)[1]
+
+
+def golden_items(name):
+    """The items of the benchmark's golden file covbench/golden/NAME.json."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "covbench", "golden", name + ".json")
+    with open(path) as f:
+        return json.load(f)["items"]
 
 
 def subgroups_by_join_closure(orders):
@@ -666,29 +677,86 @@ class TestCosetSymmetries:
 
     def test_plain_node_budget_changes_nothing_on_the_phi_goldens(
             self, monkeypatch):
-        # every phi golden module of size <= 32 at punctures 0 and |M|-1:
-        # symmetries fetched at the root, after 200 plain nodes or after
-        # 500 give the same size and witness
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "covbench", "golden", "phi.json")
-        with open(path) as f:
-            mods = [oracle.materialize(parse(e["spec"]), max_size=32)
-                    for e in json.load(f)["items"] if e["size"] <= 32]
-        assert len(mods) == 225
+        # all 899 phi golden (module, puncture) pairs: symmetries fetched
+        # at the root, or past 1, 3, the default or 500 plain nodes, give
+        # the same size and witness
+        pairs = [(oracle.materialize(parse(e["spec"]), max_size=e["size"]),
+                  int(p), e["size"])
+                 for e in golden_items("phi") for p in e["digests"]]
+        assert len(pairs) == 899
         real, fetched = oracle.coset_symmetries, []
         monkeypatch.setattr(oracle, "coset_symmetries",
                             lambda *args: fetched.append(1) or real(*args))
-        answers, fetches = {}, {}
-        for plain in (0, 200, 500):
+        resumed = count_resumes(monkeypatch)
+        budgets = (0, 1, 3, kernels._PLAIN_NODES, 500)
+        answers, fetches, resumes = {}, {}, {}
+        for plain in budgets:
             monkeypatch.setattr(kernels, "_PLAIN_NODES", plain)
             fetched.clear()
+            resumed.clear()
             answers[plain] = [
-                oracle.min_coset_cover_punctured(mod, p, max_size=32)
-                for mod in mods for p in (0, mod.size - 1)]
-            fetches[plain] = len(fetched)
-        assert answers[0] == answers[200] == answers[500]
-        # each budget restarts a different set of searches
-        assert fetches[0] > fetches[200] > fetches[500], fetches
+                oracle.min_coset_cover_punctured(mod, p, max_size=size)
+                for mod, p, size in pairs]
+            fetches[plain], resumes[plain] = len(fetched), len(resumed)
+            assert all(excluded_candidates_are_in_no_smaller_cover(*args)
+                       for args in resumed)
+        assert all(answers[plain] == answers[0] for plain in budgets)
+        # each budget fetches for a different set of searches, and past
+        # the root some of them resume with root candidates left out
+        assert [fetches[p] for p in budgets] == sorted(
+            set(fetches.values()), reverse=True), fetches
+        assert resumes[0] == resumes[1] == 0, resumes
+        assert all(resumes[p] > 0 for p in budgets[2:]), resumes
+
+    def test_symmetries_match_the_reference_on_the_goldens(self,
+                                                           monkeypatch):
+        # the same permutations in the same order as the dense check and
+        # the elementwise, bit by bit mapping of tests/reference.py, at
+        # punctures 0 and |M|-1 of every phi golden and 0 of every sigma
+        # golden; the sparse and dense checks agree on every matrix that
+        # automorphisms tries
+        sparse, verdicts = oracle._is_automorphism, []
+
+        def both(mod, sigma):
+            got = sparse(mod, sigma)
+            assert got == reference.is_automorphism_dense(mod, sigma), sigma
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr(oracle, "_is_automorphism", both)
+        instances = []
+        for e in golden_items("phi"):
+            mod = oracle.materialize(parse(e["spec"]), max_size=e["size"])
+            for p in (0, mod.size - 1):
+                masks = [c[0] for c in
+                         oracle.punctured_coset_candidates(mod, p)]
+                instances.append((mod, p, masks))
+        for e in golden_items("sigma"):
+            mod = oracle.materialize(parse(e["spec"]))
+            masks = [m for m in oracle.maximal_submodules(mod)
+                     if m != mod.full_mask]
+            instances.append((mod, 0, masks))
+        assert len(instances) == 2 * 227 + 1010
+        perms = 0
+        for mod, p, masks in instances:
+            got = oracle.coset_symmetries(mod, p, masks)
+            assert got == reference.coset_symmetries(
+                mod, p, masks, oracle.automorphisms(mod)), (mod, p)
+            perms += len(got)
+        assert perms > 1000 and True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("spec, sigma", [
+        # x_1 += x_0 sends 2.e_0 = 0 to 2.e_1, which is not 0 mod 4
+        ("Z: R/(2) + R/(4)", ((1, 0), (1, 1))),
+        # an order-5 coordinate into an order-2 one, under an action
+        ("Zi: R/(1+i) + R/(2+i)", ((1, 1), (0, 1))),
+        # a shear between blocks whose actions differ, t and t+1 acting as
+        # 0 and 1: well defined, but it does not commute with the action
+        ("Fp[t] p=2: R/(t) + R/(t+1)", ((1, 1), (0, 1)))])
+    def test_broken_matrices_fail_both_checks(self, spec, sigma):
+        mod = oracle.materialize(parse(spec))
+        assert not oracle._is_automorphism(mod, sigma)
+        assert not reference.is_automorphism_dense(mod, sigma)
 
     # nodes of the symmetric search: a cheaper stabilizer must leave the
     # search tree as it is, and a stronger bound may only lower them.  The
