@@ -13,11 +13,14 @@ chi and of its images chi.A, chi.A^2, ... meet in the largest submodule
 inside its kernel, its core, which is the annihilator of the cyclic
 submodule R.chi of the dual (_cores).  Characters of order p give the
 maximal submodules; cosets of the cores of all characters give the
-puncture-avoiding cosets.  Each caller builds the kernels and images of
-every character it needs in one pass over the coordinates (_characters),
-so a core only looks them up by index.  Every submodule is the meet of
-the cores of the characters vanishing on it, so the meets of the cores
-give the whole lattice too.
+puncture-avoiding cosets.  A character's kernel depends on the orders
+alone, so the kernels of every character a caller needs are built in one
+pass over the coordinates once per process for each (orders, steps) and
+kept (_kernel_table), shared by every ring whose modules have those
+orders; each call builds only the images under its own action
+(_characters), and a core looks both up by index.  Every submodule is
+the meet of the cores of the characters vanishing on it, so the meets of
+the cores give the whole lattice too.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -66,6 +69,14 @@ HARD_COORD_CAP = 16
 # summands over a few dozen maximal ideals.
 BLOCK_CACHE_SIZE = 256
 RESIDUE_TABLE_CACHE_SIZE = 64
+# It also keeps the character kernel tables of this many (orders, steps),
+# each of at most KERNEL_TABLE_BITS bits, characters times |M|; a larger
+# table is rebuilt on every call.  A group has no more characters than
+# elements, so a kept table holds at most 256 kernels of 256 bits, about
+# 17 KiB for (Z/2)^8, and the tables about 4.3 MiB at worst.  A sigma
+# sweep meets 963 (orders, steps), a phi sweep 56.
+KERNEL_TABLE_CACHE_SIZE = 256
+KERNEL_TABLE_BITS = 1 << 16
 
 
 @record
@@ -292,14 +303,44 @@ def _characters(mod: FiniteModule, steps) -> tuple:
     d_j/steps[j]; images[c] is the index of chi_c.A, whose digit b is
     sum_j c_j A_jb d_b/d_j mod d_b, and images is None without an action.
 
+    The kernels do not depend on the action, so they come from the table
+    the process keeps for (orders, steps) (_kernel_table), which modules
+    over every ring with those orders share; only the images are built
+    here.
+    """
+    orders, act, steps = mod.orders, mod.action, tuple(steps)
+    radices = [d // s for d, s in zip(orders, steps)]
+    table = (_kernel_table if prod(radices) * mod.size <= KERNEL_TABLE_BITS
+             else _kernel_table.__wrapped__)
+    kern = table(orders, steps)
+    if act is None:
+        return kern, None
+    levels = [j for j, r in enumerate(radices) if r > 1]
+    img, size = [0] * len(kern), 1
+    for b in levels:
+        d, digits = orders[b], [0]
+        for j in levels:
+            coef = steps[j] * act[j][b] * d // orders[j]
+            digits = [(v + t * coef) % d for t in range(radices[j])
+                      for v in digits]
+        img = [x + v // steps[b] * size for x, v in zip(img, digits)]
+        size *= radices[b]
+    return kern, img
+
+
+@lru_cache(maxsize=KERNEL_TABLE_CACHE_SIZE)
+def _kernel_table(orders: tuple, steps: tuple) -> tuple:
+    """The kernel of each character of _characters, by index, as a tuple
+    of masks.
+
     The value classes of a character map each v to the mask of the x with
     chi(x) = v/N, N = lcm(orders).  Those of c + m.e_j, c below coordinate
     j, are the classes of c met with those of x_j mod r_j.  The last
     coordinate builds class 0 only, and only for top digits m dividing r_j:
     the others generate the cyclic subgroup, so share the kernel, of one of
-    those, looked up by index (left 0 without an action).
+    those, looked up by index.
     """
-    orders, full, act = mod.orders, mod.full_mask, mod.action
+    full = (1 << prod(orders)) - 1
     top = lcm(*orders)
     radices = [d // s for d, s in zip(orders, steps)]
     levels = [j for j, r in enumerate(radices) if r > 1]
@@ -329,8 +370,6 @@ def _characters(mod: FiniteModule, steps) -> tuple:
                                       for u, mu in cls.items()
                                       if u % step == 0])
                          for cls in classes]
-            elif act is None:
-                kern += [0] * len(classes)
             else:
                 # u.chi, u a unit mod N with u.m/g = 1 mod q, has the
                 # kernel of chi, and top digit g; with no level below, u.c
@@ -345,21 +384,10 @@ def _characters(mod: FiniteModule, steps) -> tuple:
                                   for x in scaled]
                 kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
     kern[:0] = [cls[0] for cls in classes]
-    if act is None:
-        return kern, None
-    img, size = [0] * len(kern), 1
-    for b in levels:
-        d, digits = orders[b], [0]
-        for j in levels:
-            coef = steps[j] * act[j][b] * d // orders[j]
-            digits = [(v + t * coef) % d for t in range(radices[j])
-                      for v in digits]
-        img = [x + v // steps[b] * size for x, v in zip(img, digits)]
-        size *= radices[b]
-    return kern, img
+    return tuple(kern)
 
 
-def _cores(kern: list, img, starts) -> list:
+def _cores(kern: tuple, img, starts):
     """core[c], the largest submodule inside ker chi_c, for each index c
     in starts and each one met from them (0 for the others).
 

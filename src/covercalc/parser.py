@@ -350,13 +350,9 @@ def render_descriptor(d: ModuleDescriptor) -> str:
         return f"{render_ring(d.ring)}: 0"
     # the primes(N, infinite) token re-adds one copy of R/m for each m with
     # residue <= N on reparse, so those copies are not rendered explicitly
-    tail_ids = set()
-    if d.tail_above:
-        tail_ids = {FactoredIdeal.from_factors({m: 1}) for m in
-                    rings.maximal_ideals_with_residue_at_most(d.ring, d.tail_above)}
     parts = []
     for ideal, mult in d.torsion:
-        if ideal in tail_ids:
+        if d.tail_above and _is_listed_prime(ideal, d.tail_above):
             mult = _card_minus_one(mult)
             if mult == ZERO:
                 continue
@@ -374,6 +370,15 @@ def render_descriptor(d: ModuleDescriptor) -> str:
     if d.tail_above:
         parts.append(f"primes({d.tail_above}, infinite)")
     return f"{render_ring(d.ring)}: " + " + ".join(parts)
+
+
+def _is_listed_prime(ideal: FactoredIdeal, n: int) -> bool:
+    """Whether primes(n) lists the ideal: a maximal ideal (one prime to
+    the first power) with residue size at most n."""
+    if len(ideal.factors) != 1:
+        return False
+    m, e = ideal.factors[0]
+    return e == 1 and m.residue_card <= finite(n)
 
 
 def _suffix(base: str, mult: Cardinal) -> str:

@@ -603,29 +603,6 @@ def abstract_dedekind(primes: Sequence[tuple[str, Cardinal]],
     return DedekindRing(prs, min_residue, infinite_spectrum)
 
 
-def maximal_ideal_z(p: int) -> MaximalIdealId:
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _INTEGERS._maximal(p)
-
-
-def maximal_ideal_zi(z: gaussian.Gauss) -> MaximalIdealId:
-    zc = gaussian.canonical_associate(tuple(z))
-    a, b = zc
-    ok = (zc == (1, 1)) or (b == 0 and arith.is_prime(a) and a % 4 == 3) or \
-         (arith.is_prime(gaussian.norm(zc)) and b != 0)
-    if not ok:
-        raise ValueError(f"{gaussian.gauss_str(zc)} is not a Gaussian prime")
-    return _GAUSSIAN_INTEGERS._maximal(zc)
-
-
-def maximal_ideal_poly(p: int, coeffs) -> MaximalIdealId:
-    f = fppoly.monic(fppoly.trim(coeffs, p), p)
-    if not fppoly.is_irreducible(f, p):
-        raise ValueError(f"{fppoly.poly_str(f)} is not irreducible over F_{p}")
-    return poly_over_prime_field(p)._maximal(f)
-
-
 def maximal_ideal_abstract(label: str, residue: Cardinal) -> MaximalIdealId:
     return MaximalIdealId(None, label, residue)
 

@@ -9,6 +9,11 @@ from covercalc import _kernels, oracle, rings
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    for cache in (rings._factor_literal, oracle._cyclic_block,
-                  oracle._residue_tables, _kernels._steps):
+    """Empties every cache of covercalc but those test_caches.py exempts,
+    and returns them."""
+    caches = (rings._factor_literal, oracle._cyclic_block,
+              oracle._residue_tables, oracle._kernel_table, _kernels._steps,
+              _kernels._periods)
+    for cache in caches:
         cache.cache_clear()
+    return caches

@@ -5,7 +5,9 @@ and covbench/golden/phi.json one per (module, puncture) pair of the
 punctured coset-cover oracle.  Each digest covers the oracle's answer and
 its witness, so any change in a witness's masks or generators shows here.
 The items run through covbench/workloads.py, which also checks every
-answer against the closed form and every witness elementwise.
+answer against the closed form and every witness elementwise.  Past the
+goldens, every puncture of each phi golden module of up to 32 elements
+must give one answer.
 """
 
 import importlib.util
@@ -54,3 +56,21 @@ def test_phi_golden():
         if problems or seen != entry["digests"][str(puncture)]:
             wrong.append((entry["spec"], puncture, problems))
     assert not wrong
+
+
+def test_phi_does_not_depend_on_the_puncture():
+    # translation by -p maps the cosets that avoid p onto those that avoid
+    # 0, so every puncture of a module must give one size: a check of the
+    # search's optimality proof from outside it
+    searches, split = 0, []
+    for entry in _golden("phi"):
+        if entry["size"] > 32:
+            continue
+        mod = cc.oracle.materialize(cc.parser.parse_spec(entry["spec"])[1])
+        sizes = {cc.oracle.min_coset_cover_punctured(mod, p)[0]
+                 for p in range(mod.size)}
+        searches += mod.size
+        if len(sizes) != 1:
+            split.append((entry["spec"], sizes))
+    assert searches == 4839
+    assert not split

@@ -1,19 +1,36 @@
 """What a process keeps between calls: literal factorizations, checked
-cyclic blocks, residue-field tables and translation shifts.
+cyclic blocks, residue-field tables, character kernel tables, and
+translation shifts and periods.
 
 Each is a bounded functools.lru_cache holding immutable values, so a hit
 returns what a fresh computation would, and an input that raises is never
-kept.
+kept.  Each is emptied before every test (conftest.py) or exempt below.
 """
 
+import ast
+import importlib.util
+import json
+import math
+import os
+import pkgutil
 import random
 import sys
 import threading
 
 import pytest
 
-from covercalc import _kernels, covering, oracle, parser, rings
+import covercalc
+from covercalc import _kernels, arith, covering, oracle, parser, rings
 from covercalc.errors import SpecSemanticError, UnsupportedLiteralError
+
+# caches the autouse fixture leaves alone, each with why no test needs it
+# emptied
+EXEMPT = {
+    "covercalc.cardinal.finite": "shares the record of each small finite "
+    "cardinal; no test counts its calls or patches what it skips",
+}
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "covbench", "golden")
 
 Z = rings.integers()
 
@@ -104,6 +121,45 @@ def test_cache_bounds_are_the_module_constants():
             == oracle.RESIDUE_TABLE_CACHE_SIZE)
     assert (_kernels._steps.cache_parameters()["maxsize"]
             == _kernels.STEPS_CACHE_SIZE)
+    assert (oracle._kernel_table.cache_parameters()["maxsize"]
+            == oracle.KERNEL_TABLE_CACHE_SIZE)
+
+
+def _cache_definitions():
+    """(module, function name) of every function in src/covercalc that
+    carries an lru_cache or cache decorator, read from the source."""
+    found = []
+    for info in pkgutil.iter_modules(covercalc.__path__):
+        name = f"covercalc.{info.name}"
+        path = importlib.util.find_spec(name).origin
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                label = (target.attr if isinstance(target, ast.Attribute)
+                         else getattr(target, "id", None))
+                if label in ("lru_cache", "cache"):
+                    found.append((name, node.name))
+    return found
+
+
+def test_every_cache_is_emptied_before_each_test_or_exempt(empty_caches):
+    definitions = _cache_definitions()
+    assert len(definitions) >= 7
+    emptied = set(map(id, empty_caches))
+    for module, function in definitions:
+        # module level, so the fixture can reach it
+        cache = getattr(importlib.import_module(module), function)
+        assert hasattr(cache, "cache_clear"), (module, function)
+        qualified = f"{module}.{function}"
+        assert (id(cache) in emptied) != (qualified in EXEMPT), qualified
+    # the fixture empties only caches, each of them once
+    assert len(emptied) == len(empty_caches) == len(definitions) - len(EXEMPT)
+    assert all(cache.cache_info().currsize == 0 for cache in empty_caches)
+    assert set(EXEMPT) <= {f"{m}.{f}" for m, f in definitions}
 
 
 def test_cached_steps_are_the_uncached_ones():
@@ -174,14 +230,16 @@ def test_shared_blocks_build_the_same_module(clear_blocks, first, second):
 
 
 def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
+    # the F_2[t] and Z modules of 32 elements share one kernel table
     specs = ["Zi: R/(3)^2 + R/(2i)", "Fp[t] p=2: R/(t^2+t+1)^2 + R/(t)",
-             "Z: R/(8) + R/(4) + R/(3)"]
+             "Z: R/(8) + R/(4) + R/(3)", "Z: R/(2)^5"]
     expected = []
     for spec in specs:
         d = parse(spec)
         mod = oracle.materialize(d)
         w = covering.build_cover_witness(d)
-        expected.append((mod, oracle.verify_cover_witness(mod, w)))
+        expected.append((mod, oracle.verify_cover_witness(mod, w),
+                         oracle.maximal_submodules(mod)))
     results, errors = [], []
 
     def work():
@@ -190,13 +248,15 @@ def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
                 d = parse(spec)
                 mod = oracle.materialize(d)
                 w = covering.build_cover_witness(d)
-                results.append((spec, mod, oracle.verify_cover_witness(mod, w)))
+                results.append((spec, mod, oracle.verify_cover_witness(mod, w),
+                                oracle.maximal_submodules(mod)))
         except Exception as exc:   # reported by the assertions below
             errors.append(exc)
 
     rings._factor_literal.cache_clear()
     oracle._cyclic_block.cache_clear()
     oracle._residue_tables.cache_clear()
+    oracle._kernel_table.cache_clear()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -210,4 +270,87 @@ def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(results) == 6 * 5 * len(specs)
     by_spec = dict(zip(specs, expected))
-    assert all((mod, ok) == by_spec[spec] for spec, mod, ok in results)
+    assert all(result[1:] == by_spec[result[0]] for result in results)
+
+
+def _golden_modules(name):
+    with open(os.path.join(GOLDEN, f"{name}.json")) as f:
+        return [oracle.materialize(parse(entry["spec"]))
+                for entry in json.load(f)["items"]]
+
+
+def test_cached_kernel_tables_are_fresh_builds_for_every_golden_group():
+    # the order-p steps of the sigma goldens and the steps 1 of the phi
+    # goldens, through _characters as the oracles call it: each table is
+    # asked twice, and the hit returns what a fresh build would, as a tuple
+    keys = {}
+    for mod in _golden_modules("sigma"):
+        for p in arith.prime_factors(mod.size):
+            keys[mod.orders, tuple(d // math.gcd(d, p)
+                                   for d in mod.orders)] = mod
+    for mod in _golden_modules("phi"):
+        keys[mod.orders, (1,) * len(mod.orders)] = mod
+    assert len(keys) >= 1000
+    for (orders, steps), mod in keys.items():
+        for _ in range(2):
+            kern, _img = oracle._characters(mod, steps)
+        info = oracle._kernel_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert kern == oracle._kernel_table.__wrapped__(orders, steps)
+        assert _is_frozen(kern)
+        oracle._kernel_table.cache_clear()
+
+
+def test_rings_with_equal_orders_share_one_kernel_table():
+    # F_2[t] and Z[i] modules of 32 elements have the orders of (Z/2)^5,
+    # whose characters all have order 2: one table serves both oracles
+    # and all four modules
+    specs = ["Z: R/(2)^5", "Fp[t] p=2: R/(t^5)",
+             "Fp[t] p=2: R/(t^2+t+1)^2 + R/(t)", "Zi: R/(1+i)^5"]
+    for i, spec in enumerate(specs):
+        mod = oracle.materialize(parse(spec))
+        assert mod.orders == (2,) * 5
+        oracle.maximal_submodules(mod)
+        oracle.punctured_coset_candidates(mod, 0)
+        info = oracle._kernel_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2 * i + 1, 1)
+
+
+def _table_bytes(table) -> int:
+    return sys.getsizeof(table) + sum(
+        sys.getsizeof(m) for m in {id(m): m for m in table}.values())
+
+
+def test_kernel_tables_past_the_bit_bound_are_not_kept():
+    # (Z/2)^8 holds 256 order-2 kernels of 256 bits, at the bound; (Z/2)^9
+    # four times that, rebuilt on each call and never kept
+    at_bound, past = oracle.FiniteModule((2,) * 8), oracle.FiniteModule((2,) * 9)
+    assert 256 * 256 == oracle.KERNEL_TABLE_BITS
+    oracle.maximal_submodules(past)
+    assert oracle._kernel_table.cache_info().currsize == 0
+    assert len(oracle.maximal_submodules(at_bound)) == 255
+    assert oracle._kernel_table.cache_info().currsize == 1
+
+
+def test_kernel_table_retention_is_bounded():
+    # a table of at most KERNEL_TABLE_BITS bits has at most as many
+    # characters as elements, so at most 256 masks of 256 bits: all the
+    # characters of (Z/2)^8 weigh the most, and 256 of them under 5 MiB
+    heaviest = _table_bytes(oracle._kernel_table((2,) * 8, (1,) * 8))
+    assert oracle.KERNEL_TABLE_CACHE_SIZE * heaviest < 5 << 20
+    rng = random.Random(5)
+    kept = set()
+    while len(kept) <= oracle.KERNEL_TABLE_CACHE_SIZE:
+        orders = tuple(rng.choice((2, 3, 4, 5, 8, 9))
+                       for _ in range(rng.randint(1, 4)))
+        steps = tuple(rng.choice([s for s in range(1, d + 1) if d % s == 0])
+                      for d in orders)
+        bits = math.prod(orders) * math.prod(
+            d // s for d, s in zip(orders, steps))
+        if bits > oracle.KERNEL_TABLE_BITS:
+            continue
+        kern, _ = oracle._characters(oracle.FiniteModule(orders), steps)
+        assert _table_bytes(kern) <= heaviest
+        kept.add((orders, steps))
+    assert (oracle._kernel_table.cache_info().currsize
+            == oracle.KERNEL_TABLE_CACHE_SIZE)

@@ -8,6 +8,7 @@ from covercalc import cosets, oracle, parser, rings
 from covercalc.cardinal import finite
 from covercalc.errors import (InfiniteResidueError, TrivialGroupError,
                               ZeroIdealError)
+from ideals import maximal_ideal_poly, maximal_ideal_z, maximal_ideal_zi
 
 Z = rings.integers()
 ZI = rings.gaussian_integers()
@@ -20,11 +21,11 @@ def parse(text):
 
 class TestPhiPrime:
     def test_z_examples(self):
-        assert cosets.phi_prime(Z, rings.maximal_ideal_z(2), 2) == 2
-        assert cosets.phi_prime(Z, rings.maximal_ideal_z(5), 1) == 4
+        assert cosets.phi_prime(Z, maximal_ideal_z(2), 2) == 2
+        assert cosets.phi_prime(Z, maximal_ideal_z(5), 1) == 4
 
     def test_gaussian_ramified_cubed(self):
-        m = rings.maximal_ideal_zi((1, 1))
+        m = maximal_ideal_zi((1, 1))
         assert cosets.phi_prime(ZI, m, 3) == 3
         # oracle on the 8-element module Z[i]/(1+i)^3 = Z[i]/(2+2i)
         mod = oracle.materialize(parse("Zi: R/(2+2i)"))
@@ -102,19 +103,19 @@ class TestPhiVectorSpace:
 
 class TestConjectureValue:
     def test_z_not_conjectural(self):
-        m2 = rings.maximal_ideal_z(2)
+        m2 = maximal_ideal_z(2)
         value, conj = cosets.phi_conjecture_value(Z, [(m2, 1), (m2, 1)])
         assert value == 2 and not conj
 
     def test_f2t_conjectural(self):
-        mt = rings.maximal_ideal_poly(2, (0, 1))
+        mt = maximal_ideal_poly(2, (0, 1))
         value, conj = cosets.phi_conjecture_value(F2T, [(mt, 1), (mt, 1)])
         assert value == 2 and conj
         mod = oracle.materialize(parse("Fp[t] p=2: R/(t)^2"))
         assert oracle.min_coset_cover_punctured(mod, 0)[0] == 2
 
     def test_gaussian_conjectural(self):
-        m = rings.maximal_ideal_zi((1, 1))
+        m = maximal_ideal_zi((1, 1))
         value, conj = cosets.phi_conjecture_value(ZI, [(m, 2), (m, 1)])
         assert value == 3 and conj
         mod = oracle.materialize(parse("Zi: R/(2i) + R/(1+i)"))
@@ -122,8 +123,8 @@ class TestConjectureValue:
         assert oracle.min_coset_cover_punctured(mod, 0)[0] == 3
 
     def test_cyclic_not_conjectural(self):
-        m = rings.maximal_ideal_poly(2, (0, 1))
-        m2 = rings.maximal_ideal_poly(2, (1, 1))
+        m = maximal_ideal_poly(2, (0, 1))
+        m2 = maximal_ideal_poly(2, (1, 1))
         _, conj = cosets.phi_conjecture_value(F2T, [(m, 2), (m2, 1)])
         assert not conj
 

@@ -38,6 +38,43 @@ class TestRoundTrip:
         assert ring2 == ring
         assert d2 == d
 
+    @pytest.mark.parametrize("text, rendered", [
+        ("Z: R/(7)^2 + R/(4) + R/(9) + R/(6) + primes(5, infinite)",
+         "Z: R/(6) + R/(4) + R/(9) + R/(7)^2 + primes(5, infinite)"),
+        ("Z: R/(7)^aleph0 + R/(11) + primes(7, infinite)",
+         "Z: R/(7)^aleph0 + R/(11) + primes(7, infinite)"),
+        ("Zi: R/(1+i) + R/(3)^2 + primes(9, infinite)",
+         "Zi: R/(1+i) + R/(3)^2 + primes(9, infinite)"),
+        ("Fp[t] p=2: R/(t)^3 + R/(t^2) + R/(t^2+t+1) + primes(4, infinite)",
+         "Fp[t] p=2: R/(t)^3 + R/(t^2) + R/(t^2+t+1) + primes(4, infinite)"),
+        ("dedekind {m1:3, m2:aleph0, m3:5} min=3: R/(m1) + R/(m2) + "
+         "R/(m3^2) + primes(4, infinite)",
+         "dedekind {m1:3, m2:aleph0, m3:5} min=3: R/(m1) + R/(m3^2) + "
+         "R/(m2) + primes(4, infinite)"),
+        ("Z: primes(100000, infinite)", "Z: primes(100000, infinite)"),
+    ])
+    def test_a_prime_tail_renders_without_listing_primes(
+            self, monkeypatch, text, rendered):
+        # each torsion ideal is checked against the bound on its own: the
+        # render lists no maximal ideals, through either entry point
+        ring, d = parser.parse_spec(text)
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(rings, "maximal_ideals_with_residue_at_most",
+                            counted(rings.maximal_ideals_with_residue_at_most))
+        monkeypatch.setattr(type(ring), "maximal_ideals_with_residue_at_most",
+                            counted(type(ring).maximal_ideals_with_residue_at_most))
+        assert parser.render_descriptor(d) == rendered
+        assert calls == []
+        monkeypatch.undo()
+        assert parser.parse_spec(rendered) == (ring, d)
+
     def test_spec_example(self):
         ring, d = parser.parse_spec("Z: R/(12) + R/(18) + R^2")
         assert ring == rings.integers()

@@ -21,6 +21,7 @@ from covercalc.cardinal import ALEPH0, UNCOUNTABLE, finite
 from covercalc.errors import (NotApplicableError, NotEnumerableError,
                               UnknownIdealError, UnsupportedLiteralError,
                               ZeroIdealError)
+from ideals import maximal_ideal_poly, maximal_ideal_z, maximal_ideal_zi
 
 Z = rings.integers()
 ZI = rings.gaussian_integers()
@@ -136,22 +137,22 @@ class TestFactorIdeal:
 
 class TestResidues:
     def test_integer(self):
-        m = rings.maximal_ideal_z(7)
+        m = maximal_ideal_z(7)
         assert rings.residue_cardinality(Z, m) == finite(7)
 
     def test_poly_quadratic(self):
-        m = rings.maximal_ideal_poly(2, (1, 1, 1))
+        m = maximal_ideal_poly(2, (1, 1, 1))
         # count residues of degree < 2 over F_2 directly
         assert len(list(itertools.product(range(2), repeat=2))) == 4
         assert rings.residue_cardinality(F2T, m) == finite(4)
 
     def test_gaussian_ramified(self):
-        m = rings.maximal_ideal_zi((1, 1))
+        m = maximal_ideal_zi((1, 1))
         assert rings.residue_cardinality(ZI, m) == finite(2)
         assert gauss_residue_count_bruteforce((1, 1)) == 2
 
     def test_unknown_ideal(self):
-        m = rings.maximal_ideal_z(7)
+        m = maximal_ideal_z(7)
         with pytest.raises(UnknownIdealError):
             rings.residue_cardinality(ZI, m)
 
@@ -207,7 +208,7 @@ class TestEnumeration:
                 n = gaussian.norm(z)
                 if 2 <= n <= 5:
                     try:
-                        expected.add(rings.maximal_ideal_zi(z).data)
+                        expected.add(maximal_ideal_zi(z).data)
                     except ValueError:
                         pass
         assert {m.data for m in ids} == expected
@@ -272,9 +273,9 @@ class TestRingKinds:
             assert copy.deepcopy(ring) is ring
         # ideals name their ring, so those of equal generators are equal
         assert rings.factor_ideal(F3T, (0, 1)).factors[0][0] == \
-            rings.maximal_ideal_poly(3, (0, 1))
-        assert rings.maximal_ideal_poly(2, (0, 1)) != \
-            rings.maximal_ideal_poly(3, (0, 1))
+            maximal_ideal_poly(3, (0, 1))
+        assert maximal_ideal_poly(2, (0, 1)) != \
+            maximal_ideal_poly(3, (0, 1))
 
     @pytest.mark.parametrize("ring", ALL_KINDS, ids=str)
     def test_str_parses_back_to_an_equal_ring(self, ring):
@@ -296,7 +297,7 @@ class TestRingKinds:
         with pytest.raises(UnknownIdealError):
             rings.residue_cardinality(Z, m)
         with pytest.raises(UnknownIdealError):
-            rings.residue_cardinality(ded, rings.maximal_ideal_z(3))
+            rings.residue_cardinality(ded, maximal_ideal_z(3))
 
 
 def reference_reduce_code(ring, m, x) -> int:
