@@ -8,9 +8,9 @@ F_p[t]), or None over Z.  translate and closure act on a whole mask at
 once, one coordinate at a time, as shifts of the int; invariant_core and
 apply_matrix work element by element.  min_cover is the exact-cover
 search: a plain search, then, if that has not closed, orbital branching
-under instance symmetries, which resumes from what the plain search
-finished at its root; a node builds its group, a stabilizer in its
-parent's, only when it branches.  BACKEND
+under instance symmetries, which restarts from the plain search's best
+size; a node builds its group, a stabilizer in its parent's, only when it
+branches.  BACKEND
 names the implementation; the benchmark records it.
 
 No caller in covercalc uses invariant_core now that the oracle takes
@@ -134,13 +134,12 @@ def _bits(mask: int):
 
 
 # The search first runs without symmetries.  Instances that have not closed
-# after this many nodes fetch their symmetries and resume (see min_cover).
-# Over the 899 phi golden (module, puncture) pairs, 382, 115, 84, 56 and 40
-# searches fetch at 1, 50, 100, 200 and 500 nodes, and 0, 41, 36, 32 and
-# 20 of them resume with some root candidates left out.  At 1 the
-# fetches cost more than the symmetries save; below 100 they fall on
-# F_2[t] pairs that the plain search closes in about a millisecond, and
-# those get slower.  One sigma golden fetches at 100.
+# after this many nodes fetch their symmetries and restart from the best
+# size found (see min_cover).  Over the 899 phi golden (module, puncture)
+# pairs, 557, 115, 84, 56 and 40 searches fetch at 1, 50, 100, 200 and 500
+# nodes.  At 1 the fetches cost more than the symmetries save; below 100
+# they fall on F_2[t] pairs that the plain search closes in about a
+# millisecond, and those get slower.  One sigma golden fetches at 100.
 _PLAIN_NODES = 100
 # Each child group keeps at most this many stabilizer generators.
 _STABILIZER_GENS = 12
@@ -160,13 +159,12 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
     permutations of the candidate indices (tuples, perm[i] is the image of
     i), each induced by a permutation of the elements that maps the universe
     onto itself.  It is called only when the plain search needs more than
-    _PLAIN_NODES nodes.  The symmetric search then resumes from the plain
-    search's best size, without the orbits of the root candidates whose
-    subtrees the plain search finished: no cover smaller than that best
-    holds such a candidate, nor, mapped by a symmetry, any of its orbit.
-    The symmetries prune the proof of optimality but never change the size
-    or the witness.  The optimality proof and the lex-least witness pass
-    each raise TooLargeError past _NODE_BUDGET nodes.
+    _PLAIN_NODES nodes.  A symmetric search then restarts from the plain
+    search's best size, with every candidate allowed at its root, and
+    proves on its own that no smaller cover exists.  The symmetries prune
+    the proof of optimality but never change the size or the witness.
+    The optimality proof and the lex-least witness pass each raise
+    TooLargeError past _NODE_BUDGET nodes.
     """
     if universe == 0:
         return 0, ()
@@ -183,13 +181,8 @@ def min_cover(universe: int, candidates, symmetries=None) -> tuple:
         try:
             best = _search(universe, candidates, best, (), _PLAIN_NODES)
         except _Unfinished as stop:
-            gens = tuple(symmetries())
-            excluded = 0
-            for i in _bits(stop.finished):
-                if not (excluded >> i) & 1:
-                    excluded |= _orbit(i, gens)
-            best = _search(universe, candidates, stop.best, gens,
-                           excluded=excluded)
+            best = _search(universe, candidates, stop.best,
+                           tuple(symmetries()))
     return best, _lex_witness(universe, candidates, best)
 
 
@@ -209,17 +202,15 @@ def _greedy_size(universe: int, candidates) -> int:
 
 
 class _Unfinished(Exception):
-    """The best size a stopped search found, and the mask of the root
-    candidates whose subtrees it finished."""
+    """The best size a stopped search found."""
 
-    def __init__(self, best: int, finished: int):
-        super().__init__(best, finished)
+    def __init__(self, best: int):
+        super().__init__(best)
         self.best = best
-        self.finished = finished
 
 
-def _search(universe: int, candidates, upper: int, gens, node_limit=None,
-            excluded=0) -> int:
+def _search(universe: int, candidates, upper: int, gens,
+            node_limit=None) -> int:
     """Prove the minimum cover size by orbital branching.
 
     A node branches on the uncovered element with the fewest allowed
@@ -230,25 +221,22 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None,
     the best size found.  Otherwise the counting bound (uncovered elements
     over the most any allowed candidate covers) may prune it.  The node's
     group (a group of instance symmetries that fixes every chosen
-    candidate and maps the excluded set onto itself) splits the
-    branching element's candidates into orbits; child k includes the best
-    representative of orbit k and excludes orbits 1..k-1 entirely.  A
-    cover through any member of orbit k maps to one through its
-    representative, so nothing optimal is lost.  The child's group is the
-    stabilizer of its representative in its parent's group.  A child
-    builds it only once it branches, as the bounds prune most children on
-    entry, and each (representative, parent group) pair is built once per
-    search.  With no generators this is element branching with sibling
-    exclusion.  The root excludes the candidates in the excluded mask,
-    which the root group must map onto itself.
-    Returns the smaller of upper and the least size of a cover without the
-    excluded candidates.  Once node_limit nodes have been visited it raises
-    _Unfinished with the best size found and the root candidates whose
-    subtrees are done.  With no node_limit, a search past _NODE_BUDGET
-    nodes raises TooLargeError.
+    candidate) splits the branching element's candidates into orbits;
+    child k includes the best representative of orbit k and excludes
+    orbits 1..k-1 entirely.  A cover through any member of orbit k maps to
+    one through its representative, so nothing optimal is lost.  The
+    child's group is the stabilizer of its representative in its parent's
+    group.  A child builds it only once it branches, as the bounds prune
+    most children on entry, and each (representative, parent group) pair
+    is built once per search.  With no generators this is element
+    branching with sibling exclusion.
+    Returns the smaller of upper and the least size of a cover.  Once
+    node_limit nodes have been visited it raises _Unfinished with the best
+    size found.  With no node_limit, a search past _NODE_BUDGET nodes
+    raises TooLargeError.
     """
     if node_limit == 0:
-        raise _Unfinished(upper, 0)
+        raise _Unfinished(upper)
     # the root's counting bound, before the holders are built: it alone
     # proves every instance whose greedy size meets it
     maxcov = max((c & universe).bit_count() for c in candidates)
@@ -266,7 +254,6 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None,
             holders[low] |= 1 << i
     best = upper
     nodes = 0
-    finished = 0    # root candidates whose subtrees are done
     # (rep, id(parent group)) -> (parent group, its stabilizer of rep); the
     # stored parent keeps its id from being reused
     stabilizers = {}
@@ -283,11 +270,11 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None,
     def dfs(cov: int, depth: int, cands: list, allowed: int, chosen, parent):
         # the node's group: parent's stabilizer of the candidate chosen
         # last, or parent itself at the root (chosen None)
-        nonlocal best, nodes, finished
+        nonlocal best, nodes
         nodes += 1
         if nodes > limit:
             if node_limit is not None:
-                raise _Unfinished(best, finished)
+                raise _Unfinished(best)
             raise TooLargeError("the cover search ran out of nodes: "
                                 f"the bound is {_NODE_BUDGET}")
         rem = universe & ~cov
@@ -345,17 +332,12 @@ def _search(universe: int, candidates, upper: int, gens, node_limit=None,
                 break
             dfs(cov | cands[rep], depth + 1, cands, allowed, rep, gens)
             allowed &= ~orbit
-            if chosen is None:
-                finished |= orbit
             cands = cands.copy()
             for j in _bits(orbit):
                 cands[j] = 0
 
-    cands = list(candidates)
-    for j in _bits(excluded):
-        cands[j] = 0
     try:
-        dfs(0, 0, cands, ((1 << n) - 1) & ~excluded, None, gens)
+        dfs(0, 0, list(candidates), (1 << n) - 1, None, gens)
     finally:
         del dfs, group  # the recursive closures are a reference cycle: break it
     return best

@@ -271,13 +271,15 @@ def _cmd_monoid(args) -> dict:
     return rep
 
 
-def _oracle_max_size(args) -> int:
+def _oracle_max_size(args, phi: bool, maximal_only: bool = True) -> int:
+    """--max-size, or the bound of the oracle search that runs: `oracle`
+    and `verify` refuse the same sizes for the same question."""
     from . import oracle
     if args.max_size is not None:
         return args.max_size
-    if args.mode == "phi":
+    if phi:
         return oracle.COSET_SIZE_BOUND
-    if args.maximal_only == "false":
+    if not maximal_only:
         return oracle.ALL_SUBGROUPS_BOUND
     return oracle.SIGMA_SIZE_BOUND
 
@@ -300,12 +302,13 @@ def _puncture_index(text: str, ring, mod) -> int:
 def _cmd_oracle(args) -> dict:
     from . import oracle
     ring, d, rep = _spec_report(args, f"oracle {args.mode}")
-    max_size = _oracle_max_size(args)
+    maximal_only = args.maximal_only == "true"
+    max_size = _oracle_max_size(args, args.mode == "phi", maximal_only)
     mod = oracle.materialize(d, max_size=max_size)
     rep["module_size"] = mod.size
     if args.mode == "sigma":
         size, witness = oracle.min_submodule_cover(
-            mod, maximal_only=args.maximal_only == "true", max_size=max_size)
+            mod, maximal_only=maximal_only, max_size=max_size)
         rep["answer"] = size if size is not None else "no-cover"
         rep["witness"] = [{"generators": list(s.generators), "size": s.size()}
                           for s in witness]
@@ -324,7 +327,7 @@ def _cmd_oracle(args) -> dict:
 def _cmd_verify(args) -> dict:
     from . import cosets, covering, oracle
     ring, d, rep = _spec_report(args, "verify")
-    max_size = _sigma_max_size(args)
+    max_size = _oracle_max_size(args, args.phi)
     mod = oracle.materialize(d, max_size=max_size)
     if args.phi:
         value, conjectural = cosets.phi_conjecture_value(ring, _phi_blocks(d))

@@ -110,31 +110,6 @@ def every_avoiding_coset(mod, puncture):
     return cands
 
 
-def count_resumes(monkeypatch):
-    """Patch the search to record each symmetric search that resumes with
-    an excluded root set, as (universe, candidates, upper, excluded);
-    returns the list it appends them to."""
-    real, resumed = kernels._search, []
-
-    def search(universe, candidates, upper, *args, excluded=0, **kwargs):
-        if excluded:
-            resumed.append((universe, candidates, upper, excluded))
-        return real(universe, candidates, upper, *args, excluded=excluded,
-                    **kwargs)
-
-    monkeypatch.setattr(kernels, "_search", search)
-    return resumed
-
-
-def excluded_candidates_are_in_no_smaller_cover(universe, candidates, upper,
-                                                excluded):
-    """No cover with fewer than upper candidates holds an excluded one: a
-    cover through candidate j is j and a cover of the rest, which the
-    plain search sizes."""
-    return all(1 + kernels.min_cover(universe & ~c, candidates)[0] >= upper
-               for j, c in enumerate(candidates) if (excluded >> j) & 1)
-
-
 def is_automorphism_dense(mod, sigma):
     """Every entry of sigma well defined on the orders, and every entry of
     sigma.A - A.sigma zero modulo its row's order."""

@@ -209,3 +209,23 @@ def test_lex_pass_past_its_node_budget_exits_1(capsys, monkeypatch):
     assert "lex-least witness pass ran out of nodes" in captured.err
     assert "the bound is 1000" in captured.err
     assert "Traceback" not in captured.err
+
+
+# verify --phi runs the phi oracle, so without --max-size it refuses what
+# `oracle phi` refuses: past 32 elements.  It used to take the sigma bound
+# of 4,096, under which (Z/2)^10 searched for about 40 s before it ran out
+# of nodes
+@pytest.mark.parametrize("spec", ["Z: R/(2)^12", "Z: R/(2)^10", "Z: R/(3)^5"])
+def test_verify_phi_refuses_what_oracle_phi_refuses(capsys, spec):
+    for argv in (["verify", spec, "--phi", "--json"],
+                 ["oracle", "phi", spec, "--json"]):
+        code, elapsed = run_within_budget(argv, 2)
+        assert code == 1 and elapsed < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "materialized size exceeds 32" in captured.err
+        assert "Traceback" not in captured.err
+    # the sigma half of verify keeps its own bound
+    code, _ = run_within_budget(["verify", "Z: R/(2)^10", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["match"] is True

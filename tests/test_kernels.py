@@ -6,8 +6,6 @@ import itertools
 import random
 
 import pytest
-from reference import (count_resumes,
-                       excluded_candidates_are_in_no_smaller_cover)
 from test_oracle import block_modules, parse
 
 from covercalc import _kernels, oracle
@@ -228,27 +226,34 @@ def rotation_instances(seed, count):
 @pytest.mark.parametrize("plain_nodes", [0, 1, 3, _kernels._PLAIN_NODES])
 def test_symmetric_search_matches_bruteforce(monkeypatch, plain_nodes):
     # plain_nodes 0 searches with the symmetries from the root; the others
-    # resume after that many plain nodes with the best size found and
-    # without the orbits of the root candidates already searched.  No
-    # cover smaller than that best may hold a candidate left out; at 3,
-    # one instance resumes before its best is the optimum.
+    # restart with them after that many plain nodes, from the best size
+    # found.  A restart that starts above the optimum must find a smaller
+    # cover itself; up to 3 plain nodes, some do.
     monkeypatch.setattr(_kernels, "_PLAIN_NODES", plain_nodes)
-    resumed = count_resumes(monkeypatch)
-    overshoots = 0
+    real, starts = _kernels._search, []
+
+    def search(universe, candidates, upper, gens, *args):
+        if gens:
+            starts.append(upper)
+        return real(universe, candidates, upper, gens, *args)
+
+    monkeypatch.setattr(_kernels, "_search", search)
+    overshoots = above = 0
     for universe, candidates, gens in rotation_instances(11, 60):
         calls = []
+        starts.clear()
         got = _kernels.min_cover(universe, candidates,
                                  symmetries=lambda: calls.append(1) or gens)
         assert got == brute_min_cover(universe, candidates)
         if plain_nodes == 0:
             assert calls == [1]
+        assert len(starts) == len(calls)
+        above += any(upper > got[0] for upper in starts)
         overshoots += _kernels._greedy_size(universe, candidates) > got[0]
     # instances where greedy is already optimal cannot catch over-pruning
     assert overshoots >= 5
-    # no root candidate is done after the root node alone
-    assert (len(resumed) > 0) == (plain_nodes > 1), len(resumed)
-    assert all(excluded_candidates_are_in_no_smaller_cover(*args)
-               for args in resumed)
+    if plain_nodes <= 3:
+        assert above > 0
 
 
 def test_symmetries_are_fetched_only_past_the_plain_node_count():

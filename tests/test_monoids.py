@@ -13,6 +13,56 @@ def md(*summands):
     return MonoidDescriptor(tuple(summands))
 
 
+def truncated_elements(d, bound):
+    return itertools.product(*(range(bound + 1) if s.free
+                               else range(s.index + s.period)
+                               for s in d.summands))
+
+
+def truncated_add(d, bound, x, y):
+    """Componentwise sum, or None where a free component exceeds the bound."""
+    out = []
+    for s, a, b in zip(d.summands, x, y):
+        v = a + b
+        if s.free:
+            if v > bound:
+                return None
+        elif v >= s.index + s.period:
+            v = s.index + (v - s.index) % s.period
+        out.append(v)
+    return tuple(out)
+
+
+def verify_partition_pairwise(d, answer, bound):
+    """The partition check of monoids.verify_monoid_partition, element by
+    element and pair by pair over the truncation."""
+    pivot = answer.partition.pivot
+    zero = tuple(0 for _ in d.summands)
+
+    def in_part_a(x):
+        return x[pivot] == 0
+
+    def in_part_b(x):
+        return x == zero or x[pivot] > 0
+
+    elements = list(truncated_elements(d, bound))
+    for x in elements:
+        if not (in_part_a(x) or in_part_b(x)):
+            return False
+        if in_part_a(x) and in_part_b(x) and x != zero:
+            return False
+    for x in elements:
+        for y in elements:
+            s = truncated_add(d, bound, x, y)
+            if s is None:
+                continue
+            if in_part_a(x) and in_part_a(y) and not in_part_a(s):
+                return False
+            if in_part_b(x) and in_part_b(y) and not in_part_b(s):
+                return False
+    return True
+
+
 class TestClassify:
     def test_two_free(self):
         ans = monoids.classify_monoid(md(FREE_N, FREE_N))
@@ -123,6 +173,7 @@ class TestExhaustiveSmall:
 
     def test_class_check_agrees_with_dense_loop(self):
         pool = self.summand_pool()
+        rejected = 0
         for combo in itertools.product(pool, repeat=2):
             d = md(*combo)
             ans = monoids.classify_monoid(d)
@@ -130,16 +181,16 @@ class TestExhaustiveSmall:
                 continue
             for bound in (1, 2, 4):
                 fast = monoids.verify_monoid_partition(d, ans, bound=bound)
-                dense = monoids.verify_monoid_partition(d, ans, bound=bound,
-                                                        dense=True)
-                assert fast == dense
+                assert fast == verify_partition_pairwise(d, ans, bound)
             # and on deliberately wrong pivots
             for pivot in range(2):
                 bad = monoids.MonoidAnswer(monoids.TWO_SUBMONOIDS,
                                            partition=monoids.MonoidPartition(pivot))
                 fast = monoids.verify_monoid_partition(d, bad, bound=4)
-                dense = monoids.verify_monoid_partition(d, bad, bound=4, dense=True)
-                assert fast == dense
+                assert fast == verify_partition_pairwise(d, bad, 4)
+                rejected += not fast
+        # the wrong pivots include some that the checks reject
+        assert rejected > 0
 
 
 class TestParse:

@@ -24,9 +24,7 @@ from covercalc.errors import (NotCoverableError, ShapeMismatchError,
                               TooLargeError, TrivialGroupError)
 from covercalc.rings import FactoredIdeal
 import reference
-from reference import (count_resumes, every_avoiding_coset,
-                       excluded_candidates_are_in_no_smaller_cover, replace,
-                       submodule_lattice)
+from reference import every_avoiding_coset, replace, submodule_lattice
 
 Z = rings.integers()
 
@@ -676,26 +674,19 @@ class TestCosetSymmetries:
         real, fetched = oracle.coset_symmetries, []
         monkeypatch.setattr(oracle, "coset_symmetries",
                             lambda *args: fetched.append(1) or real(*args))
-        resumed = count_resumes(monkeypatch)
         budgets = (0, 1, 3, kernels._PLAIN_NODES, 500)
-        answers, fetches, resumes = {}, {}, {}
+        answers, fetches = {}, {}
         for plain in budgets:
             monkeypatch.setattr(kernels, "_PLAIN_NODES", plain)
             fetched.clear()
-            resumed.clear()
             answers[plain] = [
                 oracle.min_coset_cover_punctured(mod, p, max_size=size)
                 for mod, p, size in pairs]
-            fetches[plain], resumes[plain] = len(fetched), len(resumed)
-            assert all(excluded_candidates_are_in_no_smaller_cover(*args)
-                       for args in resumed)
+            fetches[plain] = len(fetched)
         assert all(answers[plain] == answers[0] for plain in budgets)
-        # each budget fetches for a different set of searches, and past
-        # the root some of them resume with root candidates left out
+        # each budget fetches for a different set of searches
         assert [fetches[p] for p in budgets] == sorted(
             set(fetches.values()), reverse=True), fetches
-        assert resumes[0] == resumes[1] == 0, resumes
-        assert all(resumes[p] > 0 for p in budgets[2:]), resumes
 
     def test_symmetries_match_the_reference_on_the_goldens(self,
                                                            monkeypatch):

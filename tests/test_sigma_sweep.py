@@ -1,5 +1,6 @@
 """The sigma oracle against the closed form and the q+1 rule on every
-abelian group of order <= 1024 and every Z[i] block module of size <= 1024.
+abelian group of order <= 1024, and on every block module of size <= 1024
+over Z[i], F_2[t], F_3[t] and F_5[t].
 
 Deselect with `-m "not slow"` for a quick loop.
 """
@@ -27,9 +28,12 @@ def q_plus_one(mod):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("ring, count", [(rings.integers(), 2171),
-                                         (rings.gaussian_integers(), 1528)],
-                         ids=["Z", "Zi"])
+@pytest.mark.parametrize("ring, count", [
+    (rings.integers(), 2171), (rings.gaussian_integers(), 1528),
+    (rings.poly_over_prime_field(2), 6144),
+    (rings.poly_over_prime_field(3), 1827),
+    (rings.poly_over_prime_field(5), 995)],
+    ids=["Z", "Zi", "F2t", "F3t", "F5t"])
 def test_sigma_oracle_matches_the_closed_form_up_to_1024(ring, count):
     sweep = block_modules(BOUND, over=(ring,))
     assert len(sweep) == count
