@@ -22,8 +22,8 @@ _EXPORTS = {
                 "make_descriptor", "nc_set", "normalize", "q_value"),
     "monoids": ("MonoidAnswer", "MonoidDescriptor", "classify_monoid",
                 "verify_monoid_partition"),
-    "oracle": ("FiniteModule", "SubmoduleSet", "enumerate_submodules",
-               "materialize", "min_coset_cover_punctured",
+    "oracle": ("FiniteModule", "SubmoduleSet", "materialize",
+               "min_coset_cover_punctured",
                "min_submodule_cover", "verify_cover_witness"),
     "parser": ("parse_monoid", "parse_ring", "parse_spec", "render_descriptor"),
     "rings": ("FactoredIdeal", "MaximalIdealId", "RingHandle",

@@ -71,6 +71,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--json", action="store_true")
     c.add_argument("--max-size", type=_positive_int)
     c.add_argument("--puncture", default="0")
+    # accepted for old scripts: every minimum cover can be taken from the
+    # maximal submodules, so "false" answers as "true" does
     c.add_argument("--maximal-only", choices=["true", "false"], default="true")
     c = spec_cmd("verify", help="formula vs. oracle")
     c.add_argument("--max-size", type=_positive_int)
@@ -99,9 +101,24 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _glue_punctures(argv) -> list:
+    """Each `--puncture V` whose V starts with a single dash as
+    `--puncture=V`, since argparse reads such a V (`-2+i`, `-t`) as an
+    option; `--puncture --json` stays a usage error."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--puncture" and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glue_punctures(argv))
     except _UsageError as exc:
         print(f"cover-calc: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -126,12 +143,6 @@ def _dispatch(args) -> tuple[dict, int]:
     report = _COMMANDS[args.command](args)
     mismatch = args.command == "verify" and not report["oracle"]["match"]
     return report, EXIT_MISMATCH if mismatch else EXIT_OK
-
-
-def _sigma_max_size(args) -> int:
-    """--max-size, or the oracle's sigma bound when it is not given."""
-    from .oracle import SIGMA_SIZE_BOUND
-    return SIGMA_SIZE_BOUND if args.max_size is None else args.max_size
 
 
 def _base_report(command: str, text: str) -> dict:
@@ -190,7 +201,7 @@ def _cmd_cover(args) -> dict:
         ok = None
         if w.kind == covering.LINES and w.materializable:
             from . import oracle
-            mod = oracle.materialize(d, max_size=_sigma_max_size(args))
+            mod = oracle.materialize(d, max_size=_oracle_max_size(args, False))
             ok = oracle.verify_cover_witness(mod, w)
         rep["witness_checked"] = ok
     return rep
@@ -246,7 +257,7 @@ def _cmd_coset_cover(args) -> dict:
     }
     if args.check:
         rep["witness_checked"] = cosets.verify_coset_cover(
-            w, max_size=_sigma_max_size(args))
+            w, max_size=_oracle_max_size(args, False))
     return rep
 
 
@@ -271,17 +282,13 @@ def _cmd_monoid(args) -> dict:
     return rep
 
 
-def _oracle_max_size(args, phi: bool, maximal_only: bool = True) -> int:
-    """--max-size, or the bound of the oracle search that runs: `oracle`
-    and `verify` refuse the same sizes for the same question."""
+def _oracle_max_size(args, phi: bool) -> int:
+    """--max-size, or the bound of the oracle search for the question:
+    every command refuses the same sizes for the same question."""
     from . import oracle
     if args.max_size is not None:
         return args.max_size
-    if phi:
-        return oracle.COSET_SIZE_BOUND
-    if not maximal_only:
-        return oracle.ALL_SUBGROUPS_BOUND
-    return oracle.SIGMA_SIZE_BOUND
+    return oracle.COSET_SIZE_BOUND if phi else oracle.SIGMA_SIZE_BOUND
 
 
 def _puncture_index(text: str, ring, mod) -> int:
@@ -302,13 +309,11 @@ def _puncture_index(text: str, ring, mod) -> int:
 def _cmd_oracle(args) -> dict:
     from . import oracle
     ring, d, rep = _spec_report(args, f"oracle {args.mode}")
-    maximal_only = args.maximal_only == "true"
-    max_size = _oracle_max_size(args, args.mode == "phi", maximal_only)
+    max_size = _oracle_max_size(args, args.mode == "phi")
     mod = oracle.materialize(d, max_size=max_size)
     rep["module_size"] = mod.size
     if args.mode == "sigma":
-        size, witness = oracle.min_submodule_cover(
-            mod, maximal_only=maximal_only, max_size=max_size)
+        size, witness = oracle.min_submodule_cover(mod, max_size=max_size)
         rep["answer"] = size if size is not None else "no-cover"
         rep["witness"] = [{"generators": list(s.generators), "size": s.size()}
                           for s in witness]

@@ -18,9 +18,7 @@ alone, so the kernels of every character a caller needs are built in one
 pass over the coordinates once per process for each (orders, steps) and
 kept (_kernel_table), shared by every ring whose modules have those
 orders; each call builds only the images under its own action
-(_characters), and a core looks both up by index.  Every submodule is
-the meet of the cores of the characters vanishing on it, so the meets of
-the cores give the whole lattice too.
+(_characters), and a core looks both up by index.
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -33,9 +31,9 @@ outside K: two distinct minimal ones would meet in K and put the
 puncture p in y+K.  The over-submodules of a core are the annihilators
 of the submodules of R.chi, which are cyclic as R is a principal ideal
 domain, so each is a core again or M, and K' is the meet of the cores
-above K.  Both restrictions, and the lattice of meets, are
-cross-validated against unrestricted references kept apart in
-tests/reference.py, which list every subgroup from generator matrices.
+above K.  Both restrictions are cross-validated against unrestricted
+references kept apart in tests/reference.py, which list every subgroup
+from generator matrices.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ from operator import and_, itemgetter, mul, or_
 from typing import Optional
 
 from . import _kernels as kernels
-from . import arith, residues, rings
-from .covering import CoverWitness, LINES
+from . import arith, rings
 from .errors import (NotMaterializableError, ShapeMismatchError,
                      TooLargeError, TrivialGroupError, UnsupportedRingError)
 from .modules import ModuleDescriptor
@@ -56,7 +53,6 @@ from .records import record
 from .rings import FactoredIdeal, RingHandle
 
 SIGMA_SIZE_BOUND = 4096
-ALL_SUBGROUPS_BOUND = 32
 COSET_SIZE_BOUND = 32
 # maximal_submodules builds a kernel of |M| bits per line of M/pM, its work
 # counted in elements: (Z/2)^12 is 4095 * 4096, (Z/2)^13 four times that
@@ -147,11 +143,11 @@ def materialize(d: ModuleDescriptor,
     for ideal, mult in d.torsion:
         flat.extend([ideal] * mult.finite_value)
 
-    total = 1
+    bound, total = min(max_size, HARD_SIZE_CAP), 1
     for ideal in flat:
         total *= ideal.quotient_size().finite_value
-        if total > min(max_size, HARD_SIZE_CAP):
-            raise TooLargeError(f"materialized size exceeds {max_size}")
+        if total > bound:
+            raise TooLargeError(f"materialized size exceeds {bound}")
 
     orders: list[int] = []
     blocks: list = []   # per summand: its action block, None over Z
@@ -414,30 +410,11 @@ def _cores(kern: tuple, img, starts):
     return core
 
 
-def enumerate_submodules(mod: FiniteModule, maximal_only: bool = True,
-                         max_size: Optional[int] = None) -> list[SubmoduleSet]:
-    """Action-invariant subgroups: all of them, or the maximal ones only."""
-    bound = max_size or (SIGMA_SIZE_BOUND if maximal_only else ALL_SUBGROUPS_BOUND)
-    if mod.size > bound:
-        raise TooLargeError(f"module size {mod.size} exceeds bound {bound}")
-    return [_wrap(mod, m) for m in _submodule_masks(mod, maximal_only)]
-
-
-def _submodule_masks(mod: FiniteModule, maximal_only: bool) -> list[int]:
-    """The maximal submodules, or every submodule: each is the meet of the
-    cores of the characters vanishing on it (M the meet of none)."""
-    if maximal_only:
-        return maximal_submodules(mod)
-    lattice = {mod.full_mask}
-    for core in _distinct_cores(mod, [1] * len(mod.orders)):
-        lattice |= {core & s for s in lattice}
-    return sorted(lattice)
-
-
-def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
-                        max_size: int = SIGMA_SIZE_BOUND):
+def min_submodule_cover(mod: FiniteModule, max_size: int = SIGMA_SIZE_BOUND):
     """Exact minimum number of proper submodules covering the module.
 
+    The candidates are the maximal submodules: every proper submodule lies
+    in one, so no cover over all submodules is smaller.
     Returns (size, [SubmoduleSet...]), or (None, []) when no cover exists
     (cyclic modules, including the zero module).
     """
@@ -445,13 +422,12 @@ def min_submodule_cover(mod: FiniteModule, maximal_only: bool = True,
         raise TooLargeError(f"module size {mod.size} exceeds bound {max_size}")
     if mod.size == 1:
         return None, []
-    full = mod.full_mask
     # distinct masks: each witness part is wrapped once
-    candidates = [m for m in _submodule_masks(mod, maximal_only) if m != full]
+    candidates = maximal_submodules(mod)
     # every candidate holds 0, so covering M - {0} is covering M, and the
     # root's counting bound over it, (|M|-1)/(|M|/p-1), exceeds p
     size, idxs = kernels.min_cover(
-        full & ~1, candidates,
+        mod.full_mask & ~1, candidates,
         symmetries=lambda: coset_symmetries(mod, 0, candidates))
     return size, [_wrap(mod, candidates[i]) for i in idxs]
 
@@ -674,7 +650,9 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     submodule and their union all of M.  Coset covers are checked by
     cosets.verify_coset_cover.
     """
-    if not isinstance(witness, CoverWitness) or witness.kind != LINES:
+    from . import covering, residues
+    if (not isinstance(witness, covering.CoverWitness)
+            or witness.kind != covering.LINES):
         raise ShapeMismatchError("expected a lines cover witness")
     if not witness.line_points:
         raise ShapeMismatchError("symbolic witness cannot be materialized")
@@ -722,6 +700,7 @@ def _residue_tables(ring: RingHandle, m) -> tuple:
     """The addition and multiplication tables of R/m, q x q tuples of
     codes, built once per process for each (ring, m).  Callers build R/m
     first, so a witness of the wrong length is refused before any table."""
+    from . import residues
     F = residues.residue_field(ring, m)
     q = F.q
     return (tuple(tuple(F.add(a, b) for b in range(q)) for a in range(q)),

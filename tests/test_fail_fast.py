@@ -180,35 +180,37 @@ def test_poly_ring_factor_refuses_the_same_degrees():
                                (1,) + (0,) * 62 + (1,))
 
 
-# (Z/2)^6 has 2,825 submodules; their lex-least minimum cover used to take
-# about 200 s, so the unbounded lattice stops at size 32
-def test_oracle_sigma_over_all_submodules_past_32_exits_1(capsys):
+# --maximal-only false once searched every submodule: (Z/2)^6 has 2,825,
+# and their lex-least minimum cover ran for minutes.  The flag is still
+# accepted and answers as the default does, from the maximal submodules
+@pytest.mark.parametrize("argv", [["Z: R/(4) + R/(4)"], ["Z: R/(2)^6"],
+                                  ["Z: R/(2)^6", "--max-size", "64"]],
+                         ids=["Z4^2", "Z2^6", "Z2^6-max-size-64"])
+def test_oracle_sigma_maximal_only_false_prints_the_default_bytes(capsys,
+                                                                  argv):
+    code, _ = run_within_budget(["oracle", "sigma"] + argv + ["--json"])
+    assert code == 0
+    default = capsys.readouterr().out
     code, elapsed = run_within_budget(
-        ["oracle", "sigma", "Z: R/(2)^6", "--maximal-only", "false", "--json"])
-    assert code == 1 and elapsed < BUDGET_S
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("cover-calc: ") and "32" in captured.err
-    assert "Traceback" not in captured.err
+        ["oracle", "sigma"] + argv + ["--maximal-only", "false", "--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert capsys.readouterr().out == default
 
 
-# the lex-least witness pass has a node budget as the search has:
-# (Z/2)^5 over all its submodules closes at the root of the optimality
-# proof, then takes about 22,000 lex nodes
-def test_lex_pass_past_its_node_budget_exits_1(capsys, monkeypatch):
-    from covercalc import _kernels
-    argv = ["oracle", "sigma", "Z: R/(2)^5", "--maximal-only", "false",
-            "--json"]
-    code, elapsed = run_within_budget(argv)
-    assert code == 0 and json.loads(capsys.readouterr().out)["answer"] == 3
+# the lex-least witness pass has a node budget as the search has: (Z/2)^5
+# over all its submodules closes at the root of the optimality proof, then
+# takes about 22,000 lex nodes
+def test_lex_pass_past_its_node_budget_exits_1(monkeypatch):
+    from covercalc import _kernels, oracle
+    from covercalc.errors import TooLargeError
+    from reference import submodule_lattice
+    mod = oracle.FiniteModule((2,) * 5)
+    proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+    assert _kernels.min_cover(mod.full_mask & ~1, proper)[0] == 3
     monkeypatch.setattr(_kernels, "_NODE_BUDGET", 1000)
-    code, elapsed = run_within_budget(argv)
-    assert code == 1 and elapsed < BUDGET_S
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "lex-least witness pass ran out of nodes" in captured.err
-    assert "the bound is 1000" in captured.err
-    assert "Traceback" not in captured.err
+    with pytest.raises(TooLargeError, match="lex-least witness pass ran out "
+                       "of nodes: the bound is 1000"):
+        _kernels.min_cover(mod.full_mask & ~1, proper)
 
 
 # verify --phi runs the phi oracle, so without --max-size it refuses what
@@ -229,3 +231,19 @@ def test_verify_phi_refuses_what_oracle_phi_refuses(capsys, spec):
     code, _ = run_within_budget(["verify", "Z: R/(2)^10", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["oracle"]["match"] is True
+
+
+# a --max-size past the fixed cap of 65,536 elements is refused at the cap,
+# and the message names the bound that applied
+@pytest.mark.parametrize("argv, bound", [
+    (["oracle", "sigma", "Z: R/(3)^11", "--max-size", "200000"], 65536),
+    (["cover", "Z: R/(3)^11", "--check", "--max-size", "200000"], 65536),
+    (["oracle", "sigma", "Z: R/(3)^11", "--max-size", "1000"], 1000),
+    (["oracle", "sigma", "Z: R/(3)^11"], 4096)])
+def test_the_size_bound_message_names_the_bound_that_applied(capsys, argv,
+                                                             bound):
+    code, elapsed = run_within_budget(argv + ["--json"])
+    assert code == 1 and elapsed < BUDGET_S
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cover-calc: materialized size exceeds {bound}\n"

@@ -27,8 +27,8 @@ EXPORTS = {
                 "make_descriptor", "nc_set", "normalize", "q_value"],
     "monoids": ["MonoidAnswer", "MonoidDescriptor", "classify_monoid",
                 "verify_monoid_partition"],
-    "oracle": ["FiniteModule", "SubmoduleSet", "enumerate_submodules",
-               "materialize", "min_coset_cover_punctured",
+    "oracle": ["FiniteModule", "SubmoduleSet", "materialize",
+               "min_coset_cover_punctured",
                "min_submodule_cover", "verify_cover_witness"],
     "parser": ["parse_monoid", "parse_ring", "parse_spec", "render_descriptor"],
     "rings": ["FactoredIdeal", "MaximalIdealId", "RingHandle",
@@ -80,15 +80,25 @@ def test_closed_forms_and_usage_errors_load_no_search(argv, code):
     assert not loaded & SEARCH
 
 
+# the oracle is the independent check of the closed forms
+CLOSED_FORMS = {"covering", "cosets", "residues"}
+
+
 def test_the_oracle_loads_the_search():
     got, loaded = run_cli(["oracle", "sigma", "Z: R/(4) + R/(4)", "--json"])
     assert got == 0
     assert loaded & SEARCH == {"oracle", "_kernels"}
+    assert not loaded & CLOSED_FORMS
     # only the Z[i] block takes a Smith normal form (of its lattice)
     got, loaded = run_cli(["oracle", "sigma", "Zi: R/(1+i) + R/(1+i)",
                            "--json"])
     assert got == 0
     assert SEARCH <= loaded
+    assert not loaded & CLOSED_FORMS
+    got, loaded = run_cli(["oracle", "phi", "Fp[t] p=2: R/(t^2+t+1) + R/(t)",
+                           "--puncture", "3", "--json"])
+    assert got == 0
+    assert not loaded & CLOSED_FORMS
 
 
 def test_star_import_gives_every_public_name_from_its_module():
@@ -100,7 +110,7 @@ def test_star_import_gives_every_public_name_from_its_module():
             "getattr(sys.modules['covercalc.' + m], n))]")
     (names, strangers), _ = run_fresh(code)
     assert names == sorted(n for ns in EXPORTS.values() for n in ns)
-    assert len(names) == 56
+    assert len(names) == 55
     assert strangers == []
 
 

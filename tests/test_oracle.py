@@ -1,10 +1,10 @@
 """The brute-force engine: materialization, enumeration, exact covers.
 
-Independent cross-checks: subgroup enumeration is compared against a
-join-closure method that knows nothing about generator matrices, and the
-maximal submodules, the full lattice and the punctured coset candidates
-against the unrestricted references of tests/reference.py, which list
-every subgroup from generator matrices.
+Independent cross-checks: the maximal submodules are compared against
+those of a join-closure method that knows nothing about generator
+matrices, and the maximal submodules, the punctured coset candidates and
+the lex-least sigma witness against the unrestricted references of
+tests/reference.py, which list every subgroup from generator matrices.
 """
 
 import functools
@@ -198,49 +198,43 @@ class TestMaterialize:
 class TestEnumeration:
     def test_klein_counts(self):
         mod = oracle.materialize(parse("Z: R/(2) + R/(2)"))
-        assert len(oracle.enumerate_submodules(mod, maximal_only=False)) == 5
-        assert len(oracle.enumerate_submodules(mod, maximal_only=True)) == 3
+        assert len(oracle.maximal_submodules(mod)) == 3
 
     def test_z4_chain(self):
         mod = oracle.materialize(parse("Z: R/(4)"))
-        assert len(oracle.enumerate_submodules(mod, maximal_only=False)) == 3
-        maxi = oracle.enumerate_submodules(mod, maximal_only=True)
-        assert len(maxi) == 1 and maxi[0].size() == 2
+        maxi = oracle.maximal_submodules(mod)
+        assert len(maxi) == 1 and maxi[0].bit_count() == 2
 
     def test_gaussian_invariance_filter(self):
-        # of the 3 order-2 subgroups of Z[i]/(2), only (1+i)M is i-invariant
+        # of the 3 order-2 subgroups of Z[i]/(2), only (1+i)M is i-invariant,
+        # and it is the one maximal submodule
         mod = oracle.materialize(parse("Zi: R/(2)"))
-        subs = oracle.enumerate_submodules(mod, maximal_only=False)
-        proper_nonzero = [s for s in subs if 1 < s.size() < mod.size]
-        assert len(proper_nonzero) == 1
+        (maxi,) = oracle.maximal_submodules(mod)
         img = {mod.encode(oracle._scalar_action(mod, (1, 1), mod.decode(x)))
                for x in range(mod.size)}
-        assert {i for i in range(mod.size) if (proper_nonzero[0].mask >> i) & 1} == img
+        assert {i for i in range(mod.size) if (maxi >> i) & 1} == img
 
     def test_f4_maximal_submodules_have_index_four(self):
         mod = oracle.materialize(parse("Fp[t] p=2: R/(t^2+t+1)^2"))
-        maxi = oracle.enumerate_submodules(mod, maximal_only=True)
+        maxi = oracle.maximal_submodules(mod)
         assert len(maxi) == 5
-        assert all(s.size() == 4 for s in maxi)
+        assert all(m.bit_count() == 4 for m in maxi)
 
     @pytest.mark.parametrize("orders", [(2, 4), (3, 9), (4, 8), (2, 2), (9, 3),
                                         (2, 2, 2), (5, 5), (6, 4), (12,),
                                         (2, 3), (10, 2)])
     def test_subgroup_counts_match_closure_enumeration(self, orders):
         mod = oracle.FiniteModule(orders)
-        got = {s.mask for s in oracle.enumerate_submodules(mod, maximal_only=False,
-                                                           max_size=1000)}
-        assert got == subgroups_by_join_closure(orders)
+        proper = subgroups_by_join_closure(orders) - {mod.full_mask}
+        assert oracle.maximal_submodules(mod) == \
+            sorted(inclusion_maximal(list(proper)))
 
     def test_action_invariance_postcondition(self):
         for spec in ["Zi: R/(1+i)^3", "Fp[t] p=2: R/(t^2+t+1) + R/(t)",
                      "Zi: R/(2+i) + R/(1+i)"]:
             mod = oracle.materialize(parse(spec))
-            for s in oracle.enumerate_submodules(mod, maximal_only=False,
-                                                 max_size=64):
-                assert kernels.invariant_core(mod.orders, mod.action, s.mask) == s.mask
-            for s in oracle.enumerate_submodules(mod, maximal_only=True):
-                assert kernels.invariant_core(mod.orders, mod.action, s.mask) == s.mask
+            for m in oracle.maximal_submodules(mod):
+                assert kernels.invariant_core(mod.orders, mod.action, m) == m
 
 
 class TestCharacterLevelSets:
@@ -266,16 +260,11 @@ class TestCharacterLevelSets:
         check_characters(oracle.FiniteModule(orders))
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
-        # the maximal submodules, and the meet closure of the cores of all
-        # characters, against every submodule
         checked = 0
         for spec, mod in block_modules(64) + composite_modules(64):
-            lattice = submodule_lattice(mod)
-            proper = [m for m in lattice if m != mod.full_mask]
+            proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
             assert oracle.maximal_submodules(mod) == \
                 sorted(inclusion_maximal(proper)), spec
-            assert [s.mask for s in oracle.enumerate_submodules(
-                mod, maximal_only=False, max_size=64)] == lattice, spec
             checked += 1
         assert checked >= 565
 
@@ -421,6 +410,19 @@ class TestMinCover:
             proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
             b = kernels.min_cover(mod.full_mask, proper)[0]
             assert a == b, spec
+
+    def test_witness_is_the_lex_least_over_all_submodules_up_to_32(self):
+        # the search takes only the maximal submodules; over every proper
+        # submodule the lex-least minimum cover is the same, mask for mask
+        checked = 0
+        for spec, mod in block_modules(32) + composite_modules(32):
+            size, witness = oracle.min_submodule_cover(mod)
+            proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+            want, idxs = kernels.min_cover(mod.full_mask & ~1, proper)
+            assert (size, [s.mask for s in witness]) == \
+                (want, [proper[i] for i in idxs]), spec
+            checked += 1
+        assert checked >= 293
 
     def test_deterministic_witness(self):
         mod = oracle.materialize(parse("Z: R/(12) + R/(18)"))

@@ -226,6 +226,40 @@ class TestCli:
         assert out.out == "" and "Traceback" not in out.err
         assert out.err.startswith(f"cover-calc: puncture index {index} ")
 
+    # argparse reads a value that starts with one dash as an option, unless
+    # it reads as a negative number
+    @pytest.mark.parametrize("command", [["verify", "--phi"], ["oracle", "phi"],
+                                         ["coset-cover"]])
+    @pytest.mark.parametrize("spec, puncture", [("Zi: R/(2+i)", "-2+i"),
+                                                ("Zi: R/(3)", "-i"),
+                                                ("Fp[t] p=3: R/(t^2+1)", "-t"),
+                                                ("Fp[t] p=2: R/(t^3)", "-t^2")])
+    def test_a_puncture_with_a_leading_dash_is_an_element(
+            self, capsys, command, spec, puncture):
+        assert cli.main(command + [spec, f"--puncture={puncture}",
+                                   "--json"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(command + [spec, "--puncture", puncture,
+                                   "--json"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_a_puncture_with_a_leading_dash_on_a_sum_is_not_an_index(
+            self, capsys):
+        argv = ["oracle", "phi", "Zi: R/(1+i) + R/(1+i)", "--puncture", "-i",
+                "--json"]
+        assert cli.main(argv) == 65
+        assert capsys.readouterr().err == (
+            "cover-calc: puncture on a direct sum is an element index\n")
+
+    @pytest.mark.parametrize("command", [["verify", "Z: R/(4)", "--phi"],
+                                         ["oracle", "phi", "Z: R/(4)"],
+                                         ["coset-cover", "Z: R/(4)"]])
+    def test_a_puncture_without_its_value_exits_64(self, capsys, command):
+        assert cli.main(command + ["--puncture", "--json"]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "cover-calc: argument --puncture: expected one argument\n")
+
     def test_monoid(self, capsys):
         code = cli.main(["monoid", "N + C(0,4)", "--json"])
         out = json.loads(capsys.readouterr().out)
@@ -293,7 +327,7 @@ class TestCli:
         assert out["formula"] == 4 and out["oracle"]["match"] is True
 
     def test_verify_mismatch_exits_2(self, capsys, monkeypatch):
-        def wrong_cover(mod, maximal_only=True, max_size=4096):
+        def wrong_cover(mod, max_size=4096):
             return 17, []
 
         monkeypatch.setattr("covercalc.oracle.min_submodule_cover",
