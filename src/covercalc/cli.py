@@ -104,11 +104,13 @@ def _positive_int(text: str) -> int:
 def _glue_punctures(argv) -> list:
     """Each `--puncture V` whose V starts with a single dash as
     `--puncture=V`, since argparse reads such a V (`-2+i`, `-t`) as an
-    option; `--puncture --json` stays a usage error."""
+    option; so too each prefix argparse takes for `--puncture`, from
+    `--pu` on (`--p` may be `--phi`).  `--puncture --json` stays a usage
+    error."""
     out = []
     for arg in argv:
-        if (out and out[-1] == "--puncture" and arg.startswith("-")
-                and not arg.startswith("--")):
+        if (out and len(out[-1]) > 3 and "--puncture".startswith(out[-1])
+                and arg.startswith("-") and not arg.startswith("--")):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -7,18 +7,12 @@ multiplication by i over Z[i], by t over F_p[t], and None over Z.  Subsets
 are int bitmasks over the element indexing, and the heavy work (closures,
 exact minimum covers) runs in the kernels of covercalc._kernels.
 
-Both searches take their candidates from characters of M, indexed by
-their digits in the mixed radix of the dual: the kernels of a character
-chi and of its images chi.A, chi.A^2, ... meet in the largest submodule
-inside its kernel, its core, which is the annihilator of the cyclic
-submodule R.chi of the dual (_cores).  Characters of order p give the
-maximal submodules; cosets of the cores of all characters give the
-puncture-avoiding cosets.  A character's kernel depends on the orders
-alone, so the kernels of every character a caller needs are built in one
-pass over the coordinates once per process for each (orders, steps) and
-kept (_kernel_table), shared by every ring whose modules have those
-orders; each call builds only the images under its own action
-(_characters), and a core looks both up by index.
+Both searches take their candidates from characters of M: the kernels
+of chi, chi.A, chi.A^2, ... meet in its core, the largest submodule in
+ker chi, the annihilator of R.chi in the dual (_cores).  The maximal
+submodules are cores of order-p characters, one per F_p-line of them;
+the avoiding cosets are cosets of the cores of all characters, whose
+kernels depend on the orders alone and are kept (_kernel_table).
 
 The exact searches here are deliberately independent of the closed-form
 covering machinery: minimum submodule covers restrict to maximal
@@ -38,10 +32,10 @@ from generator matrices.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import and_, itemgetter, mul, or_
+from operator import add, and_, itemgetter, mul, or_, xor
 from typing import Optional
 
 from . import _kernels as kernels
@@ -65,12 +59,9 @@ HARD_COORD_CAP = 16
 # summands over a few dozen maximal ideals.
 BLOCK_CACHE_SIZE = 256
 RESIDUE_TABLE_CACHE_SIZE = 64
-# It also keeps the character kernel tables of this many (orders, steps),
-# each of at most KERNEL_TABLE_BITS bits, characters times |M|; a larger
-# table is rebuilt on every call.  A group has no more characters than
-# elements, so a kept table holds at most 256 kernels of 256 bits, about
-# 17 KiB for (Z/2)^8, and the tables about 4.3 MiB at worst.  A sigma
-# sweep meets 963 (orders, steps), a phi sweep 56.
+# For the phi oracle, the kernels of every character of this many tuples
+# of orders, each table at most KERNEL_TABLE_BITS bits (a larger one is
+# rebuilt each call): 17 KiB for (Z/2)^8, 4.3 MiB in all; a sweep meets 56.
 KERNEL_TABLE_CACHE_SIZE = 256
 KERNEL_TABLE_BITS = 1 << 16
 
@@ -253,9 +244,9 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     K and M, so taking cores of all index-p subgroups and keeping the
     inclusion-maximal ones is exhaustive.  (For residue fields larger
     than F_p the maximal submodules themselves have non-prime index.)
-    The index-p subgroups are the kernels of the order-p characters, whose
-    digit j is a multiple of d_j/p, or 0 when p does not divide d_j; without
-    an action each is maximal, and only an action calls for the filter.
+    The index-p subgroups are the kernels of the order-p characters, one
+    per F_p-line of them; without an action each is maximal, and only an
+    action calls for the filter.
 
     The work, one kernel of |M| bits per line, is known up front: above
     SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
@@ -269,14 +260,16 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
-    found = set()
+    found = []
     for p in primes:
-        found |= _distinct_cores(mod, [d // gcd(d, p) for d in mod.orders])
+        coords = [j for j, d in enumerate(mod.orders) if d % p == 0]
+        found += (_line_cores if mod.action else _line_kernels)(mod, p, coords)
     if mod.action is None:
         return sorted(found)
     # a core of prime index is maximal; the others are kept when in no
     # other core, met largest first: one inside another lies inside a
     # maximal one, so only the maxima found so far are checked
+    found = set(found)
     maxima = [m for m in found if n // m.bit_count() in primes]
     for m in sorted(found.difference(maxima), key=int.bit_count,
                     reverse=True):
@@ -285,129 +278,144 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     return sorted(maxima)
 
 
-def _distinct_cores(mod: FiniteModule, steps) -> set:
-    """The cores of the nontrivial characters whose digit j is a multiple
-    of steps[j], each once."""
-    kern, img = _characters(mod, steps)
-    return set(filter(None, _cores(kern, img, range(1, len(kern)))[1:]))
+def _digit_classes(orders, j: int, q: int) -> list:
+    """The masks of the elements by x_j mod q, from shifts of the first
+    stride of each period of x_j (q when q | d_j, else d_j)."""
+    stride, d = prod(orders[:j]), orders[j]
+    period = q if d % q == 0 else d
+    block = ((1 << stride) - 1) * (((1 << prod(orders)) - 1)
+                                   // ((1 << stride * period) - 1))
+    out = [0] * q
+    for t in range(period):
+        out[t % q] |= block << t * stride
+    return out
 
 
-def _characters(mod: FiniteModule, steps) -> tuple:
-    """(kernels, images) of the characters whose digit j is a multiple of
-    steps[j], a divisor of d_j.  Character c, chi_c(x) = sum_j c_j x_j/d_j
-    mod 1, has the index digits c_j/steps[j] in the mixed radix r_j =
-    d_j/steps[j]; images[c] is the index of chi_c.A, whose digit b is
-    sum_j c_j A_jb d_b/d_j mod d_b, and images is None without an action.
+def _line_kernels(mod: FiniteModule, p: int, coords) -> list:
+    """The kernels of chi_a(x) = sum_k a_k x_j / p, j = coords[k], for each
+    a whose first nonzero digit is 1 (one per F_p-line), by ascending sum_k
+    a_k p^k: the value classes of a prefix of a, met with those of x_j mod
+    p, give the prefix plus a_j's (class 0 at the end; over F_2, a XOR)."""
+    res = [_digit_classes(mod.orders, j, p) for j in coords]
+    if len(res) == 1:
+        return [res[0][0]]
+    if p == 2:
+        odd = [0]
+        for _, m in res:
+            odd += list(map(xor, odd, repeat(m)))
+        return list(map(xor, odd[1:], repeat(mod.full_mask)))
+    inv = [0] + [pow(t, -1, p) for t in range(1, p)]
+    *below, last = res
+    lines = below[:1]
+    for cls_j in below[1:]:
+        # class v of a prefix plus t.e_j: its class u met with x_j = (v-u)/t
+        by_t = [[[cls_j[(v - u) * inv[t] % p] for u in range(p)]
+                 for v in range(p)] for t in range(1, p)]
+        lines += [cls_j] + [[sum(map(and_, cls, by_v)) for by_v in by_vs]
+                            for by_vs in by_t for cls in lines]
+    zero = [[last[-u * inv[t] % p] for u in range(p)] for t in range(1, p)]
+    return ([cls[0] for cls in lines] + [last[0]]
+            + [sum(map(and_, cls, by_u)) for by_u in zero for cls in lines])
 
-    The kernels do not depend on the action, so they come from the table
-    the process keeps for (orders, steps) (_kernel_table), which modules
-    over every ring with those orders share; only the images are built
-    here.
-    """
-    orders, act, steps = mod.orders, mod.action, tuple(steps)
-    radices = [d // s for d, s in zip(orders, steps)]
-    table = (_kernel_table if prod(radices) * mod.size <= KERNEL_TABLE_BITS
+
+def _line_cores(mod: FiniteModule, p: int, coords) -> list:
+    """The cores of the characters of _line_kernels, in their order: as
+    (k.chi).A = k.(chi.A), a line's image under A (read mod p, one block
+    per summand) is the line of its image: over F_2 the index itself, else
+    where[c], the position of the line of index c: c + t.p^k, c != 0 of
+    first nonzero digit l, is l/t times rep(c) + (t/l).p^k, after the n
+    lines below p^k, p^k and n lines per smaller top digit."""
+    kern = _line_kernels(mod, p, coords)
+    act, lines = mod.action, len(kern)
+    if len(coords) == 1:    # one line, whose image is itself or 0
+        return kern
+    if p == 2:
+        img = [0]
+        for j in coords:
+            e = sum((act[j][b] & 1) << k for k, b in enumerate(coords))
+            img += list(map(xor, img, repeat(e)))
+        return _cores([mod.full_mask, *kern], img)[1:]
+    img, span = [0], 1
+    for blk in [[k for k, j in enumerate(coords) if s.start <= j < s.start
+                 + s.ncoords] for s in mod.summands] or [range(len(coords))]:
+        sub = _images([p] * len(blk), [[act[coords[j]][coords[b]] % p
+                                        for b in blk] for j in blk])
+        img = [x + y for y in [v * span for v in sub] for x in img]
+        span *= p ** len(blk)
+    # lead[c] is c's first nonzero digit; index 0 goes past the lines
+    inv = [0] + [pow(t, -1, p) for t in range(1, p)]
+    where, lead, n = [lines], [0], 0
+    for _ in coords:
+        up, up_lead = list(where), list(lead)
+        for t in range(1, p):
+            shift = [n - lines] + [1 + t * i % p * n for i in inv[1:]]
+            up += map(add, map(shift.__getitem__, lead), where)
+            up_lead += [t, *lead[1:]]
+        where, lead, n = up, up_lead, n * p + 1
+    img = [where[img[c]] for c, l in enumerate(lead) if l == 1]
+    return _cores(kern + [mod.full_mask], img + [lines])[:lines]
+
+
+def _characters(mod: FiniteModule) -> tuple:
+    """(kernels, images) of the characters chi_c(x) = sum_j c_j x_j/d_j,
+    c in the mixed radix of the orders; images[c] is the index of chi_c.A,
+    of digits sum_j c_j A_jb d_b/d_j mod d_b (None without an action)."""
+    orders, act = mod.orders, mod.action
+    table = (_kernel_table if mod.size ** 2 <= KERNEL_TABLE_BITS
              else _kernel_table.__wrapped__)
-    kern = table(orders, steps)
+    kern = table(orders)
     if act is None:
         return kern, None
-    levels = [j for j, r in enumerate(radices) if r > 1]
-    img, size = [0] * len(kern), 1
-    for b in levels:
-        d, digits = orders[b], [0]
-        for j in levels:
-            coef = steps[j] * act[j][b] * d // orders[j]
-            digits = [(v + t * coef) % d for t in range(radices[j])
+    return kern, _images(orders, [[a * d // d_j for a, d in zip(row, orders)]
+                                  for row, d_j in zip(act, orders)])
+
+
+def _images(radices, coef) -> list:
+    """The index of chi.A for each index chi over the mixed radix radices,
+    where digit k of chi.A is sum_j chi_j coef[j][k] mod radices[k]."""
+    img, size = [0] * prod(radices), 1
+    for b, r in enumerate(radices):
+        digits = [0]
+        for j, r_j in enumerate(radices):
+            digits = [(v + t * coef[j][b]) % r for t in range(r_j)
                       for v in digits]
-        img = [x + v // steps[b] * size for x, v in zip(img, digits)]
-        size *= radices[b]
-    return kern, img
+        img = [x + v * size for x, v in zip(img, digits)]
+        size *= r
+    return img
 
 
 @lru_cache(maxsize=KERNEL_TABLE_CACHE_SIZE)
-def _kernel_table(orders: tuple, steps: tuple) -> tuple:
-    """The kernel of each character of _characters, by index, as a tuple
-    of masks.
-
-    The value classes of a character map each v to the mask of the x with
-    chi(x) = v/N, N = lcm(orders).  Those of c + m.e_j, c below coordinate
-    j, are the classes of c met with those of x_j mod r_j.  The last
-    coordinate builds class 0 only, and only for top digits m dividing r_j:
-    the others generate the cyclic subgroup, so share the kernel, of one of
-    those, looked up by index.
-    """
-    full = (1 << prod(orders)) - 1
-    top = lcm(*orders)
-    radices = [d // s for d, s in zip(orders, steps)]
-    levels = [j for j, r in enumerate(radices) if r > 1]
-    classes, kern = [{0: full}], []
-    for j in levels:
-        stride, r, by_q = prod(orders[:j]), radices[j], {}
-        below = classes[:]
-        for m in range(1, r):
-            g = gcd(m, r)
-            q = r // g
-            # m.x_j.N/r mod N depends on x_j mod q only
-            if q not in by_q:     # the elements by x_j mod q
-                block = ((1 << stride) - 1) * (full // ((1 << stride * q) - 1))
-                by_q[q] = [block << t * stride for t in range(q)]
-            res, step, w = by_q[q], top // q, m * top // r
-            if j != levels[-1]:
-                for cls in below:
-                    met = {}
-                    for u, mu in cls.items():
-                        for t, mv in enumerate(res):
-                            key = (u + t * w) % top
-                            met[key] = met.get(key, 0) | mu & mv
-                    classes.append(met)
-            elif m == g:
-                # class u meets class 0 where x_j = -u/step mod q
-                kern += [reduce(or_, [mu & res[-u // step % q]
-                                      for u, mu in cls.items()
-                                      if u % step == 0])
-                         for cls in classes]
-            else:
-                # u.chi, u a unit mod N with u.m/g = 1 mod q, has the
-                # kernel of chi, and top digit g; with no level below, u.c
-                # is c = 0 whatever u is
-                scaled = [0]    # the index of u.c, by c
-                if len(levels) > 1:
-                    u = next(u for u in itertools.count(pow(m // g, -1, q), q)
-                             if gcd(u, top) == 1)
-                    for i in levels[:-1]:
-                        size, r_i = len(scaled), radices[i]
-                        scaled = [x + u * t % r_i * size for t in range(r_i)
-                                  for x in scaled]
-                kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
-    kern[:0] = [cls[0] for cls in classes]
-    return tuple(kern)
+def _kernel_table(orders: tuple) -> tuple:
+    """The kernel of each character of _characters, by index: the value
+    classes of c + m.e_j, c below coordinate j, map each v to the mask of
+    the x with chi(x) = v/lcm(orders), from those of c and of x_j."""
+    top, classes = lcm(*orders), [{0: (1 << prod(orders)) - 1}]
+    for j, d in enumerate(orders):
+        res, grown = _digit_classes(orders, j, d), []
+        for m in range(d):
+            for cls in classes:
+                met = {}
+                for u, mu in cls.items():
+                    for t, mv in enumerate(res):
+                        key = (u + t * m * top // d) % top
+                        met[key] = met.get(key, 0) | mu & mv
+                grown.append(met)
+        classes = grown
+    return tuple(cls[0] for cls in classes)
 
 
-def _cores(kern: tuple, img, starts):
-    """core[c], the largest submodule inside ker chi_c, for each index c
-    in starts and each one met from them (0 for the others).
-
-    core(chi) is the meet of the kernels of chi, chi.A, chi.A^2, ..., so
-    core(chi) = ker chi & core(chi.A), taken once along the graph c ->
-    img[c].  Every walk in it ends in a cycle, whose characters share one
-    core: the meet of their kernels.  Without an action, cores are kernels.
-    """
+def _cores(kern, img) -> list:
+    """core[c], the meet of the kernels of chi_c, chi_c.A, ..., for each c,
+    as core(c) = ker chi_c & core(img[c]) for all c at once until a step
+    changes none (a chain of subgroups long at most), or the kernels."""
     if img is None:
         return kern
-    core = [0] * len(kern)      # 0 until known: every core holds 0
-    for c in starts:
-        path = []
-        while not core[c]:
-            core[c] = -1        # on this walk
-            path.append(c)
-            c = img[c]
-        if core[c] < 0:         # the walk closed a cycle at c: its meet,
-            core[c] = reduce(and_, [kern[v] for v in path[path.index(c):]])
-        meet = core[c]          # which the pass back keeps on the cycle
-        for v in reversed(path):
-            meet &= kern[v]
-            core[v] = meet
-    return core
+    core = list(kern)
+    while True:
+        met = list(map(and_, kern, map(core.__getitem__, img)))
+        if met == core:
+            return core
+        core = met
 
 
 def min_submodule_cover(mod: FiniteModule, max_size: int = SIGMA_SIZE_BOUND):
@@ -449,8 +457,8 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int):
     p+K, are the maximal ones.
     """
     full = mod.full_mask
-    subs = sorted(_distinct_cores(mod, [1] * len(mod.orders)),
-                  key=int.bit_count, reverse=True)
+    subs = sorted(set(_cores(*_characters(mod))[1:]), key=int.bit_count,
+                  reverse=True)
     pairs = []
     for i, sub in enumerate(subs):
         # every core above sub is larger, so it comes earlier
@@ -666,33 +674,32 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
         return False
     add, mul = _residue_tables(mod.ring, witness.ideal)
-    # every element reduced once to its images in summands i and j, built
-    # over the mixed-radix index one coordinate at a time
-    images = []
+    # the elements by their image in R/m through summand i, and j: digit
+    # x_k adds (x_k mod p).r_k, r_k the image of its basis element
+    full, images = mod.full_mask, []
     for info in (mod.summands[i], mod.summands[j]):
-        vals = [0]
-        for k, d in enumerate(mod.orders):
-            if info.start <= k < info.start + info.ncoords:
-                r = F.reduce(info.basis[k - info.start])
-                row = [mul[s % F.p][r] for s in range(d)]
-                vals = [add[x][y] for y in row for x in vals]
-            else:
-                vals = vals * d
-        images.append(vals)
-    by_pair: dict = {}
-    for x, pair in enumerate(zip(*images)):
-        by_pair[pair] = by_pair.get(pair, 0) | 1 << x
-    union = 0
+        classes = [full] + [0] * (q - 1)
+        for k in range(info.start, info.start + info.ncoords):
+            r, met = F.reduce(info.basis[k - info.start]), [0] * q
+            for t, m in enumerate(_digit_classes(mod.orders, k, F.p)):
+                back = add[add[mul[t][r]].index(0)]     # v -> v - t.r
+                met = list(map(or_, met, map(and_, map(
+                    classes.__getitem__, back), repeat(m))))
+            classes = met
+        images.append(classes)
+    union, by_mu = 0, {}
     for lam, mu in points:
-        line_mask = 0
-        for (xi, xj), mask in by_pair.items():
-            if mul[mu][xi] == mul[lam][xj]:
-                line_mask |= mask
-        if (line_mask == mod.full_mask
-                or _generators(mod, line_mask)[1] != line_mask):
+        # the x with mu.x_i = lam.x_j, from the disjoint classes of x_j
+        if mu not in by_mu:     # and those of mu.x_i
+            by_mu[mu] = [0] * q
+            for a, v in enumerate(mul[mu]):
+                by_mu[mu][v] |= images[0][a]
+        line_mask = sum(map(and_, map(by_mu[mu].__getitem__, mul[lam]),
+                            images[1]))
+        if line_mask == full or _generators(mod, line_mask)[1] != line_mask:
             return False
         union |= line_mask
-    return union == mod.full_mask
+    return union == full
 
 
 @lru_cache(maxsize=RESIDUE_TABLE_CACHE_SIZE)

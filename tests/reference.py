@@ -1,10 +1,11 @@
 """Helpers that only the tests use, kept out of the covercalc package.
 
 The unrestricted oracle references live here, apart from the code they
-check: every subgroup from generator matrices, and every submodule and
-puncture-avoiding coset from those.  They take from covercalc only the
-mask kernels of covercalc._kernels, never the character cores behind the
-oracle's own candidate lists.
+check: every subgroup from generator matrices, every submodule and
+puncture-avoiding coset from those, and a lines witness's lines element
+by element.  They take from covercalc only the mask kernels of
+covercalc._kernels, never the character cores behind the oracle's own
+candidate lists.
 """
 
 import functools
@@ -90,6 +91,37 @@ def submodule_lattice(mod):
              for x in range(mod.size)]
     return [m for m in all_subgroups(mod.orders)
             if all(m >> image[x] & 1 for x in range(mod.size) if m >> x & 1)]
+
+
+def witness_lines(mod, witness, field, add, mul):
+    """The lines of a lines witness as element masks, built element by
+    element: every element reduced once to its images in R/m through
+    summands i and j, over the mixed-radix index one coordinate at a
+    time, and the elements grouped by that pair; line (lam, mu) holds the
+    groups (x_i, x_j) with mu.x_i = lam.x_j.  field is R/m, add and mul
+    its tables, and the points must lie in it."""
+    images = []
+    for info in (mod.summands[n] for n in witness.summand_pair):
+        vals = [0]
+        for k, d in enumerate(mod.orders):
+            if info.start <= k < info.start + info.ncoords:
+                r = field.reduce(info.basis[k - info.start])
+                row = [mul[s % field.p][r] for s in range(d)]
+                vals = [add[x][y] for y in row for x in vals]
+            else:
+                vals = vals * d
+        images.append(vals)
+    by_pair = {}
+    for x, pair in enumerate(zip(*images)):
+        by_pair[pair] = by_pair.get(pair, 0) | 1 << x
+    lines = []
+    for lam, mu in witness.line_points:
+        line_mask = 0
+        for (xi, xj), mask in by_pair.items():
+            if mul[mu][xi] == mul[lam][xj]:
+                line_mask |= mask
+        lines.append(line_mask)
+    return lines
 
 
 def every_avoiding_coset(mod, puncture):

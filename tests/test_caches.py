@@ -20,7 +20,7 @@ import threading
 import pytest
 
 import covercalc
-from covercalc import _kernels, arith, covering, oracle, parser, rings
+from covercalc import _kernels, covering, oracle, parser, rings
 from covercalc.errors import SpecSemanticError, UnsupportedLiteralError
 
 # caches the autouse fixture leaves alone, each with why no test needs it
@@ -280,31 +280,27 @@ def _golden_modules(name):
 
 
 def test_cached_kernel_tables_are_fresh_builds_for_every_golden_group():
-    # the order-p steps of the sigma goldens and the steps 1 of the phi
-    # goldens, through _characters as the oracles call it: each table is
-    # asked twice, and the hit returns what a fresh build would, as a tuple
+    # the orders of the sigma and phi goldens, through _characters as the
+    # phi oracle calls it: each table is asked twice, and the hit returns
+    # what a fresh build would, as a tuple
     keys = {}
-    for mod in _golden_modules("sigma"):
-        for p in arith.prime_factors(mod.size):
-            keys[mod.orders, tuple(d // math.gcd(d, p)
-                                   for d in mod.orders)] = mod
-    for mod in _golden_modules("phi"):
-        keys[mod.orders, (1,) * len(mod.orders)] = mod
-    assert len(keys) >= 1000
-    for (orders, steps), mod in keys.items():
+    for mod in _golden_modules("sigma") + _golden_modules("phi"):
+        keys[mod.orders] = mod
+    assert len(keys) >= 500
+    for orders, mod in keys.items():
         for _ in range(2):
-            kern, _img = oracle._characters(mod, steps)
+            kern, _img = oracle._characters(mod)
         info = oracle._kernel_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert kern == oracle._kernel_table.__wrapped__(orders, steps)
+        assert kern == oracle._kernel_table.__wrapped__(orders)
         assert _is_frozen(kern)
         oracle._kernel_table.cache_clear()
 
 
 def test_rings_with_equal_orders_share_one_kernel_table():
-    # F_2[t] and Z[i] modules of 32 elements have the orders of (Z/2)^5,
-    # whose characters all have order 2: one table serves both oracles
-    # and all four modules
+    # F_2[t] and Z[i] modules of 32 elements have the orders of (Z/2)^5:
+    # one table serves the punctured candidates of all four modules, and
+    # maximal_submodules, which builds one kernel per line, keeps none
     specs = ["Z: R/(2)^5", "Fp[t] p=2: R/(t^5)",
              "Fp[t] p=2: R/(t^2+t+1)^2 + R/(t)", "Zi: R/(1+i)^5"]
     for i, spec in enumerate(specs):
@@ -313,7 +309,7 @@ def test_rings_with_equal_orders_share_one_kernel_table():
         oracle.maximal_submodules(mod)
         oracle.punctured_coset_candidates(mod, 0)
         info = oracle._kernel_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2 * i + 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, i, 1)
 
 
 def _table_bytes(table) -> int:
@@ -322,13 +318,13 @@ def _table_bytes(table) -> int:
 
 
 def test_kernel_tables_past_the_bit_bound_are_not_kept():
-    # (Z/2)^8 holds 256 order-2 kernels of 256 bits, at the bound; (Z/2)^9
-    # four times that, rebuilt on each call and never kept
+    # (Z/2)^8 holds 256 kernels of 256 bits, at the bound; (Z/2)^9 four
+    # times that, rebuilt on each call and never kept
     at_bound, past = oracle.FiniteModule((2,) * 8), oracle.FiniteModule((2,) * 9)
     assert 256 * 256 == oracle.KERNEL_TABLE_BITS
-    oracle.maximal_submodules(past)
+    oracle._characters(past)
     assert oracle._kernel_table.cache_info().currsize == 0
-    assert len(oracle.maximal_submodules(at_bound)) == 255
+    assert len(oracle._characters(at_bound)[0]) == 256
     assert oracle._kernel_table.cache_info().currsize == 1
 
 
@@ -336,21 +332,17 @@ def test_kernel_table_retention_is_bounded():
     # a table of at most KERNEL_TABLE_BITS bits has at most as many
     # characters as elements, so at most 256 masks of 256 bits: all the
     # characters of (Z/2)^8 weigh the most, and 256 of them under 5 MiB
-    heaviest = _table_bytes(oracle._kernel_table((2,) * 8, (1,) * 8))
+    heaviest = _table_bytes(oracle._kernel_table((2,) * 8))
     assert oracle.KERNEL_TABLE_CACHE_SIZE * heaviest < 5 << 20
     rng = random.Random(5)
     kept = set()
     while len(kept) <= oracle.KERNEL_TABLE_CACHE_SIZE:
         orders = tuple(rng.choice((2, 3, 4, 5, 8, 9))
                        for _ in range(rng.randint(1, 4)))
-        steps = tuple(rng.choice([s for s in range(1, d + 1) if d % s == 0])
-                      for d in orders)
-        bits = math.prod(orders) * math.prod(
-            d // s for d, s in zip(orders, steps))
-        if bits > oracle.KERNEL_TABLE_BITS:
+        if math.prod(orders) ** 2 > oracle.KERNEL_TABLE_BITS:
             continue
-        kern, _ = oracle._characters(oracle.FiniteModule(orders), steps)
+        kern, _ = oracle._characters(oracle.FiniteModule(orders))
         assert _table_bytes(kern) <= heaviest
-        kept.add((orders, steps))
+        kept.add(orders)
     assert (oracle._kernel_table.cache_info().currsize
             == oracle.KERNEL_TABLE_CACHE_SIZE)

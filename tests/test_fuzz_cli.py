@@ -236,7 +236,9 @@ def oracle_argv(draw):
     if head == ["oracle", "sigma"] and draw(st.booleans()):
         argv += ["--maximal-only", draw(st.sampled_from(["true", "false"]))]
     if punctured and draw(st.integers(0, 3)):
-        argv += ["--puncture", draw(punctures(grammar))]
+        # the option written out or cut to a prefix argparse takes
+        argv += [draw(st.sampled_from(["--puncture", "--puncture", "--punct",
+                                       "--pu"])), draw(punctures(grammar))]
     max_size = draw(st.sampled_from(MAX_SIZES))
     if max_size is not None:
         argv += ["--max-size", max_size]
@@ -322,7 +324,7 @@ def malformed_argv(draw):
     """A valid command line broken in one way argparse must refuse."""
     argv = list(draw(st.sampled_from(VALID_ARGV)))
     how = draw(st.sampled_from(["drop", "extra", "flag", "command", "size",
-                                "choice", "empty"]))
+                                "choice", "prefix", "empty"]))
     if how == "drop":
         positional = [i for i, w in enumerate(argv[1:], 1) if not
                       w.startswith("--") and argv[i - 1] != "--puncture"]
@@ -343,6 +345,10 @@ def malformed_argv(draw):
         argv = draw(st.sampled_from([
             ["oracle", "tau", "Z: R/(2)"],
             ["oracle", "sigma", "Z: R/(2)", "--maximal-only", "yes"]]))
+    elif how == "prefix":
+        # --p may be --phi or --puncture
+        argv = ["verify", "Zi: R/(2)", "--phi", "--p",
+                draw(st.sampled_from(["1", "-1", "-1-i", "i"]))]
     else:
         argv = []
     return argv

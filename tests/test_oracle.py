@@ -238,18 +238,22 @@ class TestEnumeration:
 
 
 class TestCharacterLevelSets:
-    """The character routine behind maximal_submodules and the punctured
-    candidates, against elementwise invariant cores and all_subgroups."""
+    """The character routines behind the punctured candidates (every
+    character) and maximal_submodules (one order-p character per line),
+    against elementwise invariant cores and all_subgroups."""
 
     @pytest.mark.parametrize("spec", ["Z: R/(4) + R/(6)", "Zi: R/(1+i)^3",
                                       "Zi: R/(2+i) + R/(3)",
                                       "Fp[t] p=2: R/(t^2+t+1) + R/(t)^2",
                                       "Fp[t] p=3: R/(t^2+1) + R/(t)",
+                                      "Fp[t] p=3: R/(t)^2 + R/(t^2+1)",
+                                      "Zi: R/(3) + R/(3)",
+                                      "Fp[t] p=5: R/(t) + R/(t+2)",
                                       "Z: R/(12)", "Z: R/(10) + R/(2)",
                                       "Zi: R/(2+i)", "Fp[t] p=7: R/(t+3)"])
     def test_class_of_zero_is_the_core_of_the_kernel(self, spec):
-        # class 0 of a character's values is its kernel, and the walk over
-        # its images meets it down to its core
+        # class 0 of a character's values is its kernel, and the meets
+        # along its images reach its core
         check_characters(oracle.materialize(parse(spec), max_size=256))
 
     @pytest.mark.parametrize("orders,top", [((4, 6), 12), ((2, 2, 4), 4),
@@ -258,6 +262,32 @@ class TestCharacterLevelSets:
         # plain groups without an action, the trivial one too
         assert math.lcm(*orders) == top
         check_characters(oracle.FiniteModule(orders))
+
+    @pytest.mark.parametrize("spec", ["Z: R/(3)^4", "Z: R/(9) + R/(3) + R/(25)",
+                                      "Fp[t] p=3: R/(t)^2 + R/(t+1)",
+                                      "Zi: R/(3) + R/(1+i)^2"])
+    def test_one_kernel_per_line(self, monkeypatch, spec):
+        # (p^r - 1)/(p - 1) kernels for each p, r the coordinates p
+        # divides, and none from the table of every character
+        mod = oracle.materialize(parse(spec))
+        built, real = [], oracle._line_kernels
+        monkeypatch.setattr(oracle, "_line_kernels",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        maximal = oracle.maximal_submodules(mod)
+        assert sum(map(len, built)) == sum(
+            (p ** sum(d % p == 0 for d in mod.orders) - 1) // (p - 1)
+            for p in arith.prime_factors(mod.size))
+        assert oracle._kernel_table.cache_info().currsize == 0
+        proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+        assert maximal == sorted(inclusion_maximal(proper))
+
+    @pytest.mark.parametrize("spec", ["Fp[t] p=4093: R/(t)", "Zi: R/(59)",
+                                      "Z: R/(61) + R/(61)"])
+    def test_maximal_submodules_over_a_large_prime(self, spec):
+        mod = oracle.materialize(parse(spec))
+        proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+        assert oracle.maximal_submodules(mod) == \
+            sorted(inclusion_maximal(proper))
 
     def test_maximal_submodules_match_all_subgroups_up_to_64(self):
         checked = 0
@@ -286,45 +316,63 @@ class TestCharacterLevelSets:
 
 
 def check_characters(mod):
-    """Every kernel and image of oracle._characters, at the order-p steps
-    for each p dividing |M| and at step 1, and every core, against the
-    elementwise kernels, weights and invariant cores."""
+    """Every kernel and image of oracle._characters and every core, and
+    the line kernels and cores behind maximal_submodules for each p
+    dividing |M|, against the elementwise kernels, weights and invariant
+    cores."""
     orders, top = mod.orders, math.lcm(*mod.orders)
-    # the order-p characters for each p dividing |M|, and all of them
-    every_p = [[d // math.gcd(d, p) for d in orders]
-               for p in arith.prime_factors(mod.size)]
-    for steps in every_p + [[1] * len(orders)]:
-        radices = [d // s for d, s in zip(orders, steps)]
-        # the weights w_j = c_j N/d_j of each character, by index
-        chars = [tuple(a * s * (top // d) for a, s, d in
-                       zip(kernels.decode(radices, c), steps, orders))
-                 for c in range(math.prod(radices))]
-        kern, img = oracle._characters(mod, steps)
-        # every kernel is built, with or without an action
-        want = [elementwise_kernel(orders, top, w) for w in chars]
-        assert list(kern) == want, steps
-        if mod.action is None:
-            assert img is None
-            assert oracle._cores(kern, img, range(len(kern))) == kern
-            continue
+    # the weights w_j = c_j N/d_j of each character, by index
+    chars = [tuple(a * (top // d) for a, d in
+                   zip(kernels.decode(orders, c), orders))
+             for c in range(mod.size)]
+    kern, img = oracle._characters(mod)
+    # every kernel is built, with or without an action
+    want = [elementwise_kernel(orders, top, w) for w in chars]
+    assert list(kern) == want
+    cores = oracle._cores(kern, img)
+    if mod.action is None:
+        assert img is None and cores == kern
+    else:
         # chi.A has the weights w A mod N
         columns = list(zip(*mod.action))
         assert [chars[i] for i in img] == [
             tuple(sum(map(operator.mul, w, col)) % top for col in columns)
             for w in chars]
-        # memoized along c -> img[c]: whichever character a walk
-        # starts from, each core is the same
-        cores = oracle._cores(kern, img, range(len(kern)))
-        assert cores == oracle._cores(kern, img,
-                                      reversed(range(len(kern))))
         for c, kernel in enumerate(want):
             core = kernels.invariant_core(orders, mod.action, kernel)
-            assert cores[c] == core, (steps, chars[c])
+            assert cores[c] == core, chars[c]
             # its translates partition M
             translates = {kernels.translate(orders, core, x)
                           for x in range(mod.size)}
             assert sum(m.bit_count() for m in translates) == mod.size
             assert functools.reduce(int.__or__, translates) == mod.full_mask
+    for p in arith.prime_factors(mod.size):
+        check_lines(mod, p)
+
+
+def check_lines(mod, p):
+    """The order-p line kernels, one per line in ascending order of the
+    index whose first nonzero digit is 1, and their cores, with the
+    summands' blocks and without."""
+    orders, top = mod.orders, math.lcm(*mod.orders)
+    coords = [j for j, d in enumerate(orders) if d % p == 0]
+    lines = sorted((a for a in itertools.product(range(p), repeat=len(coords))
+                    if any(a) and a[min(k for k, v in enumerate(a) if v)] == 1),
+                   key=lambda a: sum(v * p ** k for k, v in enumerate(a)))
+    want = []
+    for a in lines:
+        w = [0] * len(orders)
+        for j, v in zip(coords, a):
+            w[j] = v * (top // p)
+        want.append(elementwise_kernel(orders, top, w))
+    kern = oracle._line_kernels(mod, p, coords)
+    assert kern == want, p
+    assert len(kern) == (p ** len(coords) - 1) // (p - 1)
+    if mod.action is not None:
+        cores = [kernels.invariant_core(orders, mod.action, k) for k in kern]
+        assert oracle._line_cores(mod, p, coords) == cores, p
+        bare = oracle.FiniteModule(orders, mod.action)
+        assert oracle._line_cores(bare, p, coords) == cores, p
 
 
 def elementwise_kernel(orders, top, w):
@@ -511,7 +559,77 @@ def reference_verify_lines(mod, witness):
     return union == mod.full_mask
 
 
+def reference_verdict(mod, witness):
+    """verify_cover_witness's verdict on the lines of reference.py."""
+    F = residues.residue_field(mod.ring, witness.ideal)
+    pts = witness.line_points
+    if len(pts) != F.q + 1 or not all(0 <= c < F.q for pt in pts for c in pt):
+        return False
+    add, mul = oracle._residue_tables(mod.ring, witness.ideal)
+    union = 0
+    for line in reference.witness_lines(mod, witness, F, add, mul):
+        if line == mod.full_mask or oracle._generators(mod, line)[1] != line:
+            return False
+        union |= line
+    return union == mod.full_mask
+
+
+def lines_checked(monkeypatch, check, mod, witness):
+    """(verdict, the line masks check handed to oracle._generators)."""
+    seen, real = [], oracle._generators
+    monkeypatch.setattr(oracle, "_generators",
+                        lambda mod, mask: seen.append(mask) or real(mod, mask))
+    try:
+        return check(mod, witness), seen
+    finally:
+        monkeypatch.setattr(oracle, "_generators", real)
+
+
 class TestVerifyWitness:
+    def test_lines_are_the_per_element_ones_on_every_sigma_golden(
+            self, monkeypatch):
+        checked = 0
+        for item in golden_items("sigma"):
+            d = parse(item["spec"])
+            if covering.sigma_integer(d) == math.inf:
+                continue
+            mod, w = oracle.materialize(d), covering.build_cover_witness(d)
+            got = lines_checked(monkeypatch, oracle.verify_cover_witness,
+                                mod, w)
+            assert got[0] is True, item["spec"]
+            assert got == lines_checked(monkeypatch, reference_verdict,
+                                        mod, w), item["spec"]
+            checked += 1
+        assert checked == 473
+
+    # F_4, F_9, and the coordinates of orders 12 and 18 read mod 2
+    @pytest.mark.parametrize("spec", ["Fp[t] p=2: R/(t^2+t+1) + R/(t^2+t+1)",
+                                      "Zi: R/(3) + R/(3)",
+                                      "Z: R/(12) + R/(18)"])
+    def test_tampered_lines_are_the_per_element_ones(self, monkeypatch, spec):
+        d = parse(spec)
+        mod, w = oracle.materialize(d), covering.build_cover_witness(d)
+        mul = oracle._residue_tables(mod.ring, w.ideal)[1]
+        pts, q = w.line_points, len(w.line_points) - 1
+        # each point replaced by a multiple of itself (the same line, or 0)
+        # or of the next point (a duplicated line), and the summand pairs
+        # swapped or repeated
+        tampered = [replace(w, line_points=pts[:k] + (
+            (mul[s][lam], mul[s][mu]),) + pts[k + 1:])
+            for k in range(q + 1) for s in range(q)
+            for lam, mu in (pts[k], pts[(k + 1) % (q + 1)])]
+        tampered += [replace(w, summand_pair=pair)
+                     for pair in [(1, 0), (0, 0), (1, 1)]]
+        verdicts = set()
+        for t in tampered:
+            got = lines_checked(monkeypatch, oracle.verify_cover_witness,
+                                mod, t)
+            assert got == lines_checked(monkeypatch, reference_verdict,
+                                        mod, t), (t.summand_pair,
+                                                  t.line_points)
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
+
     def test_accepts_built_witnesses(self):
         for spec in ["Z: R/(2) + R/(2)", "Z: R/(12) + R/(18)",
                      "Zi: R/(1+i) + R/(1+i)", "Fp[t] p=2: R/(t^2+t+1)^2",

@@ -243,6 +243,24 @@ class TestCli:
                                    "--json"]) == 0
         assert capsys.readouterr().out == joined
 
+    # argparse takes any unambiguous prefix of an option, from --pu on here
+    @pytest.mark.parametrize("command", [["verify", "--phi"], ["oracle", "phi"],
+                                         ["coset-cover"]])
+    @pytest.mark.parametrize("option", ["--pu", "--punct"])
+    def test_an_abbreviated_puncture_takes_a_leading_dash(
+            self, capsys, command, option):
+        assert cli.main(command + ["Zi: R/(2)", "--puncture=-1-i",
+                                   "--json"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(command + ["Zi: R/(2)", option, "-1-i", "--json"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_an_ambiguous_puncture_prefix_exits_64(self, capsys):
+        argv = ["verify", "Zi: R/(2)", "--phi", "--p", "-1-i", "--json"]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err == (
+            "cover-calc: ambiguous option: --p could match --phi, --puncture\n")
+
     def test_a_puncture_with_a_leading_dash_on_a_sum_is_not_an_index(
             self, capsys):
         argv = ["oracle", "phi", "Zi: R/(1+i) + R/(1+i)", "--puncture", "-i",
