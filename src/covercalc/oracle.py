@@ -32,8 +32,8 @@ from generator matrices.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, reduce
+from itertools import count, repeat
 from math import gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, or_, xor
 from typing import Optional
@@ -388,20 +388,40 @@ def _images(radices, coef) -> list:
 def _kernel_table(orders: tuple) -> tuple:
     """The kernel of each character of _characters, by index: the value
     classes of c + m.e_j, c below coordinate j, map each v to the mask of
-    the x with chi(x) = v/lcm(orders), from those of c and of x_j."""
-    top, classes = lcm(*orders), [{0: (1 << prod(orders)) - 1}]
+    the x with chi(x) = v/N, N = lcm(orders), from those of c and of x_j
+    mod q = d_j/g, g = gcd(m, d_j).  The last coordinate builds class 0
+    for m = g only: u.chi, u a unit mod N with u.m/g = 1 mod q, has the
+    kernel of chi and top digit g, and is looked up by index."""
+    top, classes, kern = lcm(*orders), [{0: (1 << prod(orders)) - 1}], []
     for j, d in enumerate(orders):
-        res, grown = _digit_classes(orders, j, d), []
-        for m in range(d):
-            for cls in classes:
+        last, below = j == len(orders) - 1, classes[:]
+        for m in range(1, d):
+            g = gcd(m, d)
+            q = d // g
+            if last and m != g:
+                u = next(u for u in count(pow(m // g, -1, q), q)
+                         if gcd(u, top) == 1)
+                scaled = [0]    # the index of u.c, by c
+                for r in orders[:-1]:
+                    scaled = [x + u * t % r * len(scaled) for t in range(r)
+                              for x in scaled]
+                kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
+                continue
+            res, w = _digit_classes(orders, j, q), m * top // d
+            if last:    # class u meets class 0 where x_j = -u/w mod q
+                kern += [reduce(or_, [mu & res[-u // w % q] for u, mu
+                                      in cls.items() if u % w == 0])
+                         for cls in classes]
+                continue
+            for cls in below:
                 met = {}
                 for u, mu in cls.items():
                     for t, mv in enumerate(res):
-                        key = (u + t * m * top // d) % top
+                        key = (u + t * w) % top
                         met[key] = met.get(key, 0) | mu & mv
-                grown.append(met)
-        classes = grown
-    return tuple(cls[0] for cls in classes)
+                classes.append(met)
+    kern[:0] = [cls[0] for cls in classes]
+    return tuple(kern)
 
 
 def _cores(kern, img) -> list:

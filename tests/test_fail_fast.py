@@ -60,6 +60,15 @@ def test_large_lines_witness_checks_within_budget(capsys, spec):
     assert json.loads(capsys.readouterr().out)["witness_checked"] is True
 
 
+# 4,096 characters of one coordinate: the kernel table builds one kernel
+# per divisor of 4096 and looks the others up
+def test_oracle_phi_on_a_large_cyclic_module_answers_within_budget(capsys):
+    code, elapsed = run_within_budget(
+        ["oracle", "phi", "Z: R/(4096)", "--max-size", "4096", "--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert json.loads(capsys.readouterr().out)["answer"] == 12
+
+
 def test_integer_literal_guard_exits_65(capsys):
     assert cli.main(["phi", "Z: R/(9223372036854775808)"]) == 65
     assert "2^63" in capsys.readouterr().err
