@@ -7,11 +7,13 @@ multiplication by i over Z[i], by t over F_p[t], and None over Z.  Subsets
 are int bitmasks over the element indexing, and the heavy work (closures,
 exact minimum covers) runs in the kernels of covercalc._kernels.
 
-Both searches take their candidates from characters of M: the kernels
-of chi, chi.A, chi.A^2, ... meet in its core, the largest submodule in
-ker chi, the annihilator of R.chi in the dual (_cores).  The maximal
-submodules are cores of order-p characters, one per F_p-line of them;
-the avoiding cosets are cosets of the cores of all characters, whose
+The maximal submodules are the kernels of the R-maps of M onto a residue
+field R/m, one per R/m-line of them, built from the masks of the
+elements by their image in R/m through each summand (_residue_classes),
+in the arithmetic of R/m's own cyclic block.  The avoiding cosets come
+from characters of M: the kernels of chi, chi.A, chi.A^2, ... meet in
+its core, the largest submodule in ker chi, the annihilator of R.chi in
+the dual (_cores); they are cosets of the cores of all characters, whose
 kernels depend on the orders alone and are kept (_kernel_table).
 
 The exact searches here are deliberately independent of the closed-form
@@ -35,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import count, repeat
 from math import gcd, lcm, prod
-from operator import add, and_, itemgetter, mul, or_, xor
+from operator import and_, itemgetter, mul, or_, sub, xor
 from typing import Optional
 
 from . import _kernels as kernels
@@ -48,14 +50,17 @@ from .rings import FactoredIdeal, RingHandle
 
 SIGMA_SIZE_BOUND = 4096
 COSET_SIZE_BOUND = 32
-# maximal_submodules builds a kernel of |M| bits per line of M/pM, its work
-# counted in elements: (Z/2)^12 is 4095 * 4096, (Z/2)^13 four times that
+# maximal_submodules builds a kernel of |M| bits per maximal submodule,
+# (q^n - 1)/(q - 1) at a maximal ideal with residue field F_q met by n
+# summands, its work counted in elements: (Z/2)^12 is 4095 * 4096, (Z/2)^13
+# four times that
 SIGMA_WORK_BOUND = 1 << 25
 HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
 HARD_COORD_CAP = 16
 # A process keeps this many checked cyclic blocks R/(pi^e), keyed by
-# (ring, ideal), and the addition and multiplication tables of this many
-# residue fields R/m, keyed by (ring, m).  A sweep meets a few hundred
+# (ring, ideal), among them the residue fields R/m that maximal_submodules
+# reduces into, and the multiplication tables of this many residue fields
+# R/m, keyed by (ring, m).  A sweep meets a few hundred
 # summands over a few dozen maximal ideals.
 BLOCK_CACHE_SIZE = 256
 RESIDUE_TABLE_CACHE_SIZE = 64
@@ -239,121 +244,169 @@ def _generators(mod: FiniteModule, mask: int) -> tuple:
 def maximal_submodules(mod: FiniteModule) -> list[int]:
     """Masks of the maximal proper submodules.
 
-    Candidates are invariant cores of index-p subgroups: every maximal
-    submodule K satisfies K = core(H) for any index-p subgroup H between
-    K and M, so taking cores of all index-p subgroups and keeping the
-    inclusion-maximal ones is exhaustive.  (For residue fields larger
-    than F_p the maximal submodules themselves have non-prime index.)
-    The index-p subgroups are the kernels of the order-p characters, one
-    per F_p-line of them; without an action each is maximal, and only an
-    action calls for the filter.
+    A maximal submodule N has M/N = R/m for a maximal ideal m, so those
+    at m are the kernels of the nonzero R-maps M -> R/m, one per R/m-line
+    of them: the maps sum_i c_i.pi_i, c in (R/m)^n, over the n summands
+    R/I_i with I_i in m, pi_i the reduction of summand i mod m.  That is
+    (q^n - 1)/(q - 1) kernels at m, q = |R/m|, each built once
+    (_line_kernels) and kept as built: distinct lines have distinct
+    kernels, and M/N names m.  Without summand data each coordinate is a
+    summand Z/d_j.
 
     The work, one kernel of |M| bits per line, is known up front: above
     SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
     """
-    n = mod.size
-    if n == 1:
+    if mod.size == 1:
         return []
-    primes = arith.prime_factors(n)
-    work = n * sum((p ** sum(d % p == 0 for d in mod.orders) - 1) // (p - 1)
-                   for p in primes)
+    summands = mod.summands
+    if not summands:
+        if mod.action is not None:
+            raise ShapeMismatchError("module carries no summand data")
+        summands = [SummandInfo(j, 1, mod.ring.factor(d), (1,), (1,))
+                    for j, d in enumerate(mod.orders)]
+    at: dict = {}
+    for info in summands:
+        for m, _ in info.annihilator.factors:
+            at.setdefault(m, []).append(info)
+    work = mod.size * sum(
+        (q ** len(infos) - 1) // (q - 1) for m, infos in at.items()
+        for q in [m.residue_card.finite_value])
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
     found = []
-    for p in primes:
-        coords = [j for j, d in enumerate(mod.orders) if d % p == 0]
-        found += (_line_cores if mod.action else _line_kernels)(mod, p, coords)
-    if mod.action is None:
-        return sorted(found)
-    # a core of prime index is maximal; the others are kept when in no
-    # other core, met largest first: one inside another lies inside a
-    # maximal one, so only the maxima found so far are checked
-    found = set(found)
-    maxima = [m for m in found if n // m.bit_count() in primes]
-    for m in sorted(found.difference(maxima), key=int.bit_count,
-                    reverse=True):
-        if not any((m | o) == o for o in maxima):
-            maxima.append(m)
-    return sorted(maxima)
+    for m, infos in at.items():
+        if mod.action is None:     # over Z, pi_i is x_j mod p: no block
+            p, block = m.residue_card.finite_value, None
+            res = [[_digit_classes(mod.orders, info.start, p)]
+                   for info in infos]
+        else:
+            block = _cyclic_block(mod.ring, FactoredIdeal(((m, 1),)))
+            p = block.orders[0]
+            res = [_residue_classes(mod, info, p, len(block.orders), [
+                block.encode_ring_element(0, b) for b in info.basis])
+                for info in infos]
+        found += _line_kernels(mod, res, p, block)
+    return sorted(found)
 
 
 def _digit_classes(orders, j: int, q: int) -> list:
-    """The masks of the elements by x_j mod q, from shifts of the first
-    stride of each period of x_j (q when q | d_j, else d_j)."""
-    stride, d = prod(orders[:j]), orders[j]
+    """The masks of the elements by x_j mod q, from the shifts of the
+    stripes of x_j = 0 mod its period (q when q | d_j, else d_j)."""
+    d = orders[j]
     period = q if d % q == 0 else d
-    block = ((1 << stride) - 1) * (((1 << prod(orders)) - 1)
-                                   // ((1 << stride * period) - 1))
+    zero, stride = _stripes(orders, j, period)
     out = [0] * q
     for t in range(period):
-        out[t % q] |= block << t * stride
+        out[t % q] |= zero << t * stride
     return out
 
 
-def _line_kernels(mod: FiniteModule, p: int, coords) -> list:
-    """The kernels of chi_a(x) = sum_k a_k x_j / p, j = coords[k], for each
-    a whose first nonzero digit is 1 (one per F_p-line), by ascending sum_k
-    a_k p^k: the value classes of a prefix of a, met with those of x_j mod
-    p, give the prefix plus a_j's (class 0 at the end; over F_2, a XOR)."""
-    res = [_digit_classes(mod.orders, j, p) for j in coords]
+def _stripes(orders, j: int, period: int) -> tuple:
+    """(mask, stride) for a period dividing d_j: the mask of the x with
+    x_j = 0 mod period, the first stride of each period of x_j, whose
+    shift by t.stride is the mask of x_j = t mod period."""
+    stride = prod(orders[:j])
+    return ((1 << stride) - 1) * (((1 << prod(orders)) - 1)
+                                  // ((1 << stride * period) - 1)), stride
+
+
+def _residue_classes(mod: FiniteModule, info, p: int, d: int,
+                     images) -> list:
+    """The masks of the elements by each of the d base-p digits of the
+    code of their image in R/m through summand info.  That image is
+    sum_k (x_k mod p).r_k, r_k = images[k] the code of the image of
+    coordinate k's basis element, so each code digit is an F_p-functional
+    of the x_k mod p, whose classes take in one coordinate at a time:
+    class u met with x_k = t goes to class u + c.t, c the digit of r_k.
+    _code_classes meets them into the masks by code."""
+    out = [[mod.full_mask] + [0] * (p - 1) for _ in range(d)]
+    for k, r in enumerate(images, info.start):
+        if r == 0:
+            continue
+        res = _digit_classes(mod.orders, k, p)
+        for b, cls in enumerate(out):
+            c = r // p ** b % p
+            if c == 0:
+                continue
+            met = [0] * p
+            for u, mu in enumerate(cls):
+                if mu:
+                    for t, m in enumerate(res):
+                        met[(u + c * t) % p] |= mu & m
+            out[b] = met
+    return out
+
+
+def _code_classes(digits) -> list:
+    """The masks of the elements by code, from those by each base-p digit
+    of it (_residue_classes): class v meets class v_b of each digit b."""
+    out = digits[0]
+    for cls in digits[1:]:
+        out = [a & m for m in cls for a in out]
+    return out
+
+
+def _line_kernels(mod: FiniteModule, res, p: int, block) -> list:
+    """The kernels of f_c = sum_i c_i.pi_i for each c in (R/m)^n whose
+    first nonzero c_i is 1, one per R/m-line.  res[i] holds the classes
+    of the base-p digits of pi_i's codes (_residue_classes), so codes add
+    digit by digit mod p; the units of F_p act as integers, and those of
+    a larger R/m through their maps of codes, built from block, R/m as a
+    module (_unit_maps).  One summand's kernel meets its digits' classes
+    0.  Otherwise the value classes of a prefix of c, met with those of
+    c_j.pi_j, give the prefix plus c_j.pi_j (class 0 only at the last
+    summand; over F_2, a XOR)."""
     if len(res) == 1:
-        return [res[0][0]]
-    if p == 2:
+        return [reduce(and_, [cls[0] for cls in res[0]])]
+    d = len(res[0])
+    res = list(map(_code_classes, res))
+    if p ** d == 2:
         odd = [0]
         for _, m in res:
             odd += list(map(xor, odd, repeat(m)))
         return list(map(xor, odd[1:], repeat(mod.full_mask)))
-    inv = [0] + [pow(t, -1, p) for t in range(1, p)]
+    units = (_unit_maps(block) if d > 1
+             else [[s * v % p for v in range(p)] for s in range(1, p)])
     *below, last = res
     lines = below[:1]
+    if len(below) > 1:    # the code of v - u, by v and u
+        orders = (p,) * d
+        codes = [kernels.decode(orders, v) for v in range(p ** d)]
+        diff = [[kernels.encode(orders, list(map(sub, dv, du)))
+                 for du in codes] for dv in codes]
     for cls_j in below[1:]:
-        # class v of a prefix plus t.e_j: its class u met with x_j = (v-u)/t
-        by_t = [[[cls_j[(v - u) * inv[t] % p] for u in range(p)]
-                 for v in range(p)] for t in range(1, p)]
+        # class v of a prefix plus c_j.pi_j: its class u met with
+        # pi_j = s.(v - u), s = 1/c_j
+        by_s = [[[cls_j[s[w]] for w in row] for row in diff] for s in units]
         lines += [cls_j] + [[sum(map(and_, cls, by_v)) for by_v in by_vs]
-                            for by_vs in by_t for cls in lines]
-    zero = [[last[-u * inv[t] % p] for u in range(p)] for t in range(1, p)]
+                            for by_vs in by_s for cls in lines]
+    # class 0 of a prefix plus c.pi_last: its class u met with
+    # pi_last = s.u, s = -1/c
+    zero = [[last[w] for w in s] for s in units]
     return ([cls[0] for cls in lines] + [last[0]]
             + [sum(map(and_, cls, by_u)) for by_u in zero for cls in lines])
 
 
-def _line_cores(mod: FiniteModule, p: int, coords) -> list:
-    """The cores of the characters of _line_kernels, in their order: as
-    (k.chi).A = k.(chi.A), a line's image under A (read mod p, one block
-    per summand) is the line of its image: over F_2 the index itself, else
-    where[c], the position of the line of index c: c + t.p^k, c != 0 of
-    first nonzero digit l, is l/t times rep(c) + (t/l).p^k, after the n
-    lines below p^k, p^k and n lines per smaller top digit."""
-    kern = _line_kernels(mod, p, coords)
-    act, lines = mod.action, len(kern)
-    if len(coords) == 1:    # one line, whose image is itself or 0
-        return kern
-    if p == 2:
-        img = [0]
-        for j in coords:
-            e = sum((act[j][b] & 1) << k for k, b in enumerate(coords))
-            img += list(map(xor, img, repeat(e)))
-        return _cores([mod.full_mask, *kern], img)[1:]
-    img, span = [0], 1
-    for blk in [[k for k, j in enumerate(coords) if s.start <= j < s.start
-                 + s.ncoords] for s in mod.summands] or [range(len(coords))]:
-        sub = _images([p] * len(blk), [[act[coords[j]][coords[b]] % p
-                                        for b in blk] for j in blk])
-        img = [x + y for y in [v * span for v in sub] for x in img]
-        span *= p ** len(blk)
-    # lead[c] is c's first nonzero digit; index 0 goes past the lines
-    inv = [0] + [pow(t, -1, p) for t in range(1, p)]
-    where, lead, n = [lines], [0], 0
-    for _ in coords:
-        up, up_lead = list(where), list(lead)
-        for t in range(1, p):
-            shift = [n - lines] + [1 + t * i % p * n for i in inv[1:]]
-            up += map(add, map(shift.__getitem__, lead), where)
-            up_lead += [t, *lead[1:]]
-        where, lead, n = up, up_lead, n * p + 1
-    img = [where[img[c]] for c, l in enumerate(lead) if l == 1]
-    return _cores(kern + [mod.full_mask], img + [lines])[:lines]
+def _unit_maps(block: FiniteModule) -> list:
+    """For each unit s of R/m, given as its block of orders p, the code of
+    s.v by code v: the powers of the map of a generator of the cyclic
+    group of units.  Multiplication by s is F_p-linear, so _images builds
+    its map from the codes of s.e_b = sum_c s_c e_c.e_b, e_b the basis of
+    the block; the d^2 products e_c.e_b take one scalar action each."""
+    orders, q = block.orders, block.size
+    p, d = orders[0], len(orders)
+    basis = [[int(b == c) for c in range(d)] for b in range(d)]
+    prods = [[_scalar_action(block, x, e) for e in basis]
+             for x in block.summands[0].basis]
+    for s in map(block.decode, range(2, q)):
+        step = _images(orders, [[sum(map(mul, s, col)) % p for col in
+                                 zip(*by_c)] for by_c in zip(*prods)])
+        powers = [step]
+        while powers[-1] != list(range(q)):
+            powers.append(list(map(step.__getitem__, powers[-1])))
+        if len(powers) == q - 1:
+            return powers
 
 
 def _characters(mod: FiniteModule) -> tuple:
@@ -407,12 +460,15 @@ def _kernel_table(orders: tuple) -> tuple:
                               for x in scaled]
                 kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
                 continue
-            res, w = _digit_classes(orders, j, q), m * top // d
-            if last:    # class u meets class 0 where x_j = -u/w mod q
-                kern += [reduce(or_, [mu & res[-u // w % q] for u, mu
-                                      in cls.items() if u % w == 0])
+            w = m * top // d
+            if last:    # class u meets class 0 where x_j = -u/w mod q,
+                # whose mask alone is built, as it is met
+                zero, stride = _stripes(orders, j, q)
+                kern += [reduce(or_, [mu & zero << (-u // w % q) * stride
+                                      for u, mu in cls.items() if u % w == 0])
                          for cls in classes]
                 continue
+            res = _digit_classes(orders, j, q)
             for cls in below:
                 met = {}
                 for u, mu in cls.items():
@@ -427,7 +483,8 @@ def _kernel_table(orders: tuple) -> tuple:
 def _cores(kern, img) -> list:
     """core[c], the meet of the kernels of chi_c, chi_c.A, ..., for each c,
     as core(c) = ker chi_c & core(img[c]) for all c at once until a step
-    changes none (a chain of subgroups long at most), or the kernels."""
+    changes none (a chain of subgroups long at most), or the kernels
+    without an action.  The phi candidates are cosets of these cores."""
     if img is None:
         return kern
     core = list(kern)
@@ -693,20 +750,12 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     q, points = F.q, witness.line_points
     if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
         return False
-    add, mul = _residue_tables(mod.ring, witness.ideal)
-    # the elements by their image in R/m through summand i, and j: digit
-    # x_k adds (x_k mod p).r_k, r_k the image of its basis element
-    full, images = mod.full_mask, []
-    for info in (mod.summands[i], mod.summands[j]):
-        classes = [full] + [0] * (q - 1)
-        for k in range(info.start, info.start + info.ncoords):
-            r, met = F.reduce(info.basis[k - info.start]), [0] * q
-            for t, m in enumerate(_digit_classes(mod.orders, k, F.p)):
-                back = add[add[mul[t][r]].index(0)]     # v -> v - t.r
-                met = list(map(or_, met, map(and_, map(
-                    classes.__getitem__, back), repeat(m))))
-            classes = met
-        images.append(classes)
+    mul = _multiplication_table(mod.ring, witness.ideal)
+    # the elements by their image in R/m through summand i, and j
+    full, images = mod.full_mask, [
+        _code_classes(_residue_classes(mod, info, F.p, F.d,
+                                       [F.reduce(b) for b in info.basis]))
+        for info in (mod.summands[i], mod.summands[j])]
     union, by_mu = 0, {}
     for lam, mu in points:
         # the x with mu.x_i = lam.x_j, from the disjoint classes of x_j
@@ -723,12 +772,10 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
 
 
 @lru_cache(maxsize=RESIDUE_TABLE_CACHE_SIZE)
-def _residue_tables(ring: RingHandle, m) -> tuple:
-    """The addition and multiplication tables of R/m, q x q tuples of
-    codes, built once per process for each (ring, m).  Callers build R/m
-    first, so a witness of the wrong length is refused before any table."""
+def _multiplication_table(ring: RingHandle, m) -> tuple:
+    """The multiplication table of R/m, a q x q tuple of codes, built once
+    per process for each (ring, m).  Callers build R/m first, so a witness
+    of the wrong length is refused before any table."""
     from . import residues
     F = residues.residue_field(ring, m)
-    q = F.q
-    return (tuple(tuple(F.add(a, b) for b in range(q)) for a in range(q)),
-            tuple(tuple(F.mul(a, b) for b in range(q)) for a in range(q)))
+    return tuple(tuple(F.mul(a, b) for b in range(F.q)) for a in range(F.q))

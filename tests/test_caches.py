@@ -117,7 +117,7 @@ def test_cache_bounds_are_the_module_constants():
             == rings.FACTOR_CACHE_SIZE)
     assert (oracle._cyclic_block.cache_parameters()["maxsize"]
             == oracle.BLOCK_CACHE_SIZE)
-    assert (oracle._residue_tables.cache_parameters()["maxsize"]
+    assert (oracle._multiplication_table.cache_parameters()["maxsize"]
             == oracle.RESIDUE_TABLE_CACHE_SIZE)
     assert (_kernels._steps.cache_parameters()["maxsize"]
             == _kernels.STEPS_CACHE_SIZE)
@@ -203,11 +203,10 @@ def test_cached_blocks_and_tables_are_tuples(clear_blocks, spec):
         assert block.action is None or _is_frozen(block.action)
         assert _is_frozen(info.basis)
         for m, _ in ideal.factors:
-            tables = oracle._residue_tables(mod.ring, m)
-            assert _is_frozen(tables) and len(tables) == 2
+            table = oracle._multiplication_table(mod.ring, m)
             q = m.residue_card.finite_value
-            assert all(len(t) == q and all(len(row) == q for row in t)
-                       for t in tables)
+            assert _is_frozen(table) and len(table) == q
+            assert all(len(row) == q for row in table)
 
 
 # each pair shares a summand: the second module is built from blocks the
@@ -255,7 +254,7 @@ def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
 
     rings._factor_literal.cache_clear()
     oracle._cyclic_block.cache_clear()
-    oracle._residue_tables.cache_clear()
+    oracle._multiplication_table.cache_clear()
     oracle._kernel_table.cache_clear()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -133,6 +133,32 @@ def test_oracle_sigma_past_its_work_bound_exits_1(capsys):
     assert "the bound is" in err and "Traceback" not in err
 
 
+# the work estimate counts the maximal submodules: (q^n - 1)/(q - 1) at
+# each maximal ideal, n summands with residue field F_q, times |M|
+@pytest.mark.parametrize("spec, max_size", [
+    ("Z: R/(2)^13", 8192),
+    # R/(1+i)^7 is seven summands Z[i]/(1+i) = F_2: this is (F_2)^14
+    ("Zi: R/(1+i)^7 + R/(1+i)^7", 16384)])
+def test_oracle_sigma_over_many_maximal_submodules_exits_1(capsys, spec,
+                                                            max_size):
+    code, elapsed = run_within_budget(
+        ["oracle", "sigma", spec, "--max-size", str(max_size), "--json"])
+    assert code == 1 and elapsed < BUDGET_S
+    err = capsys.readouterr().err
+    assert "the bound is" in err and "Traceback" not in err
+
+
+# 16,384 elements with F_2-rank 14 but 3 and 127 maximal submodules: two
+# summands F_2[t]/(t^7), seven Z[i]/(2) = Z[i]/(1+i)^2
+@pytest.mark.parametrize("spec", ["Fp[t] p=2: R/(t^7) + R/(t^7)",
+                                  "Zi: R/(2)^7"])
+def test_oracle_sigma_over_few_maximal_submodules_answers(capsys, spec):
+    code, elapsed = run_within_budget(
+        ["oracle", "sigma", spec, "--max-size", "16384", "--json"])
+    assert code == 0 and elapsed < BUDGET_S
+    assert json.loads(capsys.readouterr().out)["answer"] == 3
+
+
 # planes F_8^2 and F_9^2 minus a point: the punctured search passes its
 # node budget in 4-5 s on a shared 2-vCPU host, where it used to run
 # for minutes

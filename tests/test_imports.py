@@ -95,6 +95,11 @@ def test_the_oracle_loads_the_search():
     assert got == 0
     assert SEARCH <= loaded
     assert not loaded & CLOSED_FORMS
+    # over R/m = F_9 the oracle takes its arithmetic from the block of R/m
+    got, loaded = run_cli(["oracle", "sigma",
+                           "Fp[t] p=3: R/(t^2+1) + R/(t^2+1)", "--json"])
+    assert got == 0
+    assert not loaded & CLOSED_FORMS
     got, loaded = run_cli(["oracle", "phi", "Fp[t] p=2: R/(t^2+t+1) + R/(t)",
                            "--puncture", "3", "--json"])
     assert got == 0

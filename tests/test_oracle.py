@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import os
+import tracemalloc
 
 import pytest
 
@@ -239,8 +240,9 @@ class TestEnumeration:
 
 class TestCharacterLevelSets:
     """The character routines behind the punctured candidates (every
-    character) and maximal_submodules (one order-p character per line),
-    against elementwise invariant cores and all_subgroups."""
+    character) and maximal_submodules (one kernel per R/m-line of
+    functionals), against elementwise invariant cores, the kernels of the
+    residue functionals and all_subgroups."""
 
     @pytest.mark.parametrize("spec", ["Z: R/(4) + R/(6)", "Zi: R/(1+i)^3",
                                       "Zi: R/(2+i) + R/(3)",
@@ -263,23 +265,66 @@ class TestCharacterLevelSets:
         assert math.lcm(*orders) == top
         check_characters(oracle.FiniteModule(orders))
 
-    @pytest.mark.parametrize("spec", ["Z: R/(3)^4", "Z: R/(9) + R/(3) + R/(25)",
-                                      "Fp[t] p=3: R/(t)^2 + R/(t+1)",
-                                      "Zi: R/(3) + R/(1+i)^2"])
-    def test_one_kernel_per_line(self, monkeypatch, spec):
-        # (p^r - 1)/(p - 1) kernels for each p, r the coordinates p
-        # divides, and none from the table of every character
+    @pytest.mark.parametrize("orders", [(256,), (4, 64), (6, 36),
+                                        (2, 2, 50), (9, 27)])
+    def test_last_coordinate_kernels_match_elementwise_kernels(self, orders):
+        # the last coordinate builds the classes of x_j that class 0 meets
+        top = math.lcm(*orders)
+        assert list(oracle._kernel_table.__wrapped__(orders)) == [
+            elementwise_kernel(orders, top, [a * (top // d) for a, d in
+                                             zip(kernels.decode(orders, c),
+                                                 orders)])
+            for c in range(math.prod(orders))]
+
+    def test_kernel_table_builds_only_the_classes_it_meets(self):
+        # Z/4096: one class of x_0 for each divisor, not one per residue
+        tracemalloc.start()
+        try:
+            oracle._kernel_table.__wrapped__((4096,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+
+    @pytest.mark.parametrize("spec", [
+        "Z: R/(3)^4", "Z: R/(9) + R/(3) + R/(25)", "Z: R/(6) + R/(4)",
+        "Fp[t] p=3: R/(t)^2 + R/(t+1)", "Zi: R/(3) + R/(1+i)^2",
+        "Zi: R/(3) + R/(3)", "Fp[t] p=3: R/(t^2+1) + R/(t^2+1)",
+        "Fp[t] p=2: R/(t^3+t+1)^4", "Zi: R/(7) + R/(7)",
+        "Zi: R/(3+3i) + R/(3)", "Fp[t] p=2: R/(t^3+t) + R/(t+1)"])
+    def test_one_kernel_per_maximal_submodule(self, monkeypatch, spec):
+        # (q^n - 1)/(q - 1) kernels at each maximal ideal m, q = |R/m| and
+        # n the summands whose annihilator m contains, all of them kept,
+        # and none from the table of every character
         mod = oracle.materialize(parse(spec))
         built, real = [], oracle._line_kernels
         monkeypatch.setattr(oracle, "_line_kernels",
                             lambda *args: built.append(real(*args)) or built[-1])
         maximal = oracle.maximal_submodules(mod)
-        assert sum(map(len, built)) == sum(
-            (p ** sum(d % p == 0 for d in mod.orders) - 1) // (p - 1)
-            for p in arith.prime_factors(mod.size))
+        ideals = {m for s in mod.summands for m, _ in s.annihilator.factors}
+        want = sum((q ** n - 1) // (q - 1) for m in ideals
+                   for q in [m.residue_card.finite_value]
+                   for n in [sum(m in dict(s.annihilator.factors)
+                                 for s in mod.summands)])
+        assert sum(map(len, built)) == len(maximal) == want
+        assert sorted(itertools.chain(*built)) == maximal
         assert oracle._kernel_table.cache_info().currsize == 0
-        proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
-        assert maximal == sorted(inclusion_maximal(proper))
+        if mod.size <= 1024:
+            proper = [m for m in submodule_lattice(mod) if m != mod.full_mask]
+            assert maximal == sorted(inclusion_maximal(proper))
+
+    @pytest.mark.parametrize("spec", [
+        "Zi: R/(3) + R/(3)", "Fp[t] p=3: R/(t^2+1) + R/(t^2+1)",
+        "Fp[t] p=2: R/(t^3+t+1)^3", "Zi: R/(7) + R/(7)",
+        "Zi: R/(3)^2 + R/(1+i)^2", "Fp[t] p=2: R/(t^2+t+1)^2 + R/(t)^2",
+        "Zi: R/(3+3i) + R/(3)", "Zi: R/(1+3i) + R/(2)",
+        "Fp[t] p=2: R/(t^3+t) + R/(t+1)", "Fp[t] p=3: R/(t^2-1) + R/(t)",
+        "Fp[t] p=3: R/(t^4+2t^2+1) + R/(t^2+1)", "Z: R/(6) + R/(4)",
+        "Z: R/(12) + R/(2)", "Zi: R/(7)", "Fp[t] p=2: R/(t^6+t+1)"])
+    def test_kernels_are_those_of_the_residue_functionals(self, spec):
+        # over q > p, composite annihilators and several summands at m
+        mod = oracle.materialize(parse(spec))
+        assert oracle.maximal_submodules(mod) == functional_kernels(mod)
 
     @pytest.mark.parametrize("spec", ["Fp[t] p=4093: R/(t)", "Zi: R/(59)",
                                       "Z: R/(61) + R/(61)"])
@@ -316,10 +361,9 @@ class TestCharacterLevelSets:
 
 
 def check_characters(mod):
-    """Every kernel and image of oracle._characters and every core, and
-    the line kernels and cores behind maximal_submodules for each p
-    dividing |M|, against the elementwise kernels, weights and invariant
-    cores."""
+    """Every kernel and image of oracle._characters and every core against
+    the elementwise kernels, weights and invariant cores, and
+    maximal_submodules against the kernels of the R/m-functionals."""
     orders, top = mod.orders, math.lcm(*mod.orders)
     # the weights w_j = c_j N/d_j of each character, by index
     chars = [tuple(a * (top // d) for a, d in
@@ -346,33 +390,49 @@ def check_characters(mod):
                           for x in range(mod.size)}
             assert sum(m.bit_count() for m in translates) == mod.size
             assert functools.reduce(int.__or__, translates) == mod.full_mask
-    for p in arith.prime_factors(mod.size):
-        check_lines(mod, p)
+    check_functionals(mod)
 
 
-def check_lines(mod, p):
-    """The order-p line kernels, one per line in ascending order of the
-    index whose first nonzero digit is 1, and their cores, with the
-    summands' blocks and without."""
-    orders, top = mod.orders, math.lcm(*mod.orders)
-    coords = [j for j, d in enumerate(orders) if d % p == 0]
-    lines = sorted((a for a in itertools.product(range(p), repeat=len(coords))
-                    if any(a) and a[min(k for k, v in enumerate(a) if v)] == 1),
-                   key=lambda a: sum(v * p ** k for k, v in enumerate(a)))
-    want = []
-    for a in lines:
-        w = [0] * len(orders)
-        for j, v in zip(coords, a):
-            w[j] = v * (top // p)
-        want.append(elementwise_kernel(orders, top, w))
-    kern = oracle._line_kernels(mod, p, coords)
-    assert kern == want, p
-    assert len(kern) == (p ** len(coords) - 1) // (p - 1)
-    if mod.action is not None:
-        cores = [kernels.invariant_core(orders, mod.action, k) for k in kern]
-        assert oracle._line_cores(mod, p, coords) == cores, p
-        bare = oracle.FiniteModule(orders, mod.action)
-        assert oracle._line_cores(bare, p, coords) == cores, p
+def check_functionals(mod):
+    """maximal_submodules against the kernels of the R/m-functionals,
+    element by element; a module without summand data against the same
+    module with one summand Z/d_j per coordinate."""
+    if mod.summands:
+        assert oracle.maximal_submodules(mod) == functional_kernels(mod)
+        return
+    summands = tuple(oracle.SummandInfo(j, 1, Z.factor(d), (1,), (1,))
+                     for j, d in enumerate(mod.orders))
+    full = oracle.FiniteModule(mod.orders, None, Z, summands)
+    assert oracle.maximal_submodules(mod) == functional_kernels(full)
+
+
+def functional_kernels(mod):
+    """The kernel of sum_i c_i.pi_i for each maximal ideal m and each c
+    in (R/m)^n whose first nonzero entry is 1, sorted, element by element
+    from the arithmetic of residues.residue_field: pi_i(x) is the image of
+    x's part in summand i, sum_k x_k r_k, r_k the residue of its basis
+    element, over the n summands whose annihilator m contains."""
+    out = []
+    for m in {m for s in mod.summands for m, _ in s.annihilator.factors}:
+        F = residues.residue_field(mod.ring, m)
+        q = F.q
+        add = [[F.add(a, b) for b in range(q)] for a in range(q)]
+        mul = [[F.mul(a, b) for b in range(q)] for a in range(q)]
+        images = []
+        for s in mod.summands:
+            if s.annihilator.exponent_of(m):
+                r = [F.reduce(b) for b in s.basis]
+                images.append([functools.reduce(
+                    lambda v, kr: add[v][mul[kr[0] % F.p][kr[1]]],
+                    zip(mod.decode(x)[s.start:s.start + s.ncoords], r), 0)
+                    for x in range(mod.size)])
+        for c in itertools.product(range(q), repeat=len(images)):
+            if any(c) and c[min(i for i, v in enumerate(c) if v)] == 1:
+                values = [0] * mod.size
+                for ci, pi in zip(c, images):
+                    values = [add[v][mul[ci][w]] for v, w in zip(values, pi)]
+                out.append(sum(1 << x for x, v in enumerate(values) if v == 0))
+    return sorted(out)
 
 
 def elementwise_kernel(orders, top, w):
@@ -565,7 +625,8 @@ def reference_verdict(mod, witness):
     pts = witness.line_points
     if len(pts) != F.q + 1 or not all(0 <= c < F.q for pt in pts for c in pt):
         return False
-    add, mul = oracle._residue_tables(mod.ring, witness.ideal)
+    add = [[F.add(a, b) for b in range(F.q)] for a in range(F.q)]
+    mul = oracle._multiplication_table(mod.ring, witness.ideal)
     union = 0
     for line in reference.witness_lines(mod, witness, F, add, mul):
         if line == mod.full_mask or oracle._generators(mod, line)[1] != line:
@@ -609,7 +670,7 @@ class TestVerifyWitness:
     def test_tampered_lines_are_the_per_element_ones(self, monkeypatch, spec):
         d = parse(spec)
         mod, w = oracle.materialize(d), covering.build_cover_witness(d)
-        mul = oracle._residue_tables(mod.ring, w.ideal)[1]
+        mul = oracle._multiplication_table(mod.ring, w.ideal)
         pts, q = w.line_points, len(w.line_points) - 1
         # each point replaced by a multiple of itself (the same line, or 0)
         # or of the next point (a duplicated line), and the summand pairs
