@@ -219,11 +219,11 @@ def _search(universe: int, candidates, upper: int, gens,
     before: no candidate holds two of them, so the node needs one more
     candidate per packed element, and it is pruned once that many reach
     the best size found.  Otherwise the counting bound (uncovered elements
-    over the most any allowed candidate covers) may prune it.  The node's
-    group (a group of instance symmetries that fixes every chosen
-    candidate) splits the branching element's candidates into orbits;
-    child k includes the best representative of orbit k and excludes
-    orbits 1..k-1 entirely.  A cover through any member of orbit k maps to
+    over the most any candidate covers, excluded or not) may prune it.
+    The node's group (a group of instance symmetries that fixes every
+    chosen candidate) splits the branching element's candidates into
+    orbits; child k includes the best representative of orbit k and
+    excludes orbits 1..k-1 entirely.  A cover through any member of orbit k maps to
     one through its representative, so nothing optimal is lost.  The
     child's group is the stabilizer of its representative in its parent's
     group.  A child builds it only once it branches, as the bounds prune
@@ -267,7 +267,7 @@ def _search(universe: int, candidates, upper: int, gens,
             hit = stabilizers[key] = (parent, _stabilizer(rep, parent, n))
         return hit[1]
 
-    def dfs(cov: int, depth: int, cands: list, allowed: int, chosen, parent):
+    def dfs(cov: int, depth: int, allowed: int, chosen, parent):
         # the node's group: parent's stabilizer of the candidate chosen
         # last, or parent itself at the root (chosen None)
         nonlocal best, nodes
@@ -303,7 +303,7 @@ def _search(universe: int, candidates, upper: int, gens,
                 packed += 1
                 if packed >= best:
                     return
-        gains = [(c & rem).bit_count() for c in cands]
+        gains = [(c & rem).bit_count() for c in candidates]
         need = -(-rem.bit_count() // max(gains))
         if depth + need >= best:
             return
@@ -330,14 +330,11 @@ def _search(universe: int, candidates, upper: int, gens,
         for rep, orbit in children:
             if depth + 1 >= best:
                 break
-            dfs(cov | cands[rep], depth + 1, cands, allowed, rep, gens)
+            dfs(cov | candidates[rep], depth + 1, allowed, rep, gens)
             allowed &= ~orbit
-            cands = cands.copy()
-            for j in _bits(orbit):
-                cands[j] = 0
 
     try:
-        dfs(0, 0, list(candidates), (1 << n) - 1, None, gens)
+        dfs(0, 0, (1 << n) - 1, None, gens)
     finally:
         del dfs, group  # the recursive closures are a reference cycle: break it
     return best

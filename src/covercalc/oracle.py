@@ -10,7 +10,8 @@ exact minimum covers) runs in the kernels of covercalc._kernels.
 The maximal submodules are the kernels of the R-maps of M onto a residue
 field R/m, one per R/m-line of them, built from the masks of the
 elements by their image in R/m through each summand (_residue_classes),
-in the arithmetic of R/m's own cyclic block.  The avoiding cosets come
+whose reduction onto R/m is kept with its cyclic block, in the action of
+R/m's own block (_multiples), as the lines check is.  The avoiding cosets come
 from characters of M: the kernels of chi, chi.A, chi.A^2, ... meet in
 its core, the largest submodule in ker chi, the annihilator of R.chi in
 the dual (_cores); they are cosets of the cores of all characters, whose
@@ -58,12 +59,10 @@ SIGMA_WORK_BOUND = 1 << 25
 HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
 HARD_COORD_CAP = 16
 # A process keeps this many checked cyclic blocks R/(pi^e), keyed by
-# (ring, ideal), among them the residue fields R/m that maximal_submodules
-# reduces into, and the multiplication tables of this many residue fields
-# R/m, keyed by (ring, m).  A sweep meets a few hundred
-# summands over a few dozen maximal ideals.
+# (ring, ideal), each with its reductions onto the residue fields R/m above
+# its ideal, among them the blocks R/m those reductions are read from.  A
+# sweep meets a few hundred summands over a few dozen maximal ideals.
 BLOCK_CACHE_SIZE = 256
-RESIDUE_TABLE_CACHE_SIZE = 64
 # For the phi oracle, the kernels of every character of this many tuples
 # of orders, each table at most KERNEL_TABLE_BITS bits (a larger one is
 # rebuilt each call): 17 KiB for (Z/2)^8, 4.3 MiB in all; a sweep meets 56.
@@ -78,6 +77,9 @@ class SummandInfo:
     annihilator: FactoredIdeal
     basis: tuple          # ring element represented by each coordinate
     one: tuple            # the digits of 1 in the summand
+    # per maximal ideal m above the annihilator: (m, R/m as a module
+    # without summand data, the code of the image of each basis element)
+    reductions: tuple
 
 
 @record
@@ -152,7 +154,7 @@ def materialize(d: ModuleDescriptor,
         block = _cyclic_block(ring, ideal)
         info = block.summands[0]
         infos.append(SummandInfo(len(orders), info.ncoords, ideal, info.basis,
-                                 info.one))
+                                 info.one, info.reductions))
         orders.extend(block.orders)
         blocks.append(block.action)
     if len(orders) > HARD_COORD_CAP:
@@ -173,14 +175,26 @@ def materialize(d: ModuleDescriptor,
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _cyclic_block(ring: RingHandle, ideal: FactoredIdeal) -> FiniteModule:
     """R/ideal as a module of its own, its action reduced, checked once per
-    process for each (ring, ideal).  The action of a direct sum is block
-    diagonal, so a block whose annihilator kills it does so in every sum."""
+    process for each (ring, ideal), with its reductions: for each maximal
+    ideal m above the ideal, the code of each basis element in R/m's own
+    block.  The action of a direct sum is block diagonal, so a block
+    whose annihilator kills it does so in every sum."""
     o, act, basis, one = ring.cyclic_block(ideal)
     orders = tuple(o)
     if act is not None:
         act = tuple(tuple(a % d for a in row) for row, d in zip(act, orders))
+    reductions = []
+    for m, _ in ideal.factors:
+        if ideal.factors == ((m, 1),):      # R/m itself
+            field, unit = FiniteModule(orders, act, ring), one
+        else:
+            info = _cyclic_block(ring, FactoredIdeal(((m, 1),))).summands[0]
+            field, unit = info.reductions[0][1], info.one
+        reductions.append((m, field, tuple(
+            field.encode(_scalar_action(field, b, unit)) for b in basis)))
     block = FiniteModule(orders, act, ring, (
-        SummandInfo(0, len(orders), ideal, tuple(basis), tuple(one)),))
+        SummandInfo(0, len(orders), ideal, tuple(basis), tuple(one),
+                    tuple(reductions)),))
     _check_annihilators(block)
     return block
 
@@ -247,46 +261,33 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
     A maximal submodule N has M/N = R/m for a maximal ideal m, so those
     at m are the kernels of the nonzero R-maps M -> R/m, one per R/m-line
     of them: the maps sum_i c_i.pi_i, c in (R/m)^n, over the n summands
-    R/I_i with I_i in m, pi_i the reduction of summand i mod m.  That is
-    (q^n - 1)/(q - 1) kernels at m, q = |R/m|, each built once
-    (_line_kernels) and kept as built: distinct lines have distinct
-    kernels, and M/N names m.  Without summand data each coordinate is a
-    summand Z/d_j.
+    R/I_i with I_i in m, pi_i the reduction of summand i mod m, kept with
+    its block.  That is (q^n - 1)/(q - 1) kernels at m, q = |R/m|, each
+    built once (_line_kernels) and kept as built: distinct lines have
+    distinct kernels, and M/N names m.  A module without summand data
+    raises ShapeMismatchError.
 
     The work, one kernel of |M| bits per line, is known up front: above
     SIGMA_WORK_BOUND this raises TooLargeError before enumerating.
     """
     if mod.size == 1:
         return []
-    summands = mod.summands
-    if not summands:
-        if mod.action is not None:
-            raise ShapeMismatchError("module carries no summand data")
-        summands = [SummandInfo(j, 1, mod.ring.factor(d), (1,), (1,))
-                    for j, d in enumerate(mod.orders)]
+    if not mod.summands:
+        raise ShapeMismatchError("module carries no summand data")
     at: dict = {}
-    for info in summands:
-        for m, _ in info.annihilator.factors:
-            at.setdefault(m, []).append(info)
-    work = mod.size * sum(
-        (q ** len(infos) - 1) // (q - 1) for m, infos in at.items()
-        for q in [m.residue_card.finite_value])
+    for info in mod.summands:
+        for m, field, codes in info.reductions:
+            at.setdefault(m, (field, []))[1].append((info.start, codes))
+    work = mod.size * sum((q ** len(reds) - 1) // (q - 1)
+                          for field, reds in at.values()
+                          for q in [field.size])
     if work > SIGMA_WORK_BOUND:
         raise TooLargeError(f"maximal submodules scan {work} elements: "
                             f"the bound is {SIGMA_WORK_BOUND}")
     found = []
-    for m, infos in at.items():
-        if mod.action is None:     # over Z, pi_i is x_j mod p: no block
-            p, block = m.residue_card.finite_value, None
-            res = [[_digit_classes(mod.orders, info.start, p)]
-                   for info in infos]
-        else:
-            block = _cyclic_block(mod.ring, FactoredIdeal(((m, 1),)))
-            p = block.orders[0]
-            res = [_residue_classes(mod, info, p, len(block.orders), [
-                block.encode_ring_element(0, b) for b in info.basis])
-                for info in infos]
-        found += _line_kernels(mod, res, p, block)
+    for field, reds in at.values():
+        found += _line_kernels(mod, [_residue_classes(mod, start, field, codes)
+                                     for start, codes in reds], field)
     return sorted(found)
 
 
@@ -311,17 +312,19 @@ def _stripes(orders, j: int, period: int) -> tuple:
                                   // ((1 << stride * period) - 1)), stride
 
 
-def _residue_classes(mod: FiniteModule, info, p: int, d: int,
-                     images) -> list:
-    """The masks of the elements by each of the d base-p digits of the
-    code of their image in R/m through summand info.  That image is
-    sum_k (x_k mod p).r_k, r_k = images[k] the code of the image of
-    coordinate k's basis element, so each code digit is an F_p-functional
-    of the x_k mod p, whose classes take in one coordinate at a time:
-    class u met with x_k = t goes to class u + c.t, c the digit of r_k.
-    _code_classes meets them into the masks by code."""
-    out = [[mod.full_mask] + [0] * (p - 1) for _ in range(d)]
-    for k, r in enumerate(images, info.start):
+def _residue_classes(mod: FiniteModule, start: int, field: FiniteModule,
+                     codes) -> list:
+    """The masks of the elements by each base-p digit of the code of
+    their image in R/m = field through the summand at coordinate start.
+    That image is sum_k (x_k mod p).r_k, r_k = codes[k] the code of the
+    image of coordinate k's basis element, so each code digit is an
+    F_p-functional of the x_k mod p, whose classes take in one coordinate
+    at a time: class u met with x_k = t goes to class u + c.t, c the
+    digit of r_k, and x_k = t to c.t at the first k with c != 0 (one
+    exists: the reduction is onto).  _code_classes meets them by code."""
+    p = field.orders[0]
+    out = [None] * len(field.orders)
+    for k, r in enumerate(codes, start):
         if r == 0:
             continue
         res = _digit_classes(mod.orders, k, p)
@@ -330,10 +333,14 @@ def _residue_classes(mod: FiniteModule, info, p: int, d: int,
             if c == 0:
                 continue
             met = [0] * p
-            for u, mu in enumerate(cls):
-                if mu:
-                    for t, m in enumerate(res):
-                        met[(u + c * t) % p] |= mu & m
+            if cls is None:
+                for t, m in enumerate(res):
+                    met[c * t % p] = m
+            else:
+                for u, mu in enumerate(cls):
+                    if mu:
+                        for t, m in enumerate(res):
+                            met[(u + c * t) % p] |= mu & m
             out[b] = met
     return out
 
@@ -347,34 +354,30 @@ def _code_classes(digits) -> list:
     return out
 
 
-def _line_kernels(mod: FiniteModule, res, p: int, block) -> list:
+def _line_kernels(mod: FiniteModule, res, field: FiniteModule) -> list:
     """The kernels of f_c = sum_i c_i.pi_i for each c in (R/m)^n whose
     first nonzero c_i is 1, one per R/m-line.  res[i] holds the classes
     of the base-p digits of pi_i's codes (_residue_classes), so codes add
-    digit by digit mod p; the units of F_p act as integers, and those of
-    a larger R/m through their maps of codes, built from block, R/m as a
-    module (_unit_maps).  One summand's kernel meets its digits' classes
-    0.  Otherwise the value classes of a prefix of c, met with those of
-    c_j.pi_j, give the prefix plus c_j.pi_j (class 0 only at the last
-    summand; over F_2, a XOR)."""
+    digit by digit mod p, and the units act through their maps of codes
+    (_unit_maps on field, R/m as a module).  One summand's kernel meets
+    its digits' classes 0.  Otherwise the value classes of a prefix of c,
+    met with those of c_j.pi_j, give the prefix plus c_j.pi_j (class 0
+    only at the last summand; over F_2, a XOR)."""
     if len(res) == 1:
         return [reduce(and_, [cls[0] for cls in res[0]])]
-    d = len(res[0])
     res = list(map(_code_classes, res))
-    if p ** d == 2:
+    if field.size == 2:
         odd = [0]
         for _, m in res:
             odd += list(map(xor, odd, repeat(m)))
         return list(map(xor, odd[1:], repeat(mod.full_mask)))
-    units = (_unit_maps(block) if d > 1
-             else [[s * v % p for v in range(p)] for s in range(1, p)])
+    units = _unit_maps(field)
     *below, last = res
     lines = below[:1]
     if len(below) > 1:    # the code of v - u, by v and u
-        orders = (p,) * d
-        codes = [kernels.decode(orders, v) for v in range(p ** d)]
-        diff = [[kernels.encode(orders, list(map(sub, dv, du)))
-                 for du in codes] for dv in codes]
+        codes = list(map(field.decode, range(field.size)))
+        diff = [[field.encode(list(map(sub, dv, du))) for du in codes]
+                for dv in codes]
     for cls_j in below[1:]:
         # class v of a prefix plus c_j.pi_j: its class u met with
         # pi_j = s.(v - u), s = 1/c_j
@@ -388,25 +391,29 @@ def _line_kernels(mod: FiniteModule, res, p: int, block) -> list:
             + [sum(map(and_, cls, by_u)) for by_u in zero for cls in lines])
 
 
-def _unit_maps(block: FiniteModule) -> list:
-    """For each unit s of R/m, given as its block of orders p, the code of
-    s.v by code v: the powers of the map of a generator of the cyclic
-    group of units.  Multiplication by s is F_p-linear, so _images builds
-    its map from the codes of s.e_b = sum_c s_c e_c.e_b, e_b the basis of
-    the block; the d^2 products e_c.e_b take one scalar action each."""
-    orders, q = block.orders, block.size
-    p, d = orders[0], len(orders)
-    basis = [[int(b == c) for c in range(d)] for b in range(d)]
-    prods = [[_scalar_action(block, x, e) for e in basis]
-             for x in block.summands[0].basis]
-    for s in map(block.decode, range(2, q)):
-        step = _images(orders, [[sum(map(mul, s, col)) % p for col in
-                                 zip(*by_c)] for by_c in zip(*prods)])
+def _unit_maps(field: FiniteModule) -> list:
+    """For each unit s of R/m = field, the code of s.a by code a: the
+    powers of the map of a generator of the cyclic group of units."""
+    q = field.size
+    for v in range(2, q):
+        step = _multiples(field, v)
         powers = [step]
         while powers[-1] != list(range(q)):
             powers.append(list(map(step.__getitem__, powers[-1])))
         if len(powers) == q - 1:
             return powers
+
+
+def _multiples(field: FiniteModule, v: int) -> list:
+    """The code of s.a by code a of R/m = field, for the element
+    s = sum_k v_k g^k of R, v_k the base-p digits of v and g the ring's
+    generator (the code of s in residues, and so of a lines witness's
+    points).  s acts F_p-linearly, so _images builds its map from the
+    codes of s.e_b, one scalar action each."""
+    s, d = field.decode(v), len(field.orders)
+    return _images(field.orders, [
+        _scalar_action(field, s, [int(b == c) for c in range(d)])
+        for b in range(d)])
 
 
 def _characters(mod: FiniteModule) -> tuple:
@@ -732,10 +739,13 @@ def min_coset_cover_punctured(mod: FiniteModule, puncture: int,
 
 def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     """Elementwise check of a lines cover: every line must be a proper
-    submodule and their union all of M.  Coset covers are checked by
+    submodule and their union all of M.  Line (lam, mu) holds the x with
+    mu.pi_i(x) = lam.pi_j(x), pi_i and pi_j the reductions of the
+    witness's summands onto R/m, m its ideal; with m not above both
+    annihilators there are no such lines.  Coset covers are checked by
     cosets.verify_coset_cover.
     """
-    from . import covering, residues
+    from . import covering
     if (not isinstance(witness, covering.CoverWitness)
             or witness.kind != covering.LINES):
         raise ShapeMismatchError("expected a lines cover witness")
@@ -744,38 +754,31 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
     if not mod.summands:
         raise ShapeMismatchError("module carries no summand data")
     i, j = witness.summand_pair
-    if max(i, j) >= len(mod.summands):
+    if min(i, j) < 0 or max(i, j) >= len(mod.summands):
         raise ShapeMismatchError("witness indexes a missing summand")
-    F = residues.residue_field(mod.ring, witness.ideal)
-    q, points = F.q, witness.line_points
+    reds = [(info.start, field, codes)
+            for info in (mod.summands[i], mod.summands[j])
+            for m, field, codes in info.reductions if m == witness.ideal]
+    if len(reds) < 2:
+        return False
+    field = reds[0][1]
+    q, points = field.size, witness.line_points
     if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
         return False
-    mul = _multiplication_table(mod.ring, witness.ideal)
     # the elements by their image in R/m through summand i, and j
     full, images = mod.full_mask, [
-        _code_classes(_residue_classes(mod, info, F.p, F.d,
-                                       [F.reduce(b) for b in info.basis]))
-        for info in (mod.summands[i], mod.summands[j])]
+        _code_classes(_residue_classes(mod, start, field, codes))
+        for start, _, codes in reds]
     union, by_mu = 0, {}
     for lam, mu in points:
         # the x with mu.x_i = lam.x_j, from the disjoint classes of x_j
         if mu not in by_mu:     # and those of mu.x_i
             by_mu[mu] = [0] * q
-            for a, v in enumerate(mul[mu]):
+            for a, v in enumerate(_multiples(field, mu)):
                 by_mu[mu][v] |= images[0][a]
-        line_mask = sum(map(and_, map(by_mu[mu].__getitem__, mul[lam]),
-                            images[1]))
+        line_mask = sum(map(and_, map(by_mu[mu].__getitem__,
+                                      _multiples(field, lam)), images[1]))
         if line_mask == full or _generators(mod, line_mask)[1] != line_mask:
             return False
         union |= line_mask
     return union == full
-
-
-@lru_cache(maxsize=RESIDUE_TABLE_CACHE_SIZE)
-def _multiplication_table(ring: RingHandle, m) -> tuple:
-    """The multiplication table of R/m, a q x q tuple of codes, built once
-    per process for each (ring, m).  Callers build R/m first, so a witness
-    of the wrong length is refused before any table."""
-    from . import residues
-    F = residues.residue_field(ring, m)
-    return tuple(tuple(F.mul(a, b) for b in range(F.q)) for a in range(F.q))

@@ -12,8 +12,7 @@ def empty_caches():
     """Empties every cache of covercalc but those test_caches.py exempts,
     and returns them."""
     caches = (rings._factor_literal, oracle._cyclic_block,
-              oracle._multiplication_table, oracle._kernel_table, _kernels._steps,
-              _kernels._periods)
+              oracle._kernel_table, _kernels._steps, _kernels._periods)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -1,6 +1,6 @@
 """What a process keeps between calls: literal factorizations, checked
-cyclic blocks, residue-field tables, character kernel tables, and
-translation shifts and periods.
+cyclic blocks with their reductions onto residue fields, character
+kernel tables, and translation shifts and periods.
 
 Each is a bounded functools.lru_cache holding immutable values, so a hit
 returns what a fresh computation would, and an input that raises is never
@@ -22,6 +22,7 @@ import pytest
 import covercalc
 from covercalc import _kernels, covering, oracle, parser, rings
 from covercalc.errors import SpecSemanticError, UnsupportedLiteralError
+from covercalc.rings import FactoredIdeal
 
 # caches the autouse fixture leaves alone, each with why no test needs it
 # emptied
@@ -117,8 +118,6 @@ def test_cache_bounds_are_the_module_constants():
             == rings.FACTOR_CACHE_SIZE)
     assert (oracle._cyclic_block.cache_parameters()["maxsize"]
             == oracle.BLOCK_CACHE_SIZE)
-    assert (oracle._multiplication_table.cache_parameters()["maxsize"]
-            == oracle.RESIDUE_TABLE_CACHE_SIZE)
     assert (_kernels._steps.cache_parameters()["maxsize"]
             == _kernels.STEPS_CACHE_SIZE)
     assert (oracle._kernel_table.cache_parameters()["maxsize"]
@@ -148,7 +147,7 @@ def _cache_definitions():
 
 def test_every_cache_is_emptied_before_each_test_or_exempt(empty_caches):
     definitions = _cache_definitions()
-    assert len(definitions) >= 7
+    assert len(definitions) >= 6
     emptied = set(map(id, empty_caches))
     for module, function in definitions:
         # module level, so the fixture can reach it
@@ -202,11 +201,37 @@ def test_cached_blocks_and_tables_are_tuples(clear_blocks, spec):
         assert _is_frozen(block.orders) and _is_frozen(info.one)
         assert block.action is None or _is_frozen(block.action)
         assert _is_frozen(info.basis)
-        for m, _ in ideal.factors:
-            table = oracle._multiplication_table(mod.ring, m)
-            q = m.residue_card.finite_value
-            assert _is_frozen(table) and len(table) == q
-            assert all(len(row) == q for row in table)
+        # one reduction per maximal ideal above the ideal, onto R/m as a
+        # module without summand data
+        assert isinstance(info.reductions, tuple)
+        assert [m for m, _, _ in info.reductions] == [
+            m for m, _ in ideal.factors]
+        for m, field, codes in info.reductions:
+            assert field.summands == () and _is_frozen(field.orders)
+            assert field.action is None or _is_frozen(field.action)
+            assert field.size == m.residue_card.finite_value
+            assert _is_frozen(codes) and len(codes) == len(info.basis)
+    assert mod.summands[0].reductions == oracle._cyclic_block(
+        d.ring, d.torsion[0][0]).summands[0].reductions
+
+
+# F_9 and F_4 with two summands each, and F_3 through a square: a warm
+# call reads each summand's reduction from its block as materialize left it
+@pytest.mark.parametrize("spec", ["Zi: R/(3) + R/(3)",
+                                  "Fp[t] p=2: R/(t^2+t+1) + R/(t^2+t+1)",
+                                  "Fp[t] p=3: R/(t) + R/(t^2)"])
+def test_warm_maximal_submodules_calls_encode_nothing(monkeypatch,
+                                                     clear_blocks, spec):
+    mod = oracle.materialize(parse(spec))
+    first = oracle.maximal_submodules(mod)
+    calls, real = [], oracle.FiniteModule.encode_ring_element
+    monkeypatch.setattr(oracle.FiniteModule, "encode_ring_element",
+                        lambda self, *args: calls.append(args)
+                        or real(self, *args))
+    looked_up = oracle._cyclic_block.cache_info()
+    assert oracle.maximal_submodules(mod) == first
+    assert calls == []
+    assert oracle._cyclic_block.cache_info() == looked_up
 
 
 # each pair shares a summand: the second module is built from blocks the
@@ -225,7 +250,11 @@ def test_shared_blocks_build_the_same_module(clear_blocks, first, second):
     d = parse(second)
     cold = oracle.materialize(d)
     assert warm == cold
-    assert oracle._cyclic_block.cache_info().currsize == len(d.torsion)
+    # the summands' blocks, and the blocks R/m their reductions are read from
+    ideals = {ideal for ideal, _ in d.torsion} | {
+        FactoredIdeal(((m, 1),)) for ideal, _ in d.torsion
+        for m, _ in ideal.factors}
+    assert oracle._cyclic_block.cache_info().currsize == len(ideals)
 
 
 def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
@@ -254,7 +283,6 @@ def test_threads_sharing_the_caches_build_equal_modules(clear_blocks):
 
     rings._factor_literal.cache_clear()
     oracle._cyclic_block.cache_clear()
-    oracle._multiplication_table.cache_clear()
     oracle._kernel_table.cache_clear()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -106,6 +106,23 @@ def test_the_oracle_loads_the_search():
     assert not loaded & CLOSED_FORMS
 
 
+def test_the_oracle_source_imports_no_residue_or_coset_module():
+    # the run above loads neither, but an import inside a function runs
+    # only when its branch does: read them all from the source
+    path = os.path.join(SRC, "covercalc", "oracle.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), "oracle.py")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[-1])
+            names.update(alias.name for alias in node.names)
+    assert "_kernels" in names
+    assert not names & {"residues", "cosets"}
+
+
 def test_star_import_gives_every_public_name_from_its_module():
     code = ("import sys\nnames = {}\nexec('from covercalc import *', names)\n"
             "del names['__builtins__']\n"

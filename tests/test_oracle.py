@@ -225,8 +225,9 @@ class TestEnumeration:
                                         (2, 2, 2), (5, 5), (6, 4), (12,),
                                         (2, 3), (10, 2)])
     def test_subgroup_counts_match_closure_enumeration(self, orders):
-        mod = oracle.FiniteModule(orders)
-        proper = subgroups_by_join_closure(orders) - {mod.full_mask}
+        mod = z_module(orders)
+        assert sorted(mod.orders) == sorted(orders)
+        proper = subgroups_by_join_closure(mod.orders) - {mod.full_mask}
         assert oracle.maximal_submodules(mod) == \
             sorted(inclusion_maximal(list(proper)))
 
@@ -395,15 +396,28 @@ def check_characters(mod):
 
 def check_functionals(mod):
     """maximal_submodules against the kernels of the R/m-functionals,
-    element by element; a module without summand data against the same
-    module with one summand Z/d_j per coordinate."""
-    if mod.summands:
-        assert oracle.maximal_submodules(mod) == functional_kernels(mod)
-        return
-    summands = tuple(oracle.SummandInfo(j, 1, Z.factor(d), (1,), (1,))
-                     for j, d in enumerate(mod.orders))
-    full = oracle.FiniteModule(mod.orders, None, Z, summands)
-    assert oracle.maximal_submodules(mod) == functional_kernels(full)
+    element by element.  A module without summand data is refused, and
+    the Z-module of its orders, materialized, is checked in its place."""
+    if not mod.summands:
+        if mod.size > 1:
+            with pytest.raises(ShapeMismatchError):
+                oracle.maximal_submodules(mod)
+        mod = z_module(mod.orders)
+    assert oracle.maximal_submodules(mod) == functional_kernels(mod)
+
+
+def z_module(orders):
+    """The sum of the Z/d over the orders d, materialized (its
+    coordinates in the order of its normalized descriptor)."""
+    return oracle.materialize(parse(
+        "Z: " + (" + ".join(f"R/({d})" for d in orders) or "0")))
+
+
+def residue_tables(F):
+    """The addition and multiplication tables of the residue field F,
+    from the arithmetic of residues alone."""
+    return ([[F.add(a, b) for b in range(F.q)] for a in range(F.q)],
+            [[F.mul(a, b) for b in range(F.q)] for a in range(F.q)])
 
 
 def functional_kernels(mod):
@@ -416,8 +430,7 @@ def functional_kernels(mod):
     for m in {m for s in mod.summands for m, _ in s.annihilator.factors}:
         F = residues.residue_field(mod.ring, m)
         q = F.q
-        add = [[F.add(a, b) for b in range(q)] for a in range(q)]
-        mul = [[F.mul(a, b) for b in range(q)] for a in range(q)]
+        add, mul = residue_tables(F)
         images = []
         for s in mod.summands:
             if s.annihilator.exponent_of(m):
@@ -625,8 +638,7 @@ def reference_verdict(mod, witness):
     pts = witness.line_points
     if len(pts) != F.q + 1 or not all(0 <= c < F.q for pt in pts for c in pt):
         return False
-    add = [[F.add(a, b) for b in range(F.q)] for a in range(F.q)]
-    mul = oracle._multiplication_table(mod.ring, witness.ideal)
+    add, mul = residue_tables(F)
     union = 0
     for line in reference.witness_lines(mod, witness, F, add, mul):
         if line == mod.full_mask or oracle._generators(mod, line)[1] != line:
@@ -670,7 +682,7 @@ class TestVerifyWitness:
     def test_tampered_lines_are_the_per_element_ones(self, monkeypatch, spec):
         d = parse(spec)
         mod, w = oracle.materialize(d), covering.build_cover_witness(d)
-        mul = oracle._multiplication_table(mod.ring, w.ideal)
+        _, mul = residue_tables(residues.residue_field(mod.ring, w.ideal))
         pts, q = w.line_points, len(w.line_points) - 1
         # each point replaced by a multiple of itself (the same line, or 0)
         # or of the next point (a duplicated line), and the summand pairs
@@ -751,6 +763,12 @@ class TestVerifyWitness:
         other = oracle.materialize(parse("Z: R/(4)"))
         with pytest.raises(ShapeMismatchError):
             oracle.verify_cover_witness(other, w)
+        # Python would read summands 0 and 1 at indices -2 and -1
+        mod = oracle.materialize(d)
+        assert oracle.verify_cover_witness(mod, w)
+        for pair in [(-2, -1), (0, -1), (-1, 1), (0, 2)]:
+            with pytest.raises(ShapeMismatchError):
+                oracle.verify_cover_witness(mod, replace(w, summand_pair=pair))
 
     def test_chain_witness_not_materializable(self):
         w = covering.build_cover_witness(parse("Z: Q"))
