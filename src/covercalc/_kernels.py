@@ -13,9 +13,9 @@ size; a node builds its group, a stabilizer in its parent's, only when it
 branches.  BACKEND
 names the implementation; the benchmark records it.
 
-No caller in covercalc uses invariant_core now that the oracle takes
-every submodule from character cores; it stays because the benchmark's
-tracer wraps it by name, and a traced run would fail on its absence.
+No caller in covercalc uses invariant_core; it stays because the
+benchmark's tracer wraps it by name, and a traced run would fail on its
+absence.
 """
 
 from __future__ import annotations
@@ -244,14 +244,16 @@ def _search(universe: int, candidates, upper: int, gens,
         return upper
     n = len(candidates)
     limit = _NODE_BUDGET if node_limit is None else node_limit
-    # the candidates holding each element, keyed by the element's bit
-    holders = dict.fromkeys((1 << e for e in _bits(universe)), 0)
+    # the candidates holding each element, at its bit's bit_length: a list
+    # keeps no key of its own, where a dict keyed by the bits would keep
+    # n ints of up to n bits for a universe of n bits
+    holders = [0] * (universe.bit_length() + 1)
     for i, c in enumerate(candidates):
         m = c & universe
         while m:
             low = m & -m
             m ^= low
-            holders[low] |= 1 << i
+            holders[low.bit_length()] |= 1 << i
     best = upper
     nodes = 0
     # (rep, id(parent group)) -> (parent group, its stabilizer of rep); the
@@ -292,7 +294,7 @@ def _search(universe: int, candidates, upper: int, gens,
         while m:
             low = m & -m
             m ^= low
-            o = holders[low] & allowed
+            o = holders[low.bit_length()] & allowed
             k = o.bit_count()
             if k < fewest:
                 opts, fewest = o, k

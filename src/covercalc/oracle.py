@@ -56,8 +56,7 @@ COSET_SIZE_BOUND = 32
 # summands, its work counted in elements: (Z/2)^12 is 4095 * 4096, (Z/2)^13
 # four times that
 SIGMA_WORK_BOUND = 1 << 25
-HARD_SIZE_CAP = 1 << 16   # representation limits of a materialized module
-HARD_COORD_CAP = 16
+HARD_SIZE_CAP = 1 << 16   # and so 16 coordinates, each of order >= 2
 # A process keeps this many checked cyclic blocks R/(pi^e), keyed by
 # (ring, ideal), each with its reductions onto the residue fields R/m above
 # its ideal, among them the blocks R/m those reductions are read from.  A
@@ -157,8 +156,6 @@ def materialize(d: ModuleDescriptor,
                                  info.one, info.reductions))
         orders.extend(block.orders)
         blocks.append(block.action)
-    if len(orders) > HARD_COORD_CAP:
-        raise TooLargeError(f"more than {HARD_COORD_CAP} cyclic coordinates")
     action = None
     if orders and blocks[0] is not None:
         # block diagonal: each row is zero outside its own block
@@ -274,10 +271,10 @@ def maximal_submodules(mod: FiniteModule) -> list[int]:
         return []
     if not mod.summands:
         raise ShapeMismatchError("module carries no summand data")
-    at: dict = {}
+    at: dict = {}    # by m's generator: the summands share one ring
     for info in mod.summands:
         for m, field, codes in info.reductions:
-            at.setdefault(m, (field, []))[1].append((info.start, codes))
+            at.setdefault(m.data, (field, []))[1].append((info.start, codes))
     work = mod.size * sum((q ** len(reds) - 1) // (q - 1)
                           for field, reds in at.values()
                           for q in [field.size])
@@ -430,17 +427,26 @@ def _characters(mod: FiniteModule) -> tuple:
                                   for row, d_j in zip(act, orders)])
 
 
-def _images(radices, coef) -> list:
-    """The index of chi.A for each index chi over the mixed radix radices,
-    where digit k of chi.A is sum_j chi_j coef[j][k] mod radices[k]."""
-    img, size = [0] * prod(radices), 1
-    for b, r in enumerate(radices):
-        digits = [0]
-        for j, r_j in enumerate(radices):
-            digits = [(v + t * coef[j][b]) % r for t in range(r_j)
-                      for v in digits]
-        img = [x + v * size for x, v in zip(img, digits)]
-        size *= r
+def _images(radices, coef, const=None) -> list:
+    """The index of f(x) for each index x over the mixed radix radices, f
+    the affine map whose digit k is sum_j x_j coef[j][k] + const[k] mod
+    radices[k] (const 0 when None): chi -> chi.A on characters, s.a on
+    R/m, x -> sigma(x - p) + p on elements.  The table starts as the
+    identity, and only a digit that f moves (its column of coef not the
+    unit vector, or its constant not 0) is rebuilt, over the enumeration
+    of x, and replaces x's own digit there, times its stride."""
+    size, stride = prod(radices), 1
+    img = list(range(size))
+    for k, (r, c) in enumerate(zip(radices, const or repeat(0))):
+        col = [row[k] for row in coef]
+        if c % r or any(a != (j == k) for j, a in enumerate(col)):
+            digits = [c % r]
+            for a, r_j in zip(col, radices):
+                digits = [(v + t * a) % r for t in range(r_j) for v in digits]
+            old = ([t for t in range(r) for _ in range(stride)]
+                   * (size // (stride * r)))
+            img = [x + (v - t) * stride for x, v, t in zip(img, digits, old)]
+        stride *= r
     return img
 
 
@@ -461,11 +467,10 @@ def _kernel_table(orders: tuple) -> tuple:
             if last and m != g:
                 u = next(u for u in count(pow(m // g, -1, q), q)
                          if gcd(u, top) == 1)
-                scaled = [0]    # the index of u.c, by c
-                for r in orders[:-1]:
-                    scaled = [x + u * t % r * len(scaled) for t in range(r)
-                              for x in scaled]
-                kern += [kern[(g - 1) * len(classes) + c] for c in scaled]
+                # the index of u.c, by c over the j coordinates below
+                kern += [kern[(g - 1) * len(classes) + c] for c in _images(
+                    orders[:j], [[u * (a == b) for b in range(j)]
+                                 for a in range(j)])]
                 continue
             w = m * top // d
             if last:    # class u meets class 0 where x_j = -u/w mod q,
@@ -669,26 +674,13 @@ def _is_automorphism(mod: FiniteModule, sigma) -> bool:
 
 
 def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
-    """The element permutation x -> sigma(x - puncture) + puncture.
-
-    It is x -> sigma x + (puncture - sigma puncture), built one output
-    digit at a time over the mixed-radix enumeration of x: each input
-    digit t adds t times its column of sigma.  A row of the identity
-    keeps its digit, so only the other rows move x, each by its new digit
-    less the old one, times its stride.
-    """
-    orders, p, size = mod.orders, mod.decode(puncture), mod.size
-    out, stride = list(range(size)), 1
-    for r, (row, d, pr) in enumerate(zip(sigma, orders, p)):
-        if any(s != (c == r) for c, s in enumerate(row)):
-            digits = [(pr - sum(map(mul, row, p))) % d]
-            for s, dc in zip(row, orders):
-                digits = [(v + t * s) % d for t in range(dc) for v in digits]
-            old = ([t for t in range(d) for _ in range(stride)]
-                   * (size // (stride * d)))
-            out = [x + (v - t) * stride for x, v, t in zip(out, digits, old)]
-        stride *= d
-    return tuple(out)
+    """The element permutation x -> sigma(x - puncture) + puncture: the
+    affine map x -> sigma x + (puncture - sigma puncture), whose digit r
+    reads row r of sigma (_images reads coefficients by column)."""
+    p = mod.decode(puncture)
+    return tuple(_images(mod.orders, list(zip(*sigma)),
+                         [pr - sum(map(mul, row, p))
+                          for row, pr in zip(sigma, p)]))
 
 
 def coset_symmetries(mod: FiniteModule, puncture: int, masks) -> list[tuple]:

@@ -60,13 +60,18 @@ def test_large_lines_witness_checks_within_budget(capsys, spec):
     assert json.loads(capsys.readouterr().out)["witness_checked"] is True
 
 
-# 4,096 characters of one coordinate: the kernel table builds one kernel
-# per divisor of 4096 and looks the others up
-def test_oracle_phi_on_a_large_cyclic_module_answers_within_budget(capsys):
+# 4,096 or 65,536 characters of one coordinate: the kernel table builds
+# one kernel per divisor of the order and looks the others up, and the
+# search over the 16 avoiding cosets of the larger one keeps its holder
+# sets by element position
+@pytest.mark.parametrize("order, answer", [(4096, 12), (65536, 16)])
+def test_oracle_phi_on_a_large_cyclic_module_answers_within_budget(
+        capsys, order, answer):
     code, elapsed = run_within_budget(
-        ["oracle", "phi", "Z: R/(4096)", "--max-size", "4096", "--json"])
+        ["oracle", "phi", f"Z: R/({order})", "--max-size", str(order),
+         "--json"])
     assert code == 0 and elapsed < BUDGET_S
-    assert json.loads(capsys.readouterr().out)["answer"] == 12
+    assert json.loads(capsys.readouterr().out)["answer"] == answer
 
 
 def test_integer_literal_guard_exits_65(capsys):

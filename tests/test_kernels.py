@@ -4,6 +4,7 @@ references, and soundness of the exact-cover search with symmetries."""
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from test_oracle import block_modules, parse
@@ -432,6 +433,23 @@ def test_min_cover_leaves_no_cyclic_garbage(monkeypatch):
     finally:
         gc.enable()
     assert restarts == [1]
+
+
+def test_min_cover_keeps_its_holders_small_on_a_wide_universe():
+    # 16,383 elements held by 14 cosets: the holder set of each element
+    # is found by its bit's position, so the search keeps no per-element
+    # key of up to 16,384 bits (18 MB of them)
+    mod = oracle.materialize(parse("Z: R/(16384)"), max_size=16384)
+    masks = [c[0] for c in oracle.punctured_coset_candidates(mod, 0)]
+    assert len(masks) == 14
+    tracemalloc.start()
+    try:
+        size, _ = _kernels.min_cover(mod.full_mask & ~1, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 14
+    assert peak < 1 << 20
 
 
 def planted_partitions(seed, count):
