@@ -11,7 +11,7 @@ The maximal submodules are the kernels of the R-maps of M onto a residue
 field R/m, one per R/m-line of them, built from the masks of the
 elements by their image in R/m through each summand (_residue_classes),
 whose reduction onto R/m is kept with its cyclic block, in the action of
-R/m's own block (_multiples), as the lines check is.  The avoiding cosets come
+R/m's own block (_unit_maps), as in the lines check.  The avoiding cosets come
 from characters of M: the kernels of chi, chi.A, chi.A^2, ... meet in
 its core, the largest submodule in ker chi, the annihilator of R.chi in
 the dual (_cores); they are cosets of the cores of all characters, whose
@@ -390,27 +390,24 @@ def _line_kernels(mod: FiniteModule, res, field: FiniteModule) -> list:
 
 def _unit_maps(field: FiniteModule) -> list:
     """For each unit s of R/m = field, the code of s.a by code a: the
-    powers of the map of a generator of the cyclic group of units."""
-    q = field.size
-    for v in range(2, q):
-        step = _multiples(field, v)
+    powers of the map of a generator of the cyclic group of units.  The
+    element of code v is s = sum_k v_k g^k, v_k the base-p digits of v
+    and g the ring's generator (the code of s in residues, and so of a
+    lines witness's points); it acts F_p-linearly, so _images builds its
+    map from the codes of s.e_b, one scalar action each.  The block's
+    basis is 1, g, g^2, ..., so each map sends code 1 to the code of its
+    unit.  The search starts at v = 1, the identity, the one unit of F_2."""
+    q, d = field.size, len(field.orders)
+    for v in range(1, q):
+        s = field.decode(v)
+        step = _images(field.orders, [
+            _scalar_action(field, s, [int(b == c) for c in range(d)])
+            for b in range(d)])
         powers = [step]
         while powers[-1] != list(range(q)):
             powers.append(list(map(step.__getitem__, powers[-1])))
         if len(powers) == q - 1:
             return powers
-
-
-def _multiples(field: FiniteModule, v: int) -> list:
-    """The code of s.a by code a of R/m = field, for the element
-    s = sum_k v_k g^k of R, v_k the base-p digits of v and g the ring's
-    generator (the code of s in residues, and so of a lines witness's
-    points).  s acts F_p-linearly, so _images builds its map from the
-    codes of s.e_b, one scalar action each."""
-    s, d = field.decode(v), len(field.orders)
-    return _images(field.orders, [
-        _scalar_action(field, s, [int(b == c) for c in range(d)])
-        for b in range(d)])
 
 
 def _characters(mod: FiniteModule) -> tuple:
@@ -571,16 +568,17 @@ def punctured_coset_candidates(mod: FiniteModule, puncture: int):
 
 
 def automorphisms(mod: FiniteModule) -> list[tuple]:
-    """A few cheap module automorphisms, as integer matrices on the digits.
+    """A few cheap candidate symmetries, as integer matrices on the digits.
 
     The summands (each coordinate, without summand data) are grouped by
     their orders and action blocks.  Per group: a swap and a cycle of its
     blocks, and a scaling of its first block by a unit of largest
     multiplicative order.  Per ordered pair of groups (a group with itself
     when it has two blocks): the shear x_i += c*x_j of their first blocks,
-    with the least c that makes it well defined.  Matrices that are not
-    well defined or do not commute with the action are dropped.  They
-    generate some subgroup of Aut(M), which is all a symmetry needs to be.
+    with the least c that makes it well defined.  A matrix need not be a
+    module automorphism (a shear between blocks whose actions differ is
+    not): coset_symmetries keeps one only when its element map permutes
+    the candidates, which is all a symmetry of the search needs to do.
     """
     k = len(mod.orders)
     blocks = ([(info.start, info.ncoords) for info in mod.summands]
@@ -632,8 +630,7 @@ def automorphisms(mod: FiniteModule) -> list[tuple]:
             for t in range(width):
                 sigma[i + t][j + t] = c
             out.append(sigma)
-    return [tuple(map(tuple, sigma)) for sigma in out
-            if _is_automorphism(mod, sigma)]
+    return [tuple(map(tuple, sigma)) for sigma in out]
 
 
 def _unit_of_largest_order(m: int) -> int:
@@ -649,34 +646,12 @@ def _unit_of_largest_order(m: int) -> int:
                 and all(pow(u, lam // q, m) != 1 for q in qs))
 
 
-def _is_automorphism(mod: FiniteModule, sigma) -> bool:
-    """Well defined on the orders and commuting with the action matrix.
-    (Swaps, unit scalings and shears are invertible by construction.)
-
-    Only the entries where sigma differs from the identity are read, as
-    E = sigma - I: the identity's entries are well defined, and
-    sigma.A - A.sigma = E.A - A.E, which vanishes outside the rows and
-    columns of E's nonzero entries."""
-    orders, k, mat = mod.orders, len(mod.orders), mod.action
-    moved = [(r, t, sigma[r][t] - (r == t)) for r in range(k) for t in range(k)
-             if sigma[r][t] != (r == t)]
-    if any((sigma[r][t] * orders[t]) % orders[r] for r, t, _ in moved):
-        return False
-    if mat is None:
-        return True
-    diff = {}
-    for r, t, e in moved:
-        for c in range(k):      # E.A gains e * A[t] in row r
-            diff[r, c] = diff.get((r, c), 0) + e * mat[t][c]
-        for q in range(k):      # A.E gains A[q][r] * e in column t
-            diff[q, t] = diff.get((q, t), 0) - mat[q][r] * e
-    return not any(v % orders[r] for (r, _), v in diff.items())
-
-
 def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
-    """The element permutation x -> sigma(x - puncture) + puncture: the
-    affine map x -> sigma x + (puncture - sigma puncture), whose digit r
-    reads row r of sigma (_images reads coefficients by column)."""
+    """The element map x -> sigma(x - puncture) + puncture, which fixes the
+    puncture: the affine map x -> sigma x + (puncture - sigma puncture),
+    whose digit r reads row r of sigma (_images reads coefficients by
+    column).  It is a permutation when sigma is invertible on M, and
+    coset_symmetries checks that it is one."""
     p = mod.decode(puncture)
     return tuple(_images(mod.orders, list(zip(*sigma)),
                          [pr - sum(map(mul, row, p))
@@ -684,22 +659,28 @@ def fixing_permutation(mod: FiniteModule, sigma, puncture: int) -> tuple:
 
 
 def coset_symmetries(mod: FiniteModule, puncture: int, masks) -> list[tuple]:
-    """The automorphisms, conjugated to fix the puncture, as permutations
-    of the candidate indices (perm[i] is the index of the image of mask i).
+    """The symmetries of the set system (the universe M - {puncture}, the
+    candidate masks), as permutations of the candidate indices (perm[i]
+    is the index of the image of mask i), one per matrix of automorphisms
+    whose element map (fixing_permutation) is a bijection that sends every
+    candidate onto a candidate and moves at least one.  Such a map fixes
+    the puncture, so it maps the universe onto itself, as min_cover asks.
 
-    Each maps the puncture-avoiding cosets of proper submodules onto
-    themselves; a matrix that moves some candidate off the list is
-    dropped, and so is one that moves no candidate.  A mask's image is the
-    sum of the bits of its elements' images, which one itemgetter per mask
-    picks from the table of image bits; its last index, past the elements,
-    picks a 0, so a singleton's getter returns a tuple too.
+    A mask's image is the sum of the bits of its elements' images, which
+    one itemgetter per mask picks from the table of image bits; its last
+    index, past the elements, picks a 0, so a singleton's getter returns a
+    tuple too.  The sum is that image only when the bits are distinct, so
+    a map that is not a bijection is dropped before any mask is mapped.
     """
     index = {m: i for i, m in enumerate(masks)}
     getters = [itemgetter(*kernels._bits(m), mod.size) for m in masks]
     identity = list(range(len(masks)))
     out = []
     for sigma in automorphisms(mod):
-        bits = [1 << y for y in fixing_permutation(mod, sigma, puncture)]
+        tau = fixing_permutation(mod, sigma, puncture)
+        if len(set(tau)) < mod.size:
+            continue
+        bits = [1 << y for y in tau]
         bits.append(0)
         perm = [index.get(sum(get(bits))) for get in getters]
         if None not in perm and perm != identity:
@@ -745,17 +726,23 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
         raise ShapeMismatchError("symbolic witness cannot be materialized")
     if not mod.summands:
         raise ShapeMismatchError("module carries no summand data")
-    i, j = witness.summand_pair
-    if min(i, j) < 0 or max(i, j) >= len(mod.summands):
+    pair, summands = witness.summand_pair or (), mod.summands
+    if len(pair) != 2 or not all(
+            isinstance(n, int) and 0 <= n < len(summands) for n in pair):
         raise ShapeMismatchError("witness indexes a missing summand")
     reds = [(info.start, field, codes)
-            for info in (mod.summands[i], mod.summands[j])
+            for info in map(summands.__getitem__, pair)
             for m, field, codes in info.reductions if m == witness.ideal]
     if len(reds) < 2:
         return False
     field = reds[0][1]
     q, points = field.size, witness.line_points
-    if len(points) != q + 1 or not all(0 <= c < q for pt in points for c in pt):
+    # a -> s.a for each code s, a unit's map keyed by its image of code 1
+    times = {s[1]: s for s in _unit_maps(field)}
+    times[0] = [0] * q
+    if len(points) != q + 1 or not all(
+            isinstance(pt, tuple) and len(pt) == 2
+            and all(c in times for c in pt) for pt in points):
         return False
     # the elements by their image in R/m through summand i, and j
     full, images = mod.full_mask, [
@@ -766,10 +753,10 @@ def verify_cover_witness(mod: FiniteModule, witness) -> bool:
         # the x with mu.x_i = lam.x_j, from the disjoint classes of x_j
         if mu not in by_mu:     # and those of mu.x_i
             by_mu[mu] = [0] * q
-            for a, v in enumerate(_multiples(field, mu)):
+            for a, v in enumerate(times[mu]):
                 by_mu[mu][v] |= images[0][a]
-        line_mask = sum(map(and_, map(by_mu[mu].__getitem__,
-                                      _multiples(field, lam)), images[1]))
+        line_mask = sum(map(and_, map(by_mu[mu].__getitem__, times[lam]),
+                            images[1]))
         if line_mask == full or _generators(mod, line_mask)[1] != line_mask:
             return False
         union |= line_mask

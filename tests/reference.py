@@ -142,36 +142,30 @@ def every_avoiding_coset(mod, puncture):
     return cands
 
 
-def is_automorphism_dense(mod, sigma):
-    """Every entry of sigma well defined on the orders, and every entry of
-    sigma.A - A.sigma zero modulo its row's order."""
-    orders, k, mat = mod.orders, len(mod.orders), mod.action
-    for r in range(k):
-        for c in range(k):
-            if (sigma[r][c] * orders[c]) % orders[r]:
-                return False
-            if mat is not None and (
-                    sum(sigma[r][t] * mat[t][c] - mat[r][t] * sigma[t][c]
-                        for t in range(k)) % orders[r]):
-                return False
-    return True
+def fixing_map(mod, sigma, puncture):
+    """x -> sigma(x - puncture) + puncture for each element x, by decoding,
+    multiplying and encoding."""
+    orders, p = mod.orders, kernels.decode(mod.orders, puncture)
+    tau = []
+    for x in range(mod.size):
+        d = [a - b for a, b in zip(kernels.decode(orders, x), p)]
+        tau.append(kernels.encode(orders, [
+            sum(s * v for s, v in zip(row, d)) + p[r]
+            for r, row in enumerate(sigma)]))
+    return tau
 
 
 def coset_symmetries(mod, puncture, masks, sigmas):
     """The matrices, conjugated to fix the puncture, as permutations of the
-    mask indices: each element mapped by decoding, multiplying and
-    encoding, each mask bit by bit.  A matrix that moves a mask off the
-    list, or moves none, is dropped."""
-    orders, p = mod.orders, kernels.decode(mod.orders, puncture)
+    mask indices: each element mapped by fixing_map, each mask bit by bit.
+    A matrix whose map is not a bijection of the elements, moves a mask
+    off the list, or moves none, is dropped."""
     index = {m: i for i, m in enumerate(masks)}
     out = []
     for sigma in sigmas:
-        tau = []
-        for x in range(mod.size):
-            d = [a - b for a, b in zip(kernels.decode(orders, x), p)]
-            tau.append(kernels.encode(orders, [
-                sum(s * v for s, v in zip(row, d)) + p[r]
-                for r, row in enumerate(sigma)]))
+        tau = fixing_map(mod, sigma, puncture)
+        if sorted(tau) != list(range(mod.size)):
+            continue
         perm = []
         for m in masks:
             image = 0

@@ -712,6 +712,26 @@ class TestVerifyWitness:
             mod = oracle.materialize(d)
             assert oracle.verify_cover_witness(mod, w), spec
 
+    @pytest.mark.slow
+    def test_unit_maps_are_the_residue_products_on_every_sigma_golden(self):
+        # for every R/m the sigma goldens reduce onto (q up to 251), the
+        # maps of _unit_maps are residues' products by the units
+        # (ResidueField.mul, as in residue_tables), each keyed by its
+        # image of code 1; F_2's one map is the identity
+        fields = {}
+        for item in golden_items("sigma"):
+            mod = oracle.materialize(parse(item["spec"]))
+            for info in mod.summands:
+                for m, field, _ in info.reductions:
+                    fields[mod.ring, m] = field
+        assert len(fields) == 132
+        for (ring, m), field in fields.items():
+            F = residues.residue_field(ring, m)
+            maps = oracle._unit_maps(field)
+            assert sorted(s[1] for s in maps) == list(range(1, F.q)), m
+            for s in maps:
+                assert s == [F.mul(s[1], a) for a in range(F.q)], (m, s)
+
     def test_rejects_partial_cover(self):
         d = parse("Z: R/(2) + R/(2)")
         w = covering.build_cover_witness(d)
@@ -741,7 +761,10 @@ class TestVerifyWitness:
         mod = oracle.materialize(d)
         pts = w.line_points
         q = len(pts) - 1
-        for bad in [(q, 1), (1, q), (-1, 1), pts[0], (0, 0)]:
+        # a code out of range, a repeated line, the zero point, and points
+        # that are not two codes
+        for bad in [(q, 1), (1, q), (-1, 1), pts[0], (0, 0), (1, 0, 0), (1,),
+                    1, (0.5, 1)]:
             tampered = replace(w, line_points=pts[:-1] + (bad,))
             assert oracle.verify_cover_witness(mod, tampered) is False, bad
 
@@ -766,7 +789,8 @@ class TestVerifyWitness:
         # Python would read summands 0 and 1 at indices -2 and -1
         mod = oracle.materialize(d)
         assert oracle.verify_cover_witness(mod, w)
-        for pair in [(-2, -1), (0, -1), (-1, 1), (0, 2)]:
+        for pair in [(-2, -1), (0, -1), (-1, 1), (0, 2), (0.0, 1), (0, 1, 1),
+                     None]:
             with pytest.raises(ShapeMismatchError):
                 oracle.verify_cover_witness(mod, replace(w, summand_pair=pair))
 
@@ -800,30 +824,26 @@ class TestCosetSymmetries:
         mod = oracle.materialize(parse(spec), max_size=81)
         sigmas = oracle.automorphisms(mod)
         assert len(sigmas) >= 2   # a block swap and a block shear at least
-        for sigma in sigmas:
-            # as a map of elements: a bijection commuting with the action
-            image = [oracle.fixing_permutation(mod, sigma, 0)[x]
-                     for x in range(mod.size)]
-            assert sorted(image) == list(range(mod.size))
-            for x in range(mod.size) if mod.action else ():
-                assert image[kernels.apply_matrix(mod.orders, mod.action, x)] == \
-                    kernels.apply_matrix(mod.orders, mod.action, image[x])
         for puncture in (0, 1, mod.size - 1):
             masks = [c[0] for c in
                      oracle.punctured_coset_candidates(mod, puncture)]
             perms = oracle.coset_symmetries(mod, puncture, masks)
             assert perms
+            for perm in perms:
+                assert sorted(perm) == list(range(len(masks)))
+            # the perms are the actions on the masks of the matrices whose
+            # element maps fix the puncture, are bijections and send every
+            # mask onto a mask, but the identity
+            images = set()
             for sigma in sigmas:
                 tau = oracle.fixing_permutation(mod, sigma, puncture)
                 assert tau[puncture] == puncture
-            for perm in perms:
-                assert sorted(perm) == list(range(len(masks)))
-            # each perm is the action of some fixing automorphism on the masks
-            taus = [oracle.fixing_permutation(mod, s, puncture) for s in sigmas]
-            images = {tuple(masks.index(_image(m, tau)) for m in masks)
-                      for tau in taus
-                      if all(_image(m, tau) in masks for m in masks)}
-            assert set(perms) <= images
+                if sorted(tau) == list(range(mod.size)) and all(
+                        _image(m, tau) in masks for m in masks):
+                    images.add(tuple(masks.index(_image(m, tau))
+                                     for m in masks))
+            images.discard(tuple(range(len(masks))))
+            assert set(perms) == images
 
     @pytest.mark.parametrize("spec", ["Z: R/(3) + R/(3) + R/(9)",
                                       "Z: R/(2) + R/(4) + R/(4)",
@@ -887,22 +907,10 @@ class TestCosetSymmetries:
         assert [fetches[p] for p in budgets] == sorted(
             set(fetches.values()), reverse=True), fetches
 
-    def test_symmetries_match_the_reference_on_the_goldens(self,
-                                                           monkeypatch):
-        # the same permutations in the same order as the dense check and
-        # the elementwise, bit by bit mapping of tests/reference.py, at
-        # punctures 0 and |M|-1 of every phi golden and 0 of every sigma
-        # golden; the sparse and dense checks agree on every matrix that
-        # automorphisms tries
-        sparse, verdicts = oracle._is_automorphism, []
-
-        def both(mod, sigma):
-            got = sparse(mod, sigma)
-            assert got == reference.is_automorphism_dense(mod, sigma), sigma
-            verdicts.append(got)
-            return got
-
-        monkeypatch.setattr(oracle, "_is_automorphism", both)
+    def test_symmetries_match_the_reference_on_the_goldens(self):
+        # the same permutations in the same order as the elementwise, bit
+        # by bit mapping of tests/reference.py, at punctures 0 and |M|-1
+        # of every phi golden and 0 of every sigma golden
         instances = []
         for e in golden_items("phi"):
             mod = oracle.materialize(parse(e["spec"]), max_size=e["size"])
@@ -922,20 +930,106 @@ class TestCosetSymmetries:
             assert got == reference.coset_symmetries(
                 mod, p, masks, oracle.automorphisms(mod)), (mod, p)
             perms += len(got)
-        assert perms > 1000 and True in verdicts and False in verdicts
+        assert perms > 1000
 
-    @pytest.mark.parametrize("spec, sigma", [
-        # x_1 += x_0 sends 2.e_0 = 0 to 2.e_1, which is not 0 mod 4
-        ("Z: R/(2) + R/(4)", ((1, 0), (1, 1))),
+    def test_every_symmetry_handed_to_the_search_permutes_the_candidates(
+            self, monkeypatch):
+        # at punctures 0 and |M|-1 of every phi golden and 0 of every
+        # sigma golden, each permutation min_cover is handed is induced,
+        # element by element, by the map of a matrix of automorphisms
+        # that is a bijection, fixes the puncture (the one element outside
+        # the universe) and sends every candidate onto a candidate
+        real, handed = kernels.min_cover, []
+
+        def fetch(universe, candidates, symmetries):
+            handed.append((universe, list(candidates), symmetries()))
+            return real(universe, candidates, symmetries)
+
+        monkeypatch.setattr(kernels, "min_cover", fetch)
+        searches = []
+        for e in golden_items("phi"):
+            mod = oracle.materialize(parse(e["spec"]), max_size=e["size"])
+            for p in (0, mod.size - 1):
+                oracle.min_coset_cover_punctured(mod, p, max_size=e["size"])
+                searches.append((mod, p, handed.pop()))
+        for e in golden_items("sigma"):
+            mod = oracle.materialize(parse(e["spec"]))
+            oracle.min_submodule_cover(mod)
+            searches += [(mod, 0, h) for h in handed]
+            handed.clear()
+        perms = 0
+        for mod, p, (universe, masks, got) in searches:
+            assert universe == mod.full_mask & ~(1 << p)
+            index = {m: i for i, m in enumerate(masks)}
+            induced = set()
+            for sigma in oracle.automorphisms(mod):
+                tau = reference.fixing_map(mod, sigma, p)
+                images = [_image(m, tau) for m in masks]
+                if (tau[p] == p and sorted(tau) == list(range(mod.size))
+                        and all(m in index for m in images)):
+                    induced.add(tuple(map(index.__getitem__, images)))
+            assert set(got) <= induced, (mod, p)
+            perms += len(got)
+        assert perms > 1000
+
+    @pytest.mark.parametrize("spec, sigma, kept", [
+        # x_1 += x_0 sends 2.e_0 = 0 to 2.e_1, which is not 0 mod 4; as a
+        # map of elements it is a bijection all the same, and it permutes
+        # the three maximal submodules
+        ("Z: R/(2) + R/(4)", ((1, 0), (1, 1)), [(2, 1, 0)]),
         # an order-5 coordinate into an order-2 one, under an action
-        ("Zi: R/(1+i) + R/(2+i)", ((1, 1), (0, 1))),
+        ("Zi: R/(1+i) + R/(2+i)", ((1, 1), (0, 1)), []),
         # a shear between blocks whose actions differ, t and t+1 acting as
         # 0 and 1: well defined, but it does not commute with the action
-        ("Fp[t] p=2: R/(t) + R/(t+1)", ((1, 1), (0, 1)))])
-    def test_broken_matrices_fail_both_checks(self, spec, sigma):
+        ("Fp[t] p=2: R/(t) + R/(t+1)", ((1, 1), (0, 1)), [])])
+    def test_broken_matrices_are_dropped(self, monkeypatch, spec, sigma,
+                                         kept):
+        # none is a module automorphism, and each moves some avoiding
+        # coset off the list at every puncture
         mod = oracle.materialize(parse(spec))
-        assert not oracle._is_automorphism(mod, sigma)
-        assert not reference.is_automorphism_dense(mod, sigma)
+        monkeypatch.setattr(oracle, "automorphisms", lambda mod: [sigma])
+        for p in range(mod.size):
+            masks = [c[0] for c in oracle.punctured_coset_candidates(mod, p)]
+            assert oracle.coset_symmetries(mod, p, masks) == [], p
+            assert reference.coset_symmetries(mod, p, masks, [sigma]) == []
+        masks = oracle.maximal_submodules(mod)
+        assert oracle.coset_symmetries(mod, 0, masks) == kept
+        assert reference.coset_symmetries(mod, 0, masks, [sigma]) == kept
+
+    def test_a_map_that_is_no_bijection_is_dropped(self, monkeypatch):
+        # x -> 2x on Z/4 sends the singletons {0}, {1}, {2}, {3} to {0},
+        # {2}, {0}, {2}: each image is on the list, but the map permutes
+        # nothing; x -> 3x is kept
+        mod = oracle.materialize(parse("Z: R/(4)"))
+        masks, sigmas = [1, 2, 4, 8], [((2,),), ((3,),)]
+        monkeypatch.setattr(oracle, "automorphisms", lambda mod: sigmas)
+        assert oracle.coset_symmetries(mod, 0, masks) == [(0, 3, 2, 1)]
+        assert reference.coset_symmetries(mod, 0, masks, sigmas) == \
+            [(0, 3, 2, 1)]
+
+    def test_a_shear_that_is_no_automorphism_keeps_the_sigma_answer(
+            self, monkeypatch):
+        # the shear of the first block by the second of
+        # Zi: R/(-2+2i) + R/(-4-4i), blocks whose actions differ, does not
+        # commute with the action, yet it swaps two of the three maximal
+        # submodules and is kept; the size and the witness are those of
+        # the search without symmetries
+        mod = oracle.materialize(parse("Zi: R/(-2+2i) + R/(-4-4i)"))
+        masks = oracle.maximal_submodules(mod)
+        shear = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert shear in oracle.automorphisms(mod)
+        assert oracle.coset_symmetries(mod, 0, masks) == [(0, 2, 1)]
+        tau = oracle.fixing_permutation(mod, shear, 0)
+        act = functools.partial(kernels.apply_matrix, mod.orders, mod.action)
+        assert any(tau[act(x)] != act(tau[x]) for x in range(mod.size))
+        real, fetched = oracle.coset_symmetries, []
+        monkeypatch.setattr(oracle, "coset_symmetries",
+                            lambda *args: fetched.append(1) or real(*args))
+        plain = oracle.min_submodule_cover(mod)
+        assert plain[0] == 3 and not fetched   # the plain search closes it
+        monkeypatch.setattr(kernels, "_PLAIN_NODES", 0)
+        assert oracle.min_submodule_cover(mod) == plain
+        assert fetched
 
     # nodes of the symmetric search: a cheaper stabilizer must leave the
     # search tree as it is, and a stronger bound may only lower them.  The
